@@ -80,7 +80,7 @@ class AdapterBase:
 
     def expert_index(self, name: str, sel: Selection) -> int:
         axis = self.expert_axes[name]
-        bound = self.blocks()[name].shape[0]
+        bound = getattr(self, name).shape[0]
         return _check_index(axis, getattr(self.resolve(sel), axis), bound)
 
     def trainable_mask(self, sel: Selection) -> dict[str, np.ndarray]:
@@ -123,11 +123,21 @@ class AdapterBase:
 
     @staticmethod
     def load(path: str | Path) -> "AdapterBase":
+        """Read a checkpoint written by ``save``; every block must have the
+        shape its header records."""
         with np.load(path, allow_pickle=False) as data:
             meta = json.loads(str(data["__meta__"]))
             arrays = {k: np.asarray(data[k]) for k in data.files if k != "__meta__"}
         cls = ADAPTER_KINDS[meta["kind"]]
-        return cls(**arrays, **meta.get("scalars", {}))
+        adapter = cls(**arrays, **meta.get("scalars", {}))
+        shapes = {k: list(v.shape) for k, v in adapter.blocks().items()}
+        for name in sorted(set(shapes) | set(meta["shapes"])):
+            if shapes.get(name) != meta["shapes"].get(name):
+                raise ValueError(
+                    f"checkpoint {path}: block {name!r} has shape "
+                    f"{shapes.get(name)}, its header records "
+                    f"{meta['shapes'].get(name)}")
+        return adapter
 
 
 @dataclass
@@ -432,3 +442,105 @@ def init_adapter(kind: str, dims: dict, seed: int | np.random.Generator) -> Adap
         raise ValueError(f"unknown adapter kind {kind!r}; "
                          f"expected one of {sorted(ADAPTER_KINDS)}")
     return ADAPTER_KINDS[kind].init(rng=rng, **dims)
+
+
+# ---------------------------------------------------------------------------
+# An adapter stack as one flat parameter vector
+# ---------------------------------------------------------------------------
+
+def block_key(layer: int, name: str) -> str:
+    """Name of one block of an adapter stack in checkpoints and reports."""
+    return f"L{layer}:{name}"
+
+
+def pack_layers(layers: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
+    """Per-layer block dicts as one dict keyed by ``block_key``."""
+    return {block_key(l, name): arr for l, layer in enumerate(layers)
+            for name, arr in layer.items()}
+
+
+def unpack_layers(packed: dict[str, np.ndarray],
+                  n_layers: int) -> list[dict[str, np.ndarray]]:
+    """Inverse of ``pack_layers``."""
+    layers = [{} for _ in range(n_layers)]
+    for key, arr in packed.items():
+        prefix, name = key.split(":", 1)
+        layers[int(prefix[1:])][name] = arr
+    return layers
+
+
+@dataclass(frozen=True)
+class Slot:
+    """Where one block of an adapter stack lives in the flat vector."""
+
+    start: int
+    shape: tuple[int, ...]
+
+    @property
+    def span(self) -> slice:
+        return slice(self.start, self.start + int(np.prod(self.shape)))
+
+    def row(self, index: int) -> slice:
+        """The slots of row ``index`` (along the leading axis) of this block."""
+        width = int(np.prod(self.shape[1:]))
+        return slice(self.start + index * width, self.start + (index + 1) * width)
+
+
+@dataclass(frozen=True)
+class FlatLayout:
+    """The blocks of an adapter stack laid out in one float64 vector, in the
+    manner of ``parameters_to_vector`` or ``ravel_pytree``.
+
+    The shared blocks of every layer come first and fill the leading
+    ``n_shared`` slots; the expert blocks follow. Checkpoints keep their
+    per-block files, so the order is free to choose.
+    """
+
+    slots: dict[tuple[int, str], Slot]   # (layer, block name), in vector order
+    n_shared: int
+    size: int
+
+    @classmethod
+    def of(cls, adapters: list[AdapterBase]) -> "FlatLayout":
+        blocks = [(name not in ad.shared_names, l, name, arr.shape)
+                  for l, ad in enumerate(adapters)
+                  for name, arr in ad.blocks().items()]
+        slots, start, n_shared = {}, 0, 0
+        for expert, l, name, shape in sorted(blocks, key=lambda b: b[0]):
+            slots[l, name] = Slot(start, shape)
+            start = slots[l, name].span.stop
+            if not expert:
+                n_shared = start
+        return cls(slots, n_shared, start)
+
+    def bind(self, adapters: list[AdapterBase]) -> np.ndarray:
+        """Copy every block into one new vector and make each block of
+        ``adapters`` a view of it; returns the vector."""
+        theta = np.empty(self.size)
+        for (l, name), s in self.slots.items():
+            theta[s.span] = getattr(adapters[l], name).ravel()
+            setattr(adapters[l], name, theta[s.span].reshape(s.shape))
+        return theta
+
+    def check_bound(self, adapters: list[AdapterBase], theta: np.ndarray) -> None:
+        """Raise if a block of ``adapters`` is no longer a view of ``theta``
+        (an optimizer step on ``theta`` would then miss it)."""
+        for l, ad in enumerate(adapters):
+            for name, arr in ad.blocks().items():
+                if arr.base is not theta:
+                    raise RuntimeError(f"block {block_key(l, name)} is not a "
+                                       "view of the flat parameter vector")
+
+    def flatten(self, layers: list[dict[str, np.ndarray]],
+                shared_only: bool = False) -> np.ndarray:
+        """One vector in this layout from per-layer block dicts; with
+        ``shared_only``, of the leading ``n_shared`` slots alone."""
+        stop = self.n_shared if shared_only else self.size
+        return np.concatenate([layers[l][name].ravel()
+                               for (l, name), s in self.slots.items()
+                               if s.start < stop])
+
+    def views(self, vector: np.ndarray) -> dict[str, np.ndarray]:
+        """Block-shaped views of a vector in this layout, keyed by ``block_key``."""
+        return {block_key(l, name): vector[s.span].reshape(s.shape)
+                for (l, name), s in self.slots.items()}

@@ -85,6 +85,8 @@ class ExperimentConfig:
                 f"{self.n_scenes} x {self.n_envs}")
         if self.adapter_kind == "tucker5" and self.n_instr < 1:
             raise ConfigError("n_instr: tucker5 needs at least one instruction type")
+        if self.adapter_kind == "tucker3" and len(self.ranks) < 3:
+            raise ConfigError("ranks: tucker3 needs three ranks")
         if self.adapter_kind == "tucker4" and len(self.ranks) < 4:
             raise ConfigError("ranks: tucker4 needs four ranks")
         if self.adapter_kind == "tucker5" and len(self.ranks) < 5:

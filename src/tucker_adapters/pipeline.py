@@ -2,7 +2,7 @@
 evaluation, reference runs, and resumable checkpointing.
 
 Per task the trainer (i) inherits shared blocks and any previously learned
-expert slices by construction (the same arrays persist across tasks),
+expert slices by construction (the same adapters persist across tasks),
 (ii) estimates Fisher weights on the leading fraction of the task's data and
 folds them into a running average, (iii) runs the epoch/minibatch loop over
 the combined objective with non-current experts frozen, and (iv) snapshots
@@ -16,6 +16,7 @@ bitwise-identical to an uninterrupted one.
 from __future__ import annotations
 
 import json
+import os
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -23,7 +24,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .adapters import AdapterBase, Selection, init_adapter
+from .adapters import (
+    AdapterBase,
+    Selection,
+    init_adapter,
+    pack_layers,
+    unpack_layers,
+)
 from .config import ExperimentConfig
 from .metrics import EpisodeRecord, TaskScore, score_task
 from .retrieval import FeatureStore
@@ -44,6 +51,7 @@ from .training import (
     Hyper,
     adam_step,
     batch_arrays,
+    build_plan,
     fisher_ema,
     fisher_estimate,
     total_loss_and_grads,
@@ -110,6 +118,12 @@ class LifelongState:
     def per_task(self) -> bool:
         return self.cfg.adapter_kind == "lora_per_task"
 
+    @property
+    def lookup_pairs(self) -> set[tuple[int, int]] | None:
+        """The scenarios retrieval may return: per-task adapters exist only
+        for trained pairs, while expert rows combine freely (None)."""
+        return self.seen_pairs if self.per_task else None
+
 
 def init_state(cfg: ExperimentConfig, world: World) -> LifelongState:
     adapters = build_adapter_stack(cfg, world.backbone.layer_dims,
@@ -156,9 +170,8 @@ def train_task(state: LifelongState, world: World, task: TaskDescriptor,
                  "env": int(task.env in state.seen_envs),
                  "instr": int(task.instr in state.seen_instr),
                  "task": 0}
-    params = {f"L{l}:{name}": arr
-              for l, ad in enumerate(adapters)
-              for name, arr in ad.blocks().items()}
+    plan = build_plan(adapters, sel, snapshots, fishers, flags, hyper)
+    params = {"theta": plan.theta}
     opt = AdamState(lr=cfg.lr)
     logs = []
     for epoch in range(cfg.epochs):
@@ -172,18 +185,16 @@ def train_task(state: LifelongState, world: World, task: TaskDescriptor,
         for start in range(0, len(order), cfg.batch_size):
             batch = [episodes[i] for i in order[start:start + cfg.batch_size]]
             x, y = batch_arrays(batch)
-            terms, grads = total_loss_and_grads(
-                world.backbone, adapters, sel, x, y, snapshots, fishers,
-                flags, hyper)
-            flat = {f"L{l}:{name}": g for l, layer in enumerate(grads)
-                    for name, g in layer.items()}
-            adam_step(opt, params, flat)
+            terms, grad = total_loss_and_grads(world.backbone, plan, x, y)
+            adam_step(opt, params, {"theta": grad})
             for k in sums:
                 sums[k] += terms[k]
             n_batches += 1
+        # the task loss is logged as "task_loss": "task" is the task index
         logs.append({"task": state.task_count, "scene": task.scene,
                      "env": task.env, "epoch": epoch,
-                     **{k: sums[k] / n_batches for k in sums},
+                     "task_loss": sums["task"] / n_batches,
+                     **{k: sums[k] / n_batches for k in sums if k != "task"},
                      "wall_time": time.perf_counter() - t0})
 
     # snapshots for the next task's consolidation terms
@@ -245,8 +256,12 @@ def episode_record(world: World, episode: SyntheticEpisode,
 
 def evaluate_task(world: World, provider, store: FeatureStore,
                   task: TaskDescriptor, n_episodes: int,
-                  cfg: ExperimentConfig, oracle_ids: bool = False) -> TaskScore:
-    """Score one task's held-out episodes with task-agnostic expert lookup."""
+                  cfg: ExperimentConfig, oracle_ids: bool = False,
+                  pairs: set[tuple[int, int]] | None = None) -> TaskScore:
+    """Score one task's held-out episodes with task-agnostic expert lookup.
+
+    ``pairs`` restricts retrieval to those (scene, env) pairs.
+    """
     if n_episodes < 1:
         raise ValueError("evaluation needs at least one episode")
     records = []
@@ -255,7 +270,7 @@ def evaluate_task(world: World, provider, store: FeatureStore,
         if oracle_ids:
             scene, env = task.scene, task.env
         else:
-            scene, env = store.search(ep.obs[0])
+            scene, env = store.search(ep.obs[0], pairs)
         deltas = provider(scene, env, task.instr)
         predicted = policy_actions(world.backbone, deltas, ep)
         records.append(episode_record(world, ep, predicted, cfg.epsilon))
@@ -265,19 +280,6 @@ def evaluate_task(world: World, provider, store: FeatureStore,
 # ---------------------------------------------------------------------------
 # Checkpointing (one directory per completed task) and resume
 # ---------------------------------------------------------------------------
-
-def _pack(layers: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
-    return {f"L{l}:{name}": arr for l, layer in enumerate(layers)
-            for name, arr in layer.items()}
-
-
-def _unpack(flat: dict[str, np.ndarray], n_layers: int) -> list[dict[str, np.ndarray]]:
-    layers = [{} for _ in range(n_layers)]
-    for key, arr in flat.items():
-        prefix, name = key.split(":", 1)
-        layers[int(prefix[1:])][name] = arr
-    return layers
-
 
 def save_state(state: LifelongState, directory: str | Path) -> None:
     directory = Path(directory)
@@ -289,9 +291,9 @@ def save_state(state: LifelongState, directory: str | Path) -> None:
         for l, ad in enumerate(stack):
             ad.save(directory / f"task{t}_adapter_L{l}.npz", provenance)
     if state.fisher is not None:
-        np.savez(directory / "fisher.npz", **_pack(state.fisher))
+        np.savez(directory / "fisher.npz", **pack_layers(state.fisher))
     if state.snapshots is not None:
-        np.savez(directory / "snapshot.npz", **_pack(state.snapshots))
+        np.savez(directory / "snapshot.npz", **pack_layers(state.snapshots))
     state.store.save(directory / "store.npz")
     meta = {
         "task_count": state.task_count,
@@ -325,11 +327,11 @@ def load_state(cfg: ExperimentConfig, directory: str | Path,
     state.pair_to_task = {(s, e): t for s, e, t in meta["pair_to_task"]}
     if (directory / "fisher.npz").exists():
         with np.load(directory / "fisher.npz") as data:
-            state.fisher = _unpack({k: np.asarray(data[k]) for k in data.files},
-                                   n_layers)
+            state.fisher = unpack_layers(
+                {k: np.asarray(data[k]) for k in data.files}, n_layers)
     if (directory / "snapshot.npz").exists():
         with np.load(directory / "snapshot.npz") as data:
-            state.snapshots = _unpack(
+            state.snapshots = unpack_layers(
                 {k: np.asarray(data[k]) for k in data.files}, n_layers)
     for t in range(state.task_count):
         first = directory / f"task{t}_adapter_L0.npz"
@@ -393,6 +395,8 @@ def run_training(cfg: ExperimentConfig, run_dir: str | Path,
         else:
             break
 
+    # an interrupted task may have logged epochs; it is trained again
+    _trim_log(layout["logs"], completed)
     n_layers = len(world.backbone.layer_dims)
     if completed:
         state = load_state(cfg, task_dir(run_dir, completed - 1), n_layers)
@@ -409,11 +413,12 @@ def run_training(cfg: ExperimentConfig, run_dir: str | Path,
                 fh.write(json.dumps(rec) + "\n")
         if eval_each:
             score = evaluate_task(world, delta_provider(state), state.store,
-                                  task, cfg.test_episodes, cfg)
+                                  task, cfg.test_episodes, cfg,
+                                  pairs=state.lookup_pairs)
             reference[str(t)] = {"task": t, "scene": task.scene,
                                  "env": task.env, "sr": score.sr,
                                  "spl": score.spl, "osr": score.osr}
-            layout["reference"].write_text(json.dumps(
+            _write_atomic(layout["reference"], json.dumps(
                 {"config_hash": cfg.config_hash(), "values": reference},
                 indent=2))
         # dataset dump first: the marker inside save_state seals the directory
@@ -421,12 +426,37 @@ def run_training(cfg: ExperimentConfig, run_dir: str | Path,
         save_task_dataset(task_dir(run_dir, t) / "episodes.npz", task, episodes)
         save_state(state, task_dir(run_dir, t))
         manifest["completed_tasks"] = list(range(t + 1))
-        layout["manifest"].write_text(json.dumps(manifest, indent=2))
+        _write_atomic(layout["manifest"], json.dumps(manifest, indent=2))
         if progress:
             progress(f"task {t + 1}/{cfg.n_tasks} "
                      f"(scene {task.scene}, env {task.env}) done")
     return {"run_dir": str(run_dir), "tasks": cfg.n_tasks,
             "config_hash": cfg.config_hash()}
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Replace ``path`` by a file holding ``text``; an interruption leaves
+    the old file or the new one, never a part."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text)
+    os.replace(tmp, path)
+
+
+def _trim_log(path: Path, completed: int) -> None:
+    """Keep only the training-log lines of the first ``completed`` tasks."""
+    if not path.exists():
+        return
+    lines = path.read_text().splitlines(keepends=True)
+
+    def done(line: str) -> bool:
+        try:
+            return json.loads(line)["task"] < completed
+        except json.JSONDecodeError:   # cut short mid-write
+            return False
+
+    kept = [line for line in lines if done(line)]
+    if len(kept) != len(lines):
+        _write_atomic(path, "".join(kept))
 
 
 def _load_reference(path: Path) -> dict:
@@ -469,7 +499,8 @@ def run_eval(cfg: ExperimentConfig, run_dir: str | Path,
     scores = []
     for task in stream:
         score = evaluate_task(world, provider, state.store, task,
-                              cfg.test_episodes, cfg, oracle_ids=oracle_ids)
+                              cfg.test_episodes, cfg, oracle_ids=oracle_ids,
+                              pairs=state.lookup_pairs)
         ref = reference.get(str(task.index))
         if ref is not None:
             score.m_sr, score.m_spl, score.m_osr = ref["sr"], ref["spl"], ref["osr"]
@@ -506,7 +537,7 @@ def run_reference(cfg: ExperimentConfig, run_dir: str | Path,
         pass
     # training was already complete; rebuild from each prefix checkpoint
     values = _recompute_reference(cfg, run_dir, progress)
-    layout["reference"].write_text(json.dumps(
+    _write_atomic(layout["reference"], json.dumps(
         {"config_hash": cfg.config_hash(), "values": values}, indent=2))
     return values
 
@@ -521,7 +552,8 @@ def _recompute_reference(cfg: ExperimentConfig, run_dir: str | Path,
     for t, task in enumerate(stream):
         state = load_state(cfg, task_dir(run_dir, t), n_layers)
         score = evaluate_task(world, delta_provider(state), state.store,
-                              task, cfg.test_episodes, cfg)
+                              task, cfg.test_episodes, cfg,
+                              pairs=state.lookup_pairs)
         values[str(t)] = {"task": t, "scene": task.scene, "env": task.env,
                           "sr": score.sr, "spl": score.spl, "osr": score.osr}
         if progress:
@@ -558,19 +590,13 @@ def run_gradcheck(cfg: ExperimentConfig, n_episodes: int = 3) -> dict[str, float
     fishers = [{k: rng.uniform(0.1, 1.5, size=ad.blocks()[k].shape)
                 for k in ad.shared_names} for ad in adapters]
     flags = {"scene": 1, "env": 0, "instr": 0, "task": 0}
-    hyper = hyper_from_config(cfg)
-    terms, grads = total_loss_and_grads(world.backbone, adapters, sel, x, y,
-                                        snapshots, fishers, flags, hyper)
+    plan = build_plan(adapters, sel, snapshots, fishers, flags,
+                      hyper_from_config(cfg))
+    _, grad = total_loss_and_grads(world.backbone, plan, x, y)
 
     def loss_fn():
-        t, _ = total_loss_and_grads(world.backbone, adapters, sel, x, y,
-                                    snapshots, fishers, flags, hyper)
-        return t["total"]
+        return total_loss_and_grads(world.backbone, plan, x, y)[0]["total"]
 
-    report = {}
-    for l, ad in enumerate(adapters):
-        errs = finite_difference_check(loss_fn, ad.blocks(), grads[l],
-                                       mask=ad.trainable_mask(sel))
-        for name, err in errs.items():
-            report[f"L{l}:{name}"] = err
-    return report
+    views = plan.layout.views
+    return finite_difference_check(loss_fn, views(plan.theta), views(grad),
+                                   mask=views(plan.mask))

@@ -63,13 +63,19 @@ class FeatureStore:
     def env_ids(self) -> list[int]:
         return sorted(self._env_sum)
 
-    def search(self, query: np.ndarray) -> tuple[int, int]:
+    def search(self, query: np.ndarray,
+               pairs: set[tuple[int, int]] | None = None) -> tuple[int, int]:
         """Two-step match: argmax cosine over scene centroids, then over
-        environment centroids. Ties break toward the lowest id."""
+        environment centroids. With ``pairs``, the second step considers only
+        environments paired with the matched scene there. Ties break toward
+        the lowest id."""
         if not self._scene_sum or not self._env_sum:
             raise ValueError("cannot search an empty feature store")
         scene = _argmax_key(query, {k: self.scene_centroid(k) for k in self.scene_ids})
-        env = _argmax_key(query, {k: self.env_centroid(k) for k in self.env_ids})
+        env_ids = [k for k in self.env_ids if pairs is None or (scene, k) in pairs]
+        if not env_ids:
+            raise ValueError(f"no environment is paired with scene {scene}")
+        env = _argmax_key(query, {k: self.env_centroid(k) for k in env_ids})
         return scene, env
 
     # -- persistence ---------------------------------------------------------

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adapters import AdapterBase, Selection
+from .adapters import AdapterBase, FlatLayout, Selection
 from .tasks import SyntheticEpisode, ToyBackbone
 from .tensor_ops import EPS_NORM, row_normalize
 
@@ -204,7 +204,7 @@ def fisher_estimate(backbone, adapters, sel: Selection,
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must be in (0, 1]")
     subset = episodes[:max(1, int(round(fraction * len(episodes))))]
-    fisher = [{name: np.zeros_like(ad.blocks()[name]) for name in ad.shared_names}
+    fisher = [{name: np.zeros_like(getattr(ad, name)) for name in ad.shared_names}
               for ad in adapters]
     for ep in subset:
         x, y = ep.model_inputs(), ep.actions
@@ -221,79 +221,136 @@ def fisher_estimate(backbone, adapters, sel: Selection,
 
 
 # ---------------------------------------------------------------------------
-# Regularizer terms per adapter (EWC + consistency + orthogonality)
+# The per-task step plan over one flat parameter vector
 # ---------------------------------------------------------------------------
 
-def regularizer_terms(adapter: AdapterBase, sel: Selection,
-                      snapshot: dict[str, np.ndarray] | None,
-                      fisher: dict[str, np.ndarray] | None,
-                      flags: dict[str, int], hyper: Hyper):
-    """Losses and gradients of the three consolidation terms for one adapter.
+@dataclass
+class LayerTerms:
+    """Where one layer's consolidation terms act in the flat vector."""
+
+    # (live shared blocks, their snapshot, their Fisher weights) for ewc_loss
+    ewc: tuple[dict, dict, dict] | None = None
+    consistency: list[slice] = field(default_factory=list)  # revisited rows
+    # (coefficient, live (rows, k) view of the block, current row, row slots)
+    orthogonality: list[tuple[float, np.ndarray, int, slice]] = field(
+        default_factory=list)
+
+
+@dataclass
+class StepPlan:
+    """Everything about the training step that stays fixed for one task.
+
+    ``theta`` holds every block of ``adapters`` (the blocks are views of it),
+    and the step's gradient is one vector in the same layout. ``mask`` is
+    1.0 on the slots the task trains. ``snapshot`` is the previous task's
+    parameters, and ``ewc_weight`` = ``(2 lam1 F) F`` covers the leading
+    ``layout.n_shared`` (shared) slots.
+    """
+
+    adapters: list[AdapterBase]
+    layout: FlatLayout
+    theta: np.ndarray
+    sel: Selection
+    hyper: Hyper
+    mask: np.ndarray
+    snapshot: np.ndarray | None
+    ewc_weight: np.ndarray | None
+    layer_terms: list[LayerTerms]
+
+
+def build_plan(adapters: list[AdapterBase], sel: Selection,
+               snapshots: list[dict[str, np.ndarray]] | None,
+               fishers: list[dict[str, np.ndarray]] | None,
+               flags: dict[str, int], hyper: Hyper) -> StepPlan:
+    """Bind ``adapters`` to one flat vector and fix the task's constants.
 
     ``flags`` maps expert axis name ('scene', 'env', ...) to 1 when that
-    expert was learned by a previous task. Gradients touch only blocks the
-    current selection trains.
+    expert was learned by a previous task. Afterwards every block of
+    ``adapters`` is a view of ``plan.theta``.
     """
-    sel = adapter.resolve(sel)
-    blocks = adapter.blocks()
-    losses = {"ewc": 0.0, "consistency": 0.0, "orthogonality": 0.0}
-    grads = {name: np.zeros_like(arr) for name, arr in blocks.items()}
+    layout = FlatLayout.of(adapters)
+    theta = layout.bind(adapters)
+    mask = layout.flatten([ad.trainable_mask(sel) for ad in adapters])
+    snapshot = None if snapshots is None else layout.flatten(snapshots)
+    ewc = snapshots is not None and fishers is not None and hyper.lam1 != 0.0
+    ewc_weight = None
+    if ewc:
+        fisher = layout.flatten(fishers, shared_only=True)
+        ewc_weight = 2.0 * hyper.lam1 * fisher * fisher
+    layer_terms = []
+    for l, ad in enumerate(adapters):
+        terms = LayerTerms()
+        if ewc:
+            terms.ewc = ({name: getattr(ad, name) for name in ad.shared_names},
+                         snapshots[l], fishers[l])
+        if snapshot is not None and hyper.lam2 != 0.0:
+            for name, axis in ad.expert_axes.items():
+                if flags.get(axis, 0):
+                    row = ad.expert_index(name, sel)
+                    terms.consistency.append(layout.slots[l, name].row(row))
+        if hyper.lam3 != 0.0:
+            for name in ad.ortho_names:
+                coeff = hyper.lam3 * (1 - flags.get(ad.expert_axes[name], 0))
+                if coeff == 0.0:
+                    continue
+                block = getattr(ad, name)
+                row = ad.expert_index(name, sel)
+                terms.orthogonality.append(
+                    (coeff, block.reshape(block.shape[0], -1), row,
+                     layout.slots[l, name].row(row)))
+        layer_terms.append(terms)
+    return StepPlan(adapters, layout, theta, sel, hyper, mask, snapshot,
+                    ewc_weight, layer_terms)
 
-    if snapshot is not None and fisher is not None and hyper.lam1 != 0.0:
-        losses["ewc"] = ewc_loss(blocks, snapshot, fisher, hyper.lam1,
-                                 adapter.shared_names)
-        for name in adapter.shared_names:
-            fw = fisher[name]
-            grads[name] += (2.0 * hyper.lam1 * fw * fw
-                            * (blocks[name] - snapshot[name]))
 
-    if snapshot is not None and hyper.lam2 != 0.0:
-        for name, axis in adapter.expert_axes.items():
-            if not flags.get(axis, 0):
-                continue
-            idx = adapter.expert_index(name, sel)
-            diff = blocks[name][idx] - snapshot[name][idx]
-            losses["consistency"] += hyper.lam2 * float(np.sum(diff * diff))
-            grads[name][idx] += 2.0 * hyper.lam2 * diff
+# ---------------------------------------------------------------------------
+# Regularizer terms (EWC + consistency + orthogonality) and the full objective
+# ---------------------------------------------------------------------------
 
-    if hyper.lam3 != 0.0:
-        for name in adapter.ortho_names:
-            axis = adapter.expert_axes[name]
-            coeff = hyper.lam3 * (1 - flags.get(axis, 0))
-            if coeff == 0.0:
-                continue
-            mat = blocks[name].reshape(blocks[name].shape[0], -1)
+def regularizer_terms(plan: StepPlan) -> tuple[dict[str, float], np.ndarray]:
+    """Losses of the three consolidation terms and their gradient over the
+    flat vector; the gradient touches only slots the task trains.
+
+    Each slot accumulates its terms in the order EWC, consistency,
+    orthogonality, and each loss per layer, so that the arithmetic is that of
+    the per-block objective.
+    """
+    theta, lam1, lam2 = plan.theta, plan.hyper.lam1, plan.hyper.lam2
+    grad = np.zeros_like(theta)
+    totals = {"ewc": 0.0, "consistency": 0.0, "orthogonality": 0.0}
+    if plan.ewc_weight is not None:
+        n = plan.layout.n_shared
+        grad[:n] += plan.ewc_weight * (theta[:n] - plan.snapshot[:n])
+    for terms in plan.layer_terms:
+        losses = {"ewc": 0.0, "consistency": 0.0, "orthogonality": 0.0}
+        if terms.ewc is not None:
+            current, snapshot, fisher = terms.ewc
+            losses["ewc"] = ewc_loss(current, snapshot, fisher, lam1,
+                                     tuple(current))
+        for slots in terms.consistency:
+            diff = theta[slots] - plan.snapshot[slots]
+            losses["consistency"] += lam2 * float(np.sum(diff * diff))
+            grad[slots] += 2.0 * lam2 * diff
+        for coeff, mat, row, slots in terms.orthogonality:
             losses["orthogonality"] += coeff * gram_penalty(mat)
-            idx = adapter.expert_index(name, sel)
-            row_grad = coeff * gram_penalty_row_grad(mat, idx)
-            grads[name].reshape(mat.shape)[idx] += row_grad
+            grad[slots] += coeff * gram_penalty_row_grad(mat, row)
+        for k in totals:
+            totals[k] += losses[k]
+    return totals, grad
 
-    return losses, grads
 
-
-def total_loss_and_grads(backbone, adapters, sel, x, y,
-                         snapshots, fishers, flags, hyper: Hyper):
+def total_loss_and_grads(backbone, plan: StepPlan, x, y):
     """Full training objective for one minibatch across all layers.
 
-    Returns (terms dict, per-layer masked gradient dicts).
+    Returns (terms dict, masked gradient over ``plan.theta``).
     """
-    task, net_grads = task_loss_and_grads(backbone, adapters, sel, x, y,
-                                          hyper.lam_task)
-    terms = {"task": task, "ewc": 0.0, "consistency": 0.0, "orthogonality": 0.0}
-    all_grads = []
-    for l, ad in enumerate(adapters):
-        snap = None if snapshots is None else snapshots[l]
-        fish = None if fishers is None else fishers[l]
-        reg_losses, reg_grads = regularizer_terms(ad, sel, snap, fish, flags, hyper)
-        for k in ("ewc", "consistency", "orthogonality"):
-            terms[k] += reg_losses[k]
-        mask = ad.trainable_mask(sel)
-        merged = {}
-        for name in reg_grads:
-            merged[name] = (net_grads[l].get(name, 0.0) + reg_grads[name]) * mask[name]
-        all_grads.append(merged)
+    plan.layout.check_bound(plan.adapters, plan.theta)
+    task, net_grads = task_loss_and_grads(backbone, plan.adapters, plan.sel,
+                                          x, y, plan.hyper.lam_task)
+    reg_losses, reg_grad = regularizer_terms(plan)
+    terms = {"task": task, **reg_losses}
     terms["total"] = sum(terms.values())
-    return terms, all_grads
+    return terms, (plan.layout.flatten(net_grads) + reg_grad) * plan.mask
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Adapter zoo: deltas vs reconstruction oracles, parameter counts, masks, IO."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -251,3 +253,16 @@ def test_checkpoint_roundtrip_lossless(tmp_path, make):
         assert np.array_equal(back.blocks()[k], v)
     sel = Selection(scene=0, env=0, instr=0, task=0)
     np.testing.assert_array_equal(ad.delta(sel), back.delta(sel))
+
+
+def test_load_rejects_header_shape_mismatch(tmp_path):
+    path = tmp_path / "adapter.npz"
+    small_tucker().save(path)
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    meta = json.loads(str(arrays["__meta__"]))
+    meta["shapes"]["env_experts"] = [7, 2]
+    arrays["__meta__"] = np.array(json.dumps(meta))
+    np.savez(path, **arrays)
+    with pytest.raises(ValueError, match="'env_experts' has shape \\[3, 2\\]"):
+        AdapterBase.load(path)

@@ -68,6 +68,11 @@ def test_unknown_config_field_rejected(out_root, capsys):
     assert main(["train", "--set", "nonsense=1"]) == 1
 
 
+def test_tucker3_with_two_ranks_exit_code_1(out_root, capsys):
+    assert main(["train", "--set", "adapter_kind=tucker3", "--set", "ranks=2 2"]) == 1
+    assert "ranks" in capsys.readouterr().err
+
+
 def test_eval_before_train_exit_code_2(out_root, capsys):
     assert main(["eval", *TINY, "--run-dir", str(out_root / "nope")]) == 2
     assert "error" in capsys.readouterr().err

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from tucker_adapters import pipeline
 from tucker_adapters.config import ExperimentConfig
 from tucker_adapters.metrics import EpisodeRecord
 from tucker_adapters.pipeline import (
@@ -73,6 +74,40 @@ def test_interrupt_and_resume_equals_uninterrupted(tmp_path):
     full_ref = json.loads((tmp_path / "full" / "reference.json").read_text())
     part_ref = json.loads((tmp_path / "part" / "reference.json").read_text())
     assert full_ref["values"] == part_ref["values"]
+
+
+def test_resume_after_failure_past_the_log_write(tmp_path, monkeypatch):
+    run_training(tiny_config(), tmp_path / "full")
+    save_state = pipeline.save_state
+    calls = []
+
+    def fail_second(state, directory):
+        calls.append(directory)
+        if len(calls) == 2:   # task 1 has logged its epochs but is not sealed
+            raise OSError("injected")
+        save_state(state, directory)
+
+    monkeypatch.setattr(pipeline, "save_state", fail_second)
+    with pytest.raises(OSError, match="injected"):
+        run_training(tiny_config(), tmp_path / "part")
+    monkeypatch.setattr(pipeline, "save_state", save_state)
+    run_training(tiny_config(), tmp_path / "part")
+
+    def log(run_dir):
+        lines = (run_dir / "train_log.jsonl").read_text().splitlines()
+        return [{k: v for k, v in json.loads(line).items() if k != "wall_time"}
+                for line in lines]
+
+    cfg = tiny_config()
+    assert [(r["task"], r["epoch"]) for r in log(tmp_path / "part")] == [
+        (t, e) for t in range(cfg.n_tasks) for e in range(cfg.epochs)]
+    assert log(tmp_path / "part") == log(tmp_path / "full")
+    assert (checkpoint_bytes(tmp_path / "full", 2)
+            == checkpoint_bytes(tmp_path / "part", 2))
+    for name in ("reference.json", "manifest.json"):
+        assert ((tmp_path / "full" / name).read_text()
+                == (tmp_path / "part" / name).read_text())
+    assert not list((tmp_path / "part").glob("*.tmp"))
 
 
 def test_run_dir_rejects_other_config(tmp_path):
@@ -283,6 +318,16 @@ def test_all_kinds_end_to_end(tmp_path, kind, extra):
         assert 0.0 <= s.sr <= 1.0 and 0.0 <= s.osr <= 1.0
 
 
+def test_per_task_lookup_stays_on_trained_pairs(tmp_path):
+    # noisy features make the two-step search pair a scene with an
+    # environment it was never trained with
+    cfg = ExperimentConfig(adapter_kind="lora_per_task", n_tasks=6,
+                           feature_noise=3.0, epochs=1)
+    run_training(cfg, tmp_path / "r")
+    scores = run_eval(cfg, tmp_path / "r")
+    assert len(scores) == 6
+
+
 def test_gradcheck_on_default_toy_config():
     report = run_gradcheck(tiny_config(), n_episodes=2)
     assert report, "gradcheck should cover at least one block"
@@ -296,9 +341,11 @@ def test_training_log_structure(tmp_path):
     cfg = tiny_config()
     assert len(lines) == cfg.n_tasks * cfg.epochs
     rec = json.loads(lines[0])
-    for key in ("task", "epoch", "task", "ewc", "consistency", "orthogonality",
-                "total", "wall_time"):
+    for key in ("task", "epoch", "task_loss", "ewc", "consistency",
+                "orthogonality", "total", "wall_time"):
         assert key in rec
+    assert [json.loads(line)["task"] for line in lines] == [
+        t for t in range(cfg.n_tasks) for _ in range(cfg.epochs)]
 
 
 def test_task_dataset_dump_is_replayable(tmp_path):

@@ -97,6 +97,21 @@ def test_search_singleton_store():
     assert store.search(np.array([0.0, 1.0, 1.0, 0.5])) == (2, 3)
 
 
+def test_search_restricted_to_pairs():
+    e1, e2, e3 = np.eye(3)
+    store = FeatureStore(3)
+    pairs = {(0, 0), (1, 1), (1, 0)}
+    store.add(0, 0, e1)
+    store.add(1, 1, e1 + e2)
+    store.add(1, 0, e3 - e1)
+    query = e1 + 0.1 * e2
+    # scene 0 and environment 1 match best, but were never trained together
+    assert store.search(query) == (0, 1)
+    assert store.search(query, pairs) == (0, 0)
+    with pytest.raises(ValueError, match="scene 0"):
+        store.search(query, {(1, 1)})
+
+
 def test_search_empty_store_error():
     with pytest.raises(ValueError, match="empty"):
         FeatureStore(4).search(np.ones(4))

@@ -1,12 +1,16 @@
-"""Loss terms, Fisher, Adam, and analytic gradients vs finite differences."""
+"""Loss terms, Fisher, Adam, analytic gradients vs finite differences, and
+the flat training step vs the per-block reference."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_objective import ReferenceAdam, reference_step
 from scipy.special import log_softmax
 
-from tucker_adapters.adapters import Selection, TuckerAdapter, init_adapter
+from tucker_adapters.adapters import Selection, TuckerAdapter, block_key, init_adapter
 from tucker_adapters.tasks import (
     SyntheticEpisode,
     TaskDescriptor,
@@ -21,6 +25,7 @@ from tucker_adapters.training import (
     action_nll,
     adam_step,
     batch_arrays,
+    build_plan,
     consistency_loss,
     ewc_loss,
     finite_difference_check,
@@ -297,84 +302,137 @@ def build_check_setup(kind="tucker4", seed=0):
     return world, adapters, sel, x, y, snapshots, fishers, flags
 
 
-@pytest.mark.parametrize("kind", ["tucker4", "tucker3", "tucker5", "lora",
-                                  "moe", "abc"])
-def test_gradients_match_finite_differences(kind):
+KINDS = ["tucker4", "tucker3", "tucker5", "lora", "moe", "abc"]
+
+
+def check_plan(kind="tucker4", hyper=HYPER, first_task=False):
+    """The flat step plan of ``build_check_setup``; with ``first_task``, as
+    the trainer builds it before any snapshot exists."""
     world, adapters, sel, x, y, snaps, fishers, flags = build_check_setup(kind)
-    terms, grads = total_loss_and_grads(world.backbone, adapters, sel, x, y,
-                                        snaps, fishers, flags, HYPER)
+    if first_task:
+        snaps, flags = None, {}
+    plan = build_plan(adapters, sel, snaps, fishers, flags, hyper)
+    return world, plan, x, y
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_gradients_match_finite_differences(kind):
+    world, plan, x, y = check_plan(kind)
+    terms, grad = total_loss_and_grads(world.backbone, plan, x, y)
 
     def loss_fn():
-        t, _ = total_loss_and_grads(world.backbone, adapters, sel, x, y,
-                                    snaps, fishers, flags, HYPER)
+        t, _ = total_loss_and_grads(world.backbone, plan, x, y)
         return t["total"]
 
-    for l, ad in enumerate(adapters):
-        errs = finite_difference_check(loss_fn, ad.blocks(), grads[l],
-                                       mask=ad.trainable_mask(sel))
-        for name, err in errs.items():
-            assert err < 1e-4, f"{kind} layer {l} block {name}: rel err {err}"
+    views = plan.layout.views
+    errs = finite_difference_check(loss_fn, views(plan.theta), views(grad),
+                                   mask=views(plan.mask))
+    assert len(errs) == sum(len(ad.blocks()) for ad in plan.adapters)
+    for name, err in errs.items():
+        assert err < 1e-4, f"{kind} block {name}: rel err {err}"
 
 
 def test_total_loss_terms_sum_and_first_task_branch():
-    world, adapters, sel, x, y, snaps, fishers, flags = build_check_setup()
-    terms, _ = total_loss_and_grads(world.backbone, adapters, sel, x, y,
-                                    snaps, fishers, flags, HYPER)
+    world, plan, x, y = check_plan()
+    terms, _ = total_loss_and_grads(world.backbone, plan, x, y)
     assert terms["total"] == pytest.approx(
         terms["task"] + terms["ewc"] + terms["consistency"]
         + terms["orthogonality"])
     # first task: no snapshots -> only task + orthogonality contribute
-    first, _ = total_loss_and_grads(world.backbone, adapters, sel, x, y,
-                                    None, None, {}, HYPER)
+    first, _ = total_loss_and_grads(
+        world.backbone, build_plan(plan.adapters, plan.sel, None, None, {}, HYPER),
+        x, y)
     assert first["ewc"] == 0.0 and first["consistency"] == 0.0
     assert first["orthogonality"] > 0.0
     assert first["total"] == pytest.approx(first["task"] + first["orthogonality"])
 
 
 def test_total_loss_pure_task_when_lambdas_zero():
-    world, adapters, sel, x, y, snaps, fishers, flags = build_check_setup()
-    hyper = Hyper(lam1=0.0, lam2=0.0, lam3=0.0)
-    terms, _ = total_loss_and_grads(world.backbone, adapters, sel, x, y,
-                                    snaps, fishers, flags, hyper)
+    world, plan, x, y = check_plan(hyper=Hyper(lam1=0.0, lam2=0.0, lam3=0.0))
+    terms, _ = total_loss_and_grads(world.backbone, plan, x, y)
     assert terms["total"] == pytest.approx(terms["task"])
-    task_only, _ = task_loss_and_grads(world.backbone, adapters, sel, x, y, 1.0)
+    task_only, _ = task_loss_and_grads(world.backbone, plan.adapters, plan.sel,
+                                       x, y, 1.0)
     assert terms["task"] == pytest.approx(task_only)
 
 
 def test_ewc_gradient_zero_at_snapshot():
     world, adapters, sel, x, y, _, fishers, flags = build_check_setup()
     snaps = [{k: v.copy() for k, v in ad.blocks().items()} for ad in adapters]
-    hyper = Hyper(lam2=0.0, lam3=0.0)
-    losses, grads = regularizer_terms(adapters[0], sel, snaps[0], fishers[0],
-                                      flags, hyper)
+    plan = build_plan(adapters, sel, snaps, fishers, flags,
+                      Hyper(lam2=0.0, lam3=0.0))
+    losses, grad = regularizer_terms(plan)
     assert losses["ewc"] == 0.0
-    for name in adapters[0].shared_names:
-        assert np.array_equal(grads[name], np.zeros_like(grads[name]))
+    views = plan.layout.views(grad)
+    for l, ad in enumerate(adapters):
+        for name in ad.shared_names:
+            g = views[block_key(l, name)]
+            assert np.array_equal(g, np.zeros_like(g))
 
 
 def test_frozen_rows_receive_zero_gradient():
-    world, adapters, sel, x, y, snaps, fishers, flags = build_check_setup()
-    _, grads = total_loss_and_grads(world.backbone, adapters, sel, x, y,
-                                    snaps, fishers, flags, HYPER)
-    for ad, g in zip(adapters, grads):
+    world, plan, x, y = check_plan()
+    _, grad = total_loss_and_grads(world.backbone, plan, x, y)
+    views = plan.layout.views(grad)
+    for l, ad in enumerate(plan.adapters):
         for name in ad.expert_axes:
-            idx = ad.expert_index(name, sel)
-            other = np.delete(g[name], idx, axis=0)
+            idx = ad.expert_index(name, plan.sel)
+            other = np.delete(views[block_key(l, name)], idx, axis=0)
             assert np.array_equal(other, np.zeros_like(other))
 
 
 def test_masked_params_unchanged_by_adam():
-    world, adapters, sel, x, y, snaps, fishers, flags = build_check_setup()
-    ad = adapters[0]
+    world, plan, x, y = check_plan()
+    ad = plan.adapters[0]
     before = {k: v.copy() for k, v in ad.blocks().items()}
-    _, grads = total_loss_and_grads(world.backbone, adapters, sel, x, y,
-                                    snaps, fishers, flags, HYPER)
+    _, grad = total_loss_and_grads(world.backbone, plan, x, y)
     state = AdamState(lr=1e-2)
-    adam_step(state, ad.blocks(), grads[0])
+    adam_step(state, {"theta": plan.theta}, {"theta": grad})
     for name in ad.expert_axes:
-        idx = ad.expert_index(name, sel)
+        idx = ad.expert_index(name, plan.sel)
         after = ad.blocks()[name]
         mask = np.ones(after.shape[0], dtype=bool)
         mask[idx] = False
         assert np.array_equal(after[mask], before[name][mask])
         assert not np.array_equal(after[idx], before[name][idx])
+
+
+def test_rebound_block_is_rejected():
+    world, plan, x, y = check_plan()
+    plan.adapters[1].up = plan.adapters[1].up.copy()
+    with pytest.raises(RuntimeError, match="L1:up"):
+        total_loss_and_grads(world.backbone, plan, x, y)
+
+
+# ---------------------------------------------------------------------------
+# The flat step is the per-block step, bit for bit
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(KINDS),
+       scene=st.integers(0, 2), env=st.integers(0, 1), instr=st.integers(0, 1),
+       task=st.integers(0, 3),
+       flags=st.fixed_dictionaries({axis: st.integers(0, 1)
+                                    for axis in ("scene", "env", "instr", "task")}),
+       first_task=st.booleans(),
+       hyper=st.sampled_from([Hyper(), Hyper(lam1=0.0, lam2=0.0, lam3=0.0),
+                              Hyper(lam1=0.3, lam2=0.0, lam3=0.2)]))
+def test_flat_steps_equal_per_block_reference(kind, scene, env, instr, task,
+                                              flags, first_task, hyper):
+    sel = Selection(scene=scene, env=env, instr=instr, task=task)
+    world, ref_adapters, _, x, y, snaps, fishers, _ = build_check_setup(kind)
+    _, adapters, *_ = build_check_setup(kind)
+    if first_task:   # the trainer's first task: Fisher but no snapshot yet
+        snaps, flags = None, {axis: 0 for axis in flags}
+    ref_opt = ReferenceAdam(lr=3e-3)
+    plan = build_plan(adapters, sel, snaps, fishers, flags, hyper)
+    opt = AdamState(lr=3e-3)
+    for _ in range(3):
+        ref_terms = reference_step(ref_opt, world.backbone, ref_adapters, sel,
+                                   x, y, snaps, fishers, flags, hyper)
+        terms, grad = total_loss_and_grads(world.backbone, plan, x, y)
+        adam_step(opt, {"theta": plan.theta}, {"theta": grad})
+        assert terms == ref_terms
+        for ref, ad in zip(ref_adapters, adapters):
+            for name, arr in ref.blocks().items():
+                assert getattr(ad, name).tobytes() == arr.tobytes(), name
