@@ -10,13 +10,12 @@ config hash, so identical configs land in the same resumable directory.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
 from pathlib import Path
 
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, coerce_field
 from .degrade import MODE_DEFAULTS, degrade_directory
 from .metrics import TaskScore, render_table, write_reports
 from .pipeline import run_eval, run_gradcheck, run_reference, run_training
@@ -28,35 +27,25 @@ def output_root() -> Path:
     return Path(os.environ.get("TUCKER_ADAPTERS_OUT", "runs"))
 
 
-def _coerce_by_name(key: str, raw: str):
-    """Convert a --set string to the type of the config field's default."""
-    default = getattr(ExperimentConfig(), key)
-    if isinstance(default, bool):
-        return raw.lower() in ("1", "true", "yes", "on")
-    if isinstance(default, int):
-        return int(raw)
-    if isinstance(default, float):
-        return float(raw)
-    if isinstance(default, tuple):
-        return tuple(int(x) for x in raw.replace(",", " ").split())
-    return raw
-
-
-def load_config(args) -> ExperimentConfig:
-    raw = {}
-    if args.config:
-        raw = json.loads(Path(args.config).read_text())
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
+def _set_pairs(args, cls) -> dict:
+    """The ``--set key=value`` overrides, each converted to the type of its
+    field of the dataclass ``cls``."""
+    overrides = {}
     for pair in args.set or []:
         if "=" not in pair:
             raise ConfigError(f"--set expects key=value, got {pair!r}")
         key, val = pair.split("=", 1)
-        if key not in known:
-            raise ConfigError(f"unknown config field {key!r}")
-        raw[key] = _coerce_by_name(key, val)
+        overrides[key] = coerce_field(cls, key, val)
+    return overrides
+
+
+def load_config(args) -> ExperimentConfig:
+    overrides = _set_pairs(args, ExperimentConfig)
     if args.seed is not None:
-        raw["seed"] = args.seed
-    return ExperimentConfig.from_dict(raw)
+        overrides["seed"] = args.seed
+    if args.config:
+        return ExperimentConfig.from_file(args.config, overrides)
+    return ExperimentConfig.from_dict(overrides)
 
 
 def resolve_run_dir(args, cfg: ExperimentConfig) -> Path:
@@ -124,18 +113,14 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_degrade(args) -> int:
-    overrides = {}
-    for pair in args.set or []:
-        if "=" not in pair:
-            raise ConfigError(f"--set expects key=value, got {pair!r}")
-        key, val = pair.split("=", 1)
-        if "," in val:
-            overrides[key] = tuple(float(x) for x in val.split(","))
-        else:
-            try:
-                overrides[key] = float(val)
-            except ValueError:
-                overrides[key] = val
+    params = MODE_DEFAULTS[args.mode]
+    overrides = _set_pairs(args, params)
+    if "seed" in overrides:
+        raise ConfigError("seed: set the degradation seed with --seed")
+    try:
+        params(**overrides).validate()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     manifest = degrade_directory(args.mode, args.input, args.output,
                                  depth_dir=args.depth_dir, seed=args.seed,
                                  overrides=overrides)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,6 +22,80 @@ VALID_KINDS = tuple(sorted(ADAPTER_KINDS)) + ("lora_per_task",)
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; message names the offending field."""
+
+
+_TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
+
+
+def _field_type(cls, key: str):
+    """The annotated type of field ``key`` of the dataclass ``cls``."""
+    types = typing.get_type_hints(cls)
+    if key not in types:
+        raise ConfigError(f"{key}: unknown field of {cls.__name__}")
+    return types[key]
+
+
+def _item_types(kind, n: int) -> tuple | None:
+    """Types of the items of an ``n``-tuple of type ``kind``; None when
+    ``kind`` is not a tuple type or does not take ``n`` items."""
+    if typing.get_origin(kind) is not tuple:
+        return None
+    args = typing.get_args(kind)
+    if len(args) == 2 and args[1] is Ellipsis:
+        return (args[0],) * n
+    return args if len(args) == n else None
+
+
+def _type_name(kind) -> str:
+    return str(kind) if typing.get_origin(kind) else kind.__name__
+
+
+def _parse(kind, text: str):
+    if kind is bool:
+        if text.lower() not in _TRUE + _FALSE:
+            raise ValueError(f"not one of {_TRUE + _FALSE}")
+        return text.lower() in _TRUE
+    return kind(text)   # int, float or str
+
+
+def coerce_field(cls, key: str, raw: str):
+    """Convert a ``--set key=raw`` string to the type of field ``key`` of
+    the dataclass ``cls``; a tuple is written with commas or spaces."""
+    kind = _field_type(cls, key)
+    try:
+        if typing.get_origin(kind) is not tuple:
+            return _parse(kind, raw)
+        parts = raw.replace(",", " ").split()
+        items = _item_types(kind, len(parts))
+        if items is None:
+            raise ValueError(f"{len(parts)} values")
+        return tuple(map(_parse, items, parts))
+    except ValueError as exc:
+        raise ConfigError(f"{key}: cannot read {raw!r} as {_type_name(kind)} "
+                          f"({exc})") from exc
+
+
+def _fits(kind, value) -> bool:
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, kind)
+
+
+def check_field(cls, key: str, value):
+    """``value``, as read from JSON, if it has the type of field ``key`` of
+    the dataclass ``cls``: an int field takes an int but not a bool, a float
+    field also takes an int, and a tuple field a list (returned as a tuple)."""
+    kind = _field_type(cls, key)
+    if typing.get_origin(kind) is not tuple:
+        if _fits(kind, value):
+            return value
+    elif isinstance(value, (list, tuple)):
+        items = _item_types(kind, len(value))
+        if items is not None and all(map(_fits, items, value)):
+            return tuple(value)
+    raise ConfigError(f"{key}: expected {_type_name(kind)}, got {value!r}")
 
 
 @dataclass
@@ -124,12 +199,19 @@ class ExperimentConfig:
             json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True) + "\n")
 
     @classmethod
-    def from_file(cls, path: str | Path) -> "ExperimentConfig":
+    def from_file(cls, path: str | Path,
+                  overrides: dict | None = None) -> "ExperimentConfig":
+        """The config a JSON file holds, with ``overrides`` on top."""
         try:
             raw = json.loads(Path(path).read_text())
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"config file {path}: cannot read it ({exc})") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path}: invalid JSON ({exc})") from exc
-        return cls.from_dict(raw)
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config file {path}: expected a JSON object, "
+                              f"got {type(raw).__name__}")
+        return cls.from_dict({**raw, **(overrides or {})})
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -137,6 +219,4 @@ class ExperimentConfig:
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        if "ranks" in raw:
-            raw = dict(raw, ranks=tuple(raw["ranks"]))
-        return cls(**raw).validate()
+        return cls(**{k: check_field(cls, k, v) for k, v in raw.items()}).validate()

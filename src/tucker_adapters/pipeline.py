@@ -217,10 +217,20 @@ def train_task(state: LifelongState, world: World, task: TaskDescriptor,
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def delta_provider(state: LifelongState):
-    """Maps a retrieved (scene, env, instr) triple to per-layer deltas."""
+# held-out episodes generated, retrieved and grouped at a time: enough for
+# groups of several episodes, few enough to add little to peak memory
+EVAL_CHUNK = 32
 
-    def provide(scene: int, env: int, instr: int | None):
+
+def delta_provider(state: LifelongState):
+    """Maps a retrieved (scene, env, instr) triple to per-layer deltas.
+
+    Evaluation never changes the adapters, so each triple's deltas are
+    computed once and kept for the provider's lifetime.
+    """
+    cache: dict[tuple, list[np.ndarray]] = {}
+
+    def compute(scene: int, env: int, instr: int | None):
         if state.per_task:
             task_idx = state.pair_to_task.get((scene, env))
             if task_idx is None:
@@ -231,17 +241,24 @@ def delta_provider(state: LifelongState):
                         task=state.pair_to_task.get((scene, env), 0))
         return [ad.delta(sel) for ad in state.adapters]
 
+    def provide(scene: int, env: int, instr: int | None):
+        key = (scene, env, instr)
+        if key not in cache:
+            cache[key] = compute(scene, env, instr)
+        return cache[key]
+
     return provide
 
 
-def policy_actions(backbone, deltas, episode: SyntheticEpisode) -> np.ndarray:
-    """Greedy open-loop action predictions, truncated at the first STOP."""
-    logits = forward_logits(backbone, deltas, episode.model_inputs())
-    actions = np.argmax(logits, axis=1)
-    stops = np.flatnonzero(actions == STOP)
-    if stops.size:
-        actions = actions[:int(stops[0]) + 1]
-    return actions
+def policy_actions(backbone, deltas, inputs: np.ndarray) -> list[np.ndarray]:
+    """Greedy open-loop action predictions for a (g, n_steps, in) stack of
+    episode inputs, each truncated at its first STOP."""
+    logits = forward_logits(backbone, deltas, inputs)
+    predicted = []
+    for actions in np.argmax(logits, axis=-1):
+        stops = np.flatnonzero(actions == STOP)
+        predicted.append(actions[:int(stops[0]) + 1] if stops.size else actions)
+    return predicted
 
 
 def episode_record(world: World, episode: SyntheticEpisode,
@@ -260,20 +277,33 @@ def evaluate_task(world: World, provider, store: FeatureStore,
                   pairs: set[tuple[int, int]] | None = None) -> TaskScore:
     """Score one task's held-out episodes with task-agnostic expert lookup.
 
-    ``pairs`` restricts retrieval to those (scene, env) pairs.
+    ``pairs`` restricts retrieval to those (scene, env) pairs. Episodes are
+    taken ``EVAL_CHUNK`` at a time; in each chunk, the episodes that
+    retrieved the same (scene, env) and have the same length share one
+    forward pass. Groups are never padded to a common length, since the
+    products of a padded stack round differently, so every score is bitwise
+    that of scoring the episodes one by one.
     """
     if n_episodes < 1:
         raise ValueError("evaluation needs at least one episode")
     records = []
-    for i in range(n_episodes):
-        ep = gen_episode(world, task, i, split=1)
-        if oracle_ids:
-            scene, env = task.scene, task.env
-        else:
-            scene, env = store.search(ep.obs[0], pairs)
-        deltas = provider(scene, env, task.instr)
-        predicted = policy_actions(world.backbone, deltas, ep)
-        records.append(episode_record(world, ep, predicted, cfg.epsilon))
+    for start in range(0, n_episodes, EVAL_CHUNK):
+        episodes = [gen_episode(world, task, i, split=1)
+                    for i in range(start, min(start + EVAL_CHUNK, n_episodes))]
+        groups: dict[tuple, list[int]] = {}
+        for j, ep in enumerate(episodes):
+            pair = ((task.scene, task.env) if oracle_ids
+                    else store.search(ep.obs[0], pairs))
+            groups.setdefault((pair, ep.n_steps), []).append(j)
+        predicted = [None] * len(episodes)
+        for ((scene, env), _), members in groups.items():
+            deltas = provider(scene, env, task.instr)
+            inputs = np.stack([episodes[j].model_inputs() for j in members])
+            for j, actions in zip(members, policy_actions(world.backbone,
+                                                          deltas, inputs)):
+                predicted[j] = actions
+        records += [episode_record(world, ep, actions, cfg.epsilon)
+                    for ep, actions in zip(episodes, predicted)]
     return score_task(task.index, records, spl_literal=cfg.spl_literal)
 
 

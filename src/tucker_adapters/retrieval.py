@@ -37,6 +37,7 @@ class FeatureStore:
         self._scene_count: dict[int, int] = {}
         self._env_sum: dict[int, np.ndarray] = {}
         self._env_count: dict[int, int] = {}
+        self._keys: tuple[_Keys, _Keys] | None = None  # built by search
 
     def add(self, scene_id: int, env_id: int, feature: np.ndarray) -> None:
         feature = np.asarray(feature, dtype=np.float64)
@@ -48,6 +49,7 @@ class FeatureStore:
         self._scene_count[scene_id] = self._scene_count.get(scene_id, 0) + 1
         self._env_sum[env_id] = self._env_sum.get(env_id, np.zeros(self.dim)) + feature
         self._env_count[env_id] = self._env_count.get(env_id, 0) + 1
+        self._keys = None
 
     def scene_centroid(self, scene_id: int) -> np.ndarray:
         return self._scene_sum[scene_id] / self._scene_count[scene_id]
@@ -68,15 +70,34 @@ class FeatureStore:
         """Two-step match: argmax cosine over scene centroids, then over
         environment centroids. With ``pairs``, the second step considers only
         environments paired with the matched scene there. Ties break toward
-        the lowest id."""
+        the lowest id.
+
+        Each similarity is ``cosine_sim(query, centroid)`` to the bit: the
+        centroids and their norms are kept from one search to the next until
+        ``add`` changes them, and each key still gets its own dot product (a
+        single matrix product would round differently).
+        """
         if not self._scene_sum or not self._env_sum:
             raise ValueError("cannot search an empty feature store")
-        scene = _argmax_key(query, {k: self.scene_centroid(k) for k in self.scene_ids})
-        env_ids = [k for k in self.env_ids if pairs is None or (scene, k) in pairs]
-        if not env_ids:
-            raise ValueError(f"no environment is paired with scene {scene}")
-        env = _argmax_key(query, {k: self.env_centroid(k) for k in env_ids})
-        return scene, env
+        query = np.asarray(query, dtype=np.float64)
+        if query.shape != (self.dim,):
+            raise ValueError(f"query has shape {query.shape}, store expects "
+                             f"({self.dim},)")
+        norm = np.linalg.norm(query)
+        if not EPS_NORM <= norm < np.inf:
+            raise ValueError("cosine similarity is undefined for zero or "
+                             "non-finite vectors")
+        if self._keys is None:
+            self._keys = (_Keys(self.scene_ids, self.scene_centroid),
+                          _Keys(self.env_ids, self.env_centroid))
+        scenes, envs = self._keys
+        scene = scenes.argmax(query, norm)
+        allowed = None
+        if pairs is not None:
+            allowed = {k for k in envs.ids if (scene, k) in pairs}
+            if not allowed:
+                raise ValueError(f"no environment is paired with scene {scene}")
+        return scene, envs.argmax(query, norm, allowed)
 
     # -- persistence ---------------------------------------------------------
 
@@ -108,10 +129,25 @@ class FeatureStore:
         return store
 
 
-def _argmax_key(query: np.ndarray, centroids: dict[int, np.ndarray]) -> int:
-    best_key, best_sim = None, -np.inf
-    for key in sorted(centroids):
-        sim = cosine_sim(query, centroids[key])
-        if sim > best_sim:
-            best_key, best_sim = key, sim
-    return best_key
+class _Keys:
+    """Sorted ids of one key kind with their centroids and centroid norms."""
+
+    def __init__(self, ids: list[int], centroid):
+        self.ids = ids
+        self.centroids = [centroid(k) for k in ids]
+        self.norms = [np.linalg.norm(c) for c in self.centroids]
+
+    def argmax(self, query: np.ndarray, norm: float,
+               allowed: set[int] | None = None) -> int:
+        """The id of highest cosine similarity among ``allowed`` (all ids
+        when None), the lowest id on a tie."""
+        best_key, best_sim = None, -np.inf
+        for key, centroid, c_norm in zip(self.ids, self.centroids, self.norms):
+            if allowed is not None and key not in allowed:
+                continue
+            if c_norm < EPS_NORM:
+                raise ValueError("cosine similarity is undefined for zero vectors")
+            sim = float(query @ centroid / (norm * c_norm))
+            if sim > best_sim:
+                best_key, best_sim = key, sim
+        return best_key

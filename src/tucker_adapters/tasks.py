@@ -93,19 +93,21 @@ class ToyBackbone:
 
 def forward_logits(backbone: ToyBackbone, deltas: list[np.ndarray] | None,
                    x: np.ndarray) -> np.ndarray:
-    """Batched forward pass; ``x`` is (n, in_dim) or (in_dim,).
+    """Batched forward pass; ``x`` is (g, n, in_dim), (n, in_dim) or (in_dim,).
 
     Each layer computes ``(W + delta) h + bias`` with tanh between layers and
-    a linear final layer. ``deltas`` entries may be None (adapter off).
+    a linear final layer. ``deltas`` entries may be None (adapter off). A
+    (g, n, in_dim) stack gives bitwise the logits of its g slices passed one
+    at a time: ``@`` runs one product per slice.
     """
     h = np.atleast_2d(np.asarray(x, dtype=np.float64))
     n_layers = len(backbone.weights)
     for l, (w, b) in enumerate(zip(backbone.weights, backbone.biases)):
         d = None if deltas is None else deltas[l]
         w_eff = w if d is None else w + d
-        if h.shape[1] != w_eff.shape[1]:
+        if h.shape[-1] != w_eff.shape[1]:
             raise ValueError(
-                f"layer {l} expects input width {w_eff.shape[1]}, got {h.shape[1]}")
+                f"layer {l} expects input width {w_eff.shape[1]}, got {h.shape[-1]}")
         h = h @ w_eff.T + b
         if l < n_layers - 1:
             h = np.tanh(h)
@@ -159,6 +161,9 @@ class World:
             [_low_rank(rng, dims, cfg.teacher_rank, cfg.teacher_instr_scale)
              for dims in self.backbone.layer_dims]
             for _ in range(n_q)]
+        # the backbone with the teacher's delta added, per (scene, env,
+        # instr), built on first use
+        self._teachers: dict[tuple, ToyBackbone] = {}
 
     def teacher_deltas(self, scene: int, env: int,
                        instr: int | None = None) -> list[np.ndarray]:
@@ -171,9 +176,15 @@ class World:
 
     def teacher_actions(self, scene: int, env: int, instr: int | None,
                         inputs: np.ndarray) -> np.ndarray:
-        logits = forward_logits(self.backbone, self.teacher_deltas(scene, env, instr),
-                                inputs)
-        return np.argmax(logits, axis=1)
+        key = (scene, env, instr)
+        teacher = self._teachers.get(key)
+        if teacher is None:
+            deltas = self.teacher_deltas(scene, env, instr)
+            teacher = ToyBackbone(
+                weights=[w + d for w, d in zip(self.backbone.weights, deltas)],
+                biases=self.backbone.biases)
+            self._teachers[key] = teacher
+        return np.argmax(forward_logits(teacher, None, inputs), axis=1)
 
 
 def _orthonormal_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
@@ -256,22 +267,24 @@ def rollout_positions(actions: np.ndarray, step_length: float = 1.0,
     """Map an action sequence to 2-D positions (turtle kinematics).
 
     Returns (n+1, 2) positions including the start at the origin; the walk
-    ends at the first STOP.
+    ends at the first STOP. Headings and positions are running sums that
+    start from the origin's 0.0, so ``np.cumsum`` adds in the order of a
+    step-by-step walk and gives its bits.
     """
-    pos = np.zeros(2)
-    heading = 0.0
-    out = [pos.copy()]
-    for act in actions:
-        if act == STOP:
-            break
-        if act == LEFT:
-            heading += np.deg2rad(turn_degrees)
-        elif act == RIGHT:
-            heading -= np.deg2rad(turn_degrees)
-        elif act == FORWARD:
-            pos = pos + step_length * np.array([np.cos(heading), np.sin(heading)])
-        out.append(pos.copy())
-    return np.array(out)
+    actions = np.asarray(actions)
+    stops = np.flatnonzero(actions == STOP)
+    if stops.size:
+        actions = actions[:int(stops[0])]
+    turn = np.deg2rad(turn_degrees)
+    turns = np.zeros(len(actions) + 1)
+    turns[1:][actions == LEFT] = turn
+    turns[1:][actions == RIGHT] = -turn
+    heading = np.cumsum(turns)[1:]
+    forward = actions == FORWARD
+    moves = np.zeros((len(actions) + 1, 2))
+    moves[1:, 0][forward] = step_length * np.cos(heading[forward])
+    moves[1:, 1][forward] = step_length * np.sin(heading[forward])
+    return np.cumsum(moves, axis=0)
 
 
 # ---------------------------------------------------------------------------

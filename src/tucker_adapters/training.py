@@ -90,33 +90,33 @@ def consistency_loss(u3_row, u3_prev, u4_row, u4_prev, alpha: int, beta: int,
     return lam2 * (alpha * float(np.sum(d3 * d3)) + beta * float(np.sum(d4 * d4)))
 
 
-def gram_penalty(mat: np.ndarray) -> float:
-    """||U_hat U_hat^T - I||_F^2 over rows with norm >= EPS_NORM."""
-    mat = np.atleast_2d(mat)
-    norms = np.linalg.norm(mat, axis=1)
-    kept = mat[norms >= EPS_NORM]
-    if kept.shape[0] == 0:
-        return 0.0
-    unit = row_normalize(kept)
-    gram = unit @ unit.T
-    err = gram - np.eye(kept.shape[0])
-    return float(np.sum(err * err))
-
-
-def gram_penalty_row_grad(mat: np.ndarray, row: int) -> np.ndarray:
-    """Gradient of gram_penalty w.r.t. one (unnormalized) row of ``mat``."""
+def _gram_error(mat: np.ndarray):
+    """Row norms, the mask of rows with norm >= EPS_NORM, those rows scaled
+    to unit norm, and their Gram matrix minus the identity."""
     mat = np.atleast_2d(mat)
     norms = np.linalg.norm(mat, axis=1)
     keep = norms >= EPS_NORM
+    unit = row_normalize(mat[keep])
+    return norms, keep, unit, unit @ unit.T - np.eye(unit.shape[0])
+
+
+def gram_penalty(mat: np.ndarray) -> float:
+    """||U_hat U_hat^T - I||_F^2 over rows with norm >= EPS_NORM."""
+    err = _gram_error(mat)[3]
+    return float(np.sum(err * err))
+
+
+def gram_penalty_and_row_grad(mat: np.ndarray, row: int) -> tuple[float, np.ndarray]:
+    """gram_penalty(mat) and its gradient w.r.t. one (unnormalized) row of
+    ``mat``, both from one Gram error."""
+    norms, keep, unit, err = _gram_error(mat)
+    loss = float(np.sum(err * err))
     if not keep[row]:
-        return np.zeros(mat.shape[1])
-    kept = mat[keep]
-    unit = row_normalize(kept)
-    err = unit @ unit.T - np.eye(kept.shape[0])
+        return loss, np.zeros(unit.shape[1])
     j = int(np.sum(keep[:row]))  # position of `row` among kept rows
     g_unit = 4.0 * (err @ unit)[j]
     v_hat = unit[j]
-    return (g_unit - (g_unit @ v_hat) * v_hat) / norms[row]
+    return loss, (g_unit - (g_unit @ v_hat) * v_hat) / norms[row]
 
 
 def orthogonality_loss(u3: np.ndarray, u4: np.ndarray, alpha: int, beta: int,
@@ -332,8 +332,9 @@ def regularizer_terms(plan: StepPlan) -> tuple[dict[str, float], np.ndarray]:
             losses["consistency"] += lam2 * float(np.sum(diff * diff))
             grad[slots] += 2.0 * lam2 * diff
         for coeff, mat, row, slots in terms.orthogonality:
-            losses["orthogonality"] += coeff * gram_penalty(mat)
-            grad[slots] += coeff * gram_penalty_row_grad(mat, row)
+            loss, row_grad = gram_penalty_and_row_grad(mat, row)
+            losses["orthogonality"] += coeff * loss
+            grad[slots] += coeff * row_grad
         for k in totals:
             totals[k] += losses[k]
     return totals, grad

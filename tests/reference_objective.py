@@ -1,20 +1,47 @@
 """The per-block training objective and Adam that the flat step replaced.
 
-Kept only as the reference ``test_flat_step.py`` compares the flat step with:
+Kept only as the reference ``test_training.py`` compares the flat step with:
 gradients are per-layer dicts of block arrays, every constant is rebuilt on
-each call, and Adam keeps one moment array per ``L{l}:{name}`` key.
+each call, the Gram penalty and its row gradient each compute the Gram
+error, and Adam keeps one moment array per ``L{l}:{name}`` key.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from tucker_adapters.training import (
-    ewc_loss,
-    gram_penalty,
-    gram_penalty_row_grad,
-    task_loss_and_grads,
-)
+from tucker_adapters.tensor_ops import EPS_NORM, row_normalize
+from tucker_adapters.training import ewc_loss, task_loss_and_grads
+
+
+def gram_penalty(mat):
+    """||U_hat U_hat^T - I||_F^2 over rows with norm >= EPS_NORM."""
+    mat = np.atleast_2d(mat)
+    norms = np.linalg.norm(mat, axis=1)
+    kept = mat[norms >= EPS_NORM]
+    if kept.shape[0] == 0:
+        return 0.0
+    unit = row_normalize(kept)
+    gram = unit @ unit.T
+    err = gram - np.eye(kept.shape[0])
+    return float(np.sum(err * err))
+
+
+def gram_penalty_row_grad(mat, row):
+    """Gradient of gram_penalty w.r.t. one (unnormalized) row of ``mat``,
+    recomputing the norms and Gram error gram_penalty computed."""
+    mat = np.atleast_2d(mat)
+    norms = np.linalg.norm(mat, axis=1)
+    keep = norms >= EPS_NORM
+    if not keep[row]:
+        return np.zeros(mat.shape[1])
+    kept = mat[keep]
+    unit = row_normalize(kept)
+    err = unit @ unit.T - np.eye(kept.shape[0])
+    j = int(np.sum(keep[:row]))  # position of `row` among kept rows
+    g_unit = 4.0 * (err @ unit)[j]
+    v_hat = unit[j]
+    return (g_unit - (g_unit @ v_hat) * v_hat) / norms[row]
 
 
 def reference_regularizer_terms(adapter, sel, snapshot, fisher, flags, hyper):

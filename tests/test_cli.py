@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tucker_adapters.cli import main
+from tucker_adapters.config import ExperimentConfig
 from tucker_adapters.degrade import load_image, save_image
 
 TINY = ["--set", "n_scenes=3", "--set", "n_envs=2", "--set", "n_tasks=2",
@@ -129,3 +130,58 @@ def test_report_missing_scores_exit_code_2(out_root, tmp_path, capsys):
     (tmp_path / "empty").mkdir()
     assert main(["report", str(tmp_path / "empty")]) == 2
     assert "scores.json" in capsys.readouterr().err
+
+
+def _one_image_dir(tmp_path):
+    src = tmp_path / "in"
+    src.mkdir()
+    save_image(src / "a.ppm", np.full((4, 4, 3), 0.5))
+    return src
+
+
+def test_degrade_bool_override_is_typed(out_root, tmp_path):
+    out = tmp_path / "out"
+    code = main(["degrade", "--mode", "lowlight", "--input",
+                 str(_one_image_dir(tmp_path)), "--output", str(out),
+                 "--set", "crf_inverse=false"])
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["images"][0]["params"]["crf_inverse"] is False
+
+
+@pytest.mark.parametrize("override", ["seed=3", "bogus=1", "crf_inverse=maybe",
+                                      "gain=high", "gain=-1"])
+def test_degrade_bad_override_exit_code_1(out_root, tmp_path, capsys, override):
+    code = main(["degrade", "--mode", "lowlight", "--input",
+                 str(_one_image_dir(tmp_path)), "--output", str(tmp_path / "out"),
+                 "--set", override])
+    assert code == 1
+    assert override.split("=")[0] in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_malformed_config_file_exit_code_1(out_root, tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text('{"epochs": 3,')
+    assert main(["train", "--config", str(cfg_file)]) == 1
+    assert "invalid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw,field", [({"epochs": "3"}, "epochs"),
+                                       ({"epochs": True}, "epochs"),
+                                       ({"lam1": "0.1"}, "lam1"),
+                                       ({"ranks": [4, 4, "8", 8]}, "ranks"),
+                                       ([1, 2], "JSON object")])
+def test_mistyped_config_file_exit_code_1(out_root, tmp_path, capsys, raw, field):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(raw))
+    assert main(["train", "--config", str(cfg_file)]) == 1
+    assert field in capsys.readouterr().err
+    assert not list((out_root / "runs").glob("*"))
+
+
+def test_config_file_float_field_takes_an_int(tmp_path):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"lam1": 0, "ranks": [2, 2, 2, 2]}))
+    cfg = ExperimentConfig.from_file(cfg_file)
+    assert cfg.lam1 == 0 and cfg.ranks == (2, 2, 2, 2)

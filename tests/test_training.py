@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_objective import ReferenceAdam, reference_step
+from reference_objective import (
+    ReferenceAdam,
+    gram_penalty_row_grad,
+    reference_step,
+)
+from reference_objective import gram_penalty as reference_gram_penalty
 from scipy.special import log_softmax
 
 from tucker_adapters.adapters import Selection, TuckerAdapter, block_key, init_adapter
@@ -32,6 +37,7 @@ from tucker_adapters.training import (
     fisher_ema,
     fisher_estimate,
     gram_penalty,
+    gram_penalty_and_row_grad,
     orthogonality_loss,
     regularizer_terms,
     task_loss_and_grads,
@@ -106,6 +112,19 @@ def test_orthogonality_excludes_subnorm_rows():
     u = np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
     # zero row drops out; remaining identical rows give penalty 2
     assert gram_penalty(u) == pytest.approx(2.0)
+
+
+@settings(max_examples=60)
+@given(rows=st.integers(1, 6), cols=st.integers(1, 5),
+       zero_rows=st.sets(st.integers(0, 5)), row=st.integers(0, 5),
+       seed=st.integers(0, 2**16))
+def test_fused_gram_penalty_equals_separate_passes(rows, cols, zero_rows, row, seed):
+    mat = np.random.default_rng(seed).standard_normal((rows, cols))
+    mat[[r for r in zero_rows if r < rows]] = 0.0
+    row %= rows
+    loss, grad = gram_penalty_and_row_grad(mat, row)
+    assert loss == reference_gram_penalty(mat) == gram_penalty(mat)
+    assert grad.tobytes() == gram_penalty_row_grad(mat, row).tobytes()
 
 
 def test_task_loss_uniform_logits():
