@@ -12,6 +12,7 @@ from tucker_adapters import (
     LoraAdapter,
     Selection,
     SharedAMoeAdapter,
+    TaskLoraAdapter,
     TuckerAdapter,
     contract_adapter,
     mode_n_product,
@@ -53,7 +54,7 @@ kinds = [
     ("4-D tensor adapter, ranks (8,8,64,64), 7 scenes x 4 envs",
      TuckerAdapter.init(1024, 1024, (8, 8, 64, 64), 7, 4, rng).param_count()),
     ("per-task low-rank (rank 6) x 24 tasks",
-     24 * LoraAdapter.init(1024, 1024, 6, rng).param_count()),
+     TaskLoraAdapter.init(1024, 1024, 6, [rng] * 24).param_count()),
     ("single low-rank, rank 128",
      LoraAdapter.init(1024, 1024, 128, rng).param_count()),
     ("shared-down mixture, rank 12, 24 experts",

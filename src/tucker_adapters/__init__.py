@@ -1,10 +1,14 @@
 """Tensor-factorized adapters with a lifelong-learning pipeline.
 
 The library decomposes per-scenario weight updates for a frozen backbone
-into a shared Tucker core with scene- and environment-expert rows, trains
-them sequentially with consolidation losses, selects experts at inference
-by cosine retrieval, synthesizes degraded imagery with physical models, and
-scores navigation episodes with success and forgetting metrics.
+into one Tucker adapter: a shared core with up and down projections and one
+expert factor matrix per hierarchy (scene and environment, plus instruction
+types for a fifth-order core), trains them sequentially with consolidation
+losses, selects experts at inference by cosine retrieval, synthesizes
+degraded imagery with physical models, and scores navigation episodes with
+success and forgetting metrics. The baselines (LoRA, per-task LoRA as task
+experts, a shared-down mixture and a three-level chain) are adapters of the
+same interface.
 """
 
 from .adapters import (
@@ -13,10 +17,8 @@ from .adapters import (
     LoraAdapter,
     Selection,
     SharedAMoeAdapter,
-    Tucker3Adapter,
-    Tucker5Adapter,
+    TaskLoraAdapter,
     TuckerAdapter,
-    init_adapter,
 )
 from .config import ConfigError, ExperimentConfig
 from .metrics import (
@@ -39,8 +41,6 @@ from .tasks import (
 )
 from .tensor_ops import (
     contract_adapter,
-    frobenius_norm_sq,
-    hadamard,
     mode_n_product,
     row_normalize,
     tucker_reconstruct,

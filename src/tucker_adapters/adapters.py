@@ -8,10 +8,13 @@ orthogonality logic is uniform across kinds.
 
 Adapter kinds
 -------------
-- ``TuckerAdapter``      4-D core with scene-expert and environment-expert rows
-- ``Tucker3Adapter``     3-D core with a single coupled scenario-expert matrix
-- ``Tucker5Adapter``     5-D core adding instruction-type expert rows
+- ``TuckerAdapter``      one Tucker core with shared up/down projections; the
+  core's order picks the expert hierarchies: ``tucker3`` one coupled
+  scene x environment block, ``tucker4`` scene and environment blocks,
+  ``tucker5`` those two plus instruction types
 - ``LoraAdapter``        plain low-rank update ``up @ down``
+- ``TaskLoraAdapter``    ``lora_per_task``: one independent low-rank update
+  per task, held as task experts with no shared block
 - ``SharedAMoeAdapter``  one shared down-projection, per-task up-projections,
   all experts summed into the update
 - ``AbcLoraAdapter``     three-level chain: shared base, scene middle,
@@ -21,12 +24,13 @@ Adapter kinds
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .tensor_ops import contract_adapter
+from .tensor_ops import contract_adapter, tucker_subscripts
 
 SIGMA_EXPERT_INIT = 1e-3  # expert rows start tiny but nonzero so gradients flow
 
@@ -62,14 +66,27 @@ class AdapterBase:
     kind: str = ""
     # parameter blocks updated on every task and consolidated by EWC
     shared_names: tuple[str, ...] = ()
-    # blocks holding one expert per index along axis 0
+    # blocks holding one expert per index along axis 0, each with the
+    # Selection field that picks its row
     expert_axes: dict[str, str] = {}
     # expert blocks subject to the orthogonality penalty
     ortho_names: tuple[str, ...] = ()
+    # constructor arguments that are not blocks; checkpoint headers keep them
+    scalar_names: tuple[str, ...] = ()
+    # a scenario's expert is the one its own task trained, so only trained
+    # (scene, env) pairs have one
+    pairs_only: bool = False
+
+    @classmethod
+    def from_config(cls, cfg, a: int, b: int, rng_for) -> "AdapterBase":
+        """The adapter of one (a, b) backbone layer, sized by the experiment
+        config ``cfg``. ``rng_for(0)`` is its generator; a kind whose task
+        experts are independent draws expert t from ``rng_for(1 + t)``."""
+        raise NotImplementedError
 
     def blocks(self) -> dict[str, np.ndarray]:
-        return {f.name: getattr(self, f.name) for f in fields(self)
-                if isinstance(getattr(self, f.name), np.ndarray)}
+        return {name: getattr(self, name)
+                for name in self.shared_names + tuple(self.expert_axes)}
 
     def param_count(self) -> int:
         return sum(v.size for v in self.blocks().values())
@@ -107,16 +124,13 @@ class AdapterBase:
 
     # -- persistence --------------------------------------------------------
 
-    def _scalars(self) -> dict[str, int]:
-        return {f.name: getattr(self, f.name) for f in fields(self)
-                if not isinstance(getattr(self, f.name), np.ndarray)}
-
     def save(self, path: str | Path, provenance: dict | None = None) -> None:
         """Self-describing checkpoint: kind tag, block shapes, parameters.
 
         ``provenance`` (e.g. the init seed) is stored verbatim in the header.
         """
-        meta = {"kind": self.kind, "scalars": self._scalars(),
+        meta = {"kind": self.kind,
+                "scalars": {name: getattr(self, name) for name in self.scalar_names},
                 "shapes": {k: list(v.shape) for k, v in self.blocks().items()},
                 "provenance": provenance or {}}
         np.savez(path, __meta__=np.array(json.dumps(meta)), **self.blocks())
@@ -140,191 +154,109 @@ class AdapterBase:
         return adapter
 
 
-@dataclass
+# The expert blocks of a Tucker core of each order, each with the Selection
+# field that picks its row; a core of order n is adapter kind "tucker{n}".
+TUCKER_EXPERTS: dict[int, dict[str, str]] = {
+    3: {"pair_experts": "task"},
+    4: {"scene_experts": "scene", "env_experts": "env"},
+    5: {"scene_experts": "scene", "env_experts": "env", "instr_experts": "instr"},
+}
+TUCKER_KINDS: dict[str, int] = {f"tucker{order}": order for order in TUCKER_EXPERTS}
+
+
 class TuckerAdapter(AdapterBase):
-    """4-D core with shared up/down projections and two expert factor matrices.
+    """Shared core, up and down projections with k = core order - 2 expert
+    factor matrices.
 
-    ``delta(scene=s, env=e) = up @ (core x_3 scene_experts[s] x_4
-    env_experts[e]) @ down.T``. ``up`` is (a, r1), ``down`` is (b, r2),
-    ``scene_experts`` is (M, r3) and ``env_experts`` is (N, r4).
+    ``delta(sel) = up @ (core x_3 u_1 ... x_{k+2} u_k) @ down.T`` where u_i
+    is the selected row of the i-th expert block. ``up`` is (a, r1), ``down``
+    is (b, r2) and expert block i is (count_i, r_{i+2}). The core's order
+    picks the blocks (``TUCKER_EXPERTS``): order 3 has one ``pair_experts``
+    block with one row per scenario ``scene * n_envs + env`` (fixed
+    enumeration, filled in by ``resolve``); order 4 has ``scene_experts``
+    (M, r3) and ``env_experts`` (N, r4); order 5 adds ``instr_experts``.
     """
 
-    core: np.ndarray
-    up: np.ndarray
-    down: np.ndarray
-    scene_experts: np.ndarray
-    env_experts: np.ndarray
-
-    kind = "tucker4"
     shared_names = ("core", "up", "down")
-    expert_axes = {"scene_experts": "scene", "env_experts": "env"}
-    ortho_names = ("scene_experts", "env_experts")
 
-    def __post_init__(self):
-        r1, r2, r3, r4 = self.core.shape
-        if self.up.shape[1] != r1 or self.down.shape[1] != r2:
-            raise ValueError("up/down factor widths must match core ranks")
-        if self.scene_experts.shape[1] != r3 or self.env_experts.shape[1] != r4:
-            raise ValueError("expert widths must match core ranks")
+    def __init__(self, core: np.ndarray, up: np.ndarray, down: np.ndarray,
+                 n_envs: int | None = None, **experts: np.ndarray):
+        order = np.ndim(core)
+        if order not in TUCKER_EXPERTS:
+            raise ValueError(f"a Tucker core has order 3, 4 or 5, not {order}")
+        self.kind = f"tucker{order}"
+        self.expert_axes = TUCKER_EXPERTS[order]
+        self.ortho_names = tuple(self.expert_axes)
+        if set(experts) != set(self.expert_axes):
+            raise ValueError(f"a {self.kind} core takes expert blocks "
+                             f"{list(self.expert_axes)}, got {sorted(experts)}")
+        if (n_envs is not None) != (order == 3):
+            raise ValueError("n_envs couples scene and env in tucker3 cores only")
+        self.scalar_names = ("n_envs",) if order == 3 else ()
+        self.core, self.up, self.down, self.n_envs = core, up, down, n_envs
+        for name in self.expert_axes:
+            setattr(self, name, experts[name])
+        widths = (up.shape[1], down.shape[1],
+                  *(experts[name].shape[1] for name in self.expert_axes))
+        if widths != core.shape:
+            raise ValueError(f"factor widths {widths} must match the core "
+                             f"ranks {core.shape}")
+        self._mid, self._core_grad, self._row_grads = tucker_subscripts(order - 2)
 
     @classmethod
-    def init(cls, a: int, b: int, ranks: tuple[int, int, int, int],
-             n_scenes: int, n_envs: int, rng: np.random.Generator) -> "TuckerAdapter":
-        r1, r2, r3, r4 = ranks
-        return cls(
-            core=kaiming(rng, (r1, r2, r3, r4), fan_in=r2 * r3 * r4),
-            up=kaiming(rng, (a, r1), fan_in=r1),
-            down=kaiming(rng, (b, r2), fan_in=b),
-            scene_experts=_expert_init(rng, (n_scenes, r3)),
-            env_experts=_expert_init(rng, (n_envs, r4)),
-        )
-
-    def delta(self, sel: Selection) -> np.ndarray:
-        s = self.expert_index("scene_experts", sel)
-        e = self.expert_index("env_experts", sel)
-        return contract_adapter(self.core, self.up, self.down,
-                                self.scene_experts[s], self.env_experts[e])
-
-    def delta_backward(self, sel: Selection, g: np.ndarray) -> dict[str, np.ndarray]:
-        s = self.expert_index("scene_experts", sel)
-        e = self.expert_index("env_experts", sel)
-        u3, u4 = self.scene_experts[s], self.env_experts[e]
-        mid = np.einsum("ijkl,k,l->ij", self.core, u3, u4)
-        d_mid = self.up.T @ g @ self.down
-        d_scene = np.zeros_like(self.scene_experts)
-        d_env = np.zeros_like(self.env_experts)
-        d_scene[s] = np.einsum("ij,ijkl,l->k", d_mid, self.core, u4)
-        d_env[e] = np.einsum("ij,ijkl,k->l", d_mid, self.core, u3)
-        return {
-            "core": np.einsum("ij,k,l->ijkl", d_mid, u3, u4),
-            "up": g @ self.down @ mid.T,
-            "down": g.T @ self.up @ mid,
-            "scene_experts": d_scene,
-            "env_experts": d_env,
-        }
-
-
-@dataclass
-class Tucker3Adapter(AdapterBase):
-    """3-D core whose single expert matrix couples scene and environment.
-
-    Scenario index is ``scene * n_envs + env`` (fixed enumeration); the
-    coupled matrix has one row per scenario.
-    """
-
-    core: np.ndarray
-    up: np.ndarray
-    down: np.ndarray
-    pair_experts: np.ndarray
-    n_envs: int
-
-    kind = "tucker3"
-    shared_names = ("core", "up", "down")
-    expert_axes = {"pair_experts": "task"}
-    ortho_names = ("pair_experts",)
+    def init(cls, a: int, b: int, ranks: tuple[int, ...], n_scenes: int,
+             n_envs: int, rng: np.random.Generator,
+             n_instr: int = 0) -> "TuckerAdapter":
+        """Core of order ``len(ranks)``; the experts of each block start tiny."""
+        counts = {"pair_experts": n_scenes * n_envs, "scene_experts": n_scenes,
+                  "env_experts": n_envs, "instr_experts": n_instr}
+        r1, r2, *expert_ranks = ranks
+        core = kaiming(rng, tuple(ranks), fan_in=math.prod(ranks[1:]))
+        up = kaiming(rng, (a, r1), fan_in=r1)
+        down = kaiming(rng, (b, r2), fan_in=b)
+        experts = {name: _expert_init(rng, (counts[name], r))
+                   for name, r in zip(TUCKER_EXPERTS[len(ranks)], expert_ranks)}
+        return cls(core, up, down, n_envs=n_envs if len(ranks) == 3 else None,
+                   **experts)
 
     @classmethod
-    def init(cls, a: int, b: int, ranks: tuple[int, int, int],
-             n_scenes: int, n_envs: int, rng: np.random.Generator) -> "Tucker3Adapter":
-        r1, r2, r3 = ranks
-        return cls(
-            core=kaiming(rng, (r1, r2, r3), fan_in=r2 * r3),
-            up=kaiming(rng, (a, r1), fan_in=r1),
-            down=kaiming(rng, (b, r2), fan_in=b),
-            pair_experts=_expert_init(rng, (n_scenes * n_envs, r3)),
-            n_envs=n_envs,
-        )
+    def from_config(cls, cfg, a, b, rng_for):
+        return cls.init(a, b, tuple(cfg.ranks[:TUCKER_KINDS[cfg.adapter_kind]]),
+                        cfg.n_scenes, cfg.n_envs, rng_for(0), n_instr=cfg.n_instr)
 
     def resolve(self, sel: Selection) -> Selection:
-        """Map (scene, env) to the coupled scenario row."""
+        """Map (scene, env) to the coupled scenario row of a tucker3 core."""
+        if self.n_envs is None:
+            return sel
         if sel.scene is None or sel.env is None:
             raise IndexError("coupled adapter needs both scene and env indices")
         return Selection(scene=sel.scene, env=sel.env, instr=sel.instr,
                          task=sel.scene * self.n_envs + sel.env)
 
-    def delta(self, sel: Selection) -> np.ndarray:
-        t = self.expert_index("pair_experts", sel)
-        mid = np.einsum("ijk,k->ij", self.core, self.pair_experts[t])
-        return self.up @ mid @ self.down.T
-
-    def delta_backward(self, sel: Selection, g: np.ndarray) -> dict[str, np.ndarray]:
-        t = self.expert_index("pair_experts", sel)
-        row = self.pair_experts[t]
-        mid = np.einsum("ijk,k->ij", self.core, row)
-        d_mid = self.up.T @ g @ self.down
-        d_pair = np.zeros_like(self.pair_experts)
-        d_pair[t] = np.einsum("ij,ijk->k", d_mid, self.core)
-        return {
-            "core": np.einsum("ij,k->ijk", d_mid, row),
-            "up": g @ self.down @ mid.T,
-            "down": g.T @ self.up @ mid,
-            "pair_experts": d_pair,
-        }
-
-
-@dataclass
-class Tucker5Adapter(AdapterBase):
-    """5-D core adding a third expert hierarchy for instruction types."""
-
-    core: np.ndarray
-    up: np.ndarray
-    down: np.ndarray
-    scene_experts: np.ndarray
-    env_experts: np.ndarray
-    instr_experts: np.ndarray
-
-    kind = "tucker5"
-    shared_names = ("core", "up", "down")
-    expert_axes = {"scene_experts": "scene", "env_experts": "env",
-                   "instr_experts": "instr"}
-    ortho_names = ("scene_experts", "env_experts", "instr_experts")
-
-    @classmethod
-    def init(cls, a: int, b: int, ranks: tuple[int, int, int, int, int],
-             n_scenes: int, n_envs: int, n_instr: int,
-             rng: np.random.Generator) -> "Tucker5Adapter":
-        r1, r2, r3, r4, r5 = ranks
-        return cls(
-            core=kaiming(rng, (r1, r2, r3, r4, r5), fan_in=r2 * r3 * r4 * r5),
-            up=kaiming(rng, (a, r1), fan_in=r1),
-            down=kaiming(rng, (b, r2), fan_in=b),
-            scene_experts=_expert_init(rng, (n_scenes, r3)),
-            env_experts=_expert_init(rng, (n_envs, r4)),
-            instr_experts=_expert_init(rng, (n_instr, r5)),
-        )
-
-    def _rows(self, sel: Selection):
-        s = self.expert_index("scene_experts", sel)
-        e = self.expert_index("env_experts", sel)
-        q = self.expert_index("instr_experts", sel)
-        return s, e, q
+    def _rows(self, sel: Selection) -> list[int]:
+        return [self.expert_index(name, sel) for name in self.expert_axes]
 
     def delta(self, sel: Selection) -> np.ndarray:
-        s, e, q = self._rows(sel)
-        mid = np.einsum("ijklm,k,l,m->ij", self.core, self.scene_experts[s],
-                        self.env_experts[e], self.instr_experts[q])
-        return self.up @ mid @ self.down.T
+        return contract_adapter(self.core, self.up, self.down,
+                                *(getattr(self, name)[i] for name, i in
+                                  zip(self.expert_axes, self._rows(sel))))
 
     def delta_backward(self, sel: Selection, g: np.ndarray) -> dict[str, np.ndarray]:
-        s, e, q = self._rows(sel)
-        u3, u4, u5 = (self.scene_experts[s], self.env_experts[e],
-                      self.instr_experts[q])
-        mid = np.einsum("ijklm,k,l,m->ij", self.core, u3, u4, u5)
+        index = self._rows(sel)
+        rows = [getattr(self, name)[i] for name, i in zip(self.expert_axes, index)]
+        mid = np.einsum(self._mid, self.core, *rows)
         d_mid = self.up.T @ g @ self.down
-        d_scene = np.zeros_like(self.scene_experts)
-        d_env = np.zeros_like(self.env_experts)
-        d_instr = np.zeros_like(self.instr_experts)
-        d_scene[s] = np.einsum("ij,ijklm,l,m->k", d_mid, self.core, u4, u5)
-        d_env[e] = np.einsum("ij,ijklm,k,m->l", d_mid, self.core, u3, u5)
-        d_instr[q] = np.einsum("ij,ijklm,k,l->m", d_mid, self.core, u3, u4)
-        return {
-            "core": np.einsum("ij,k,l,m->ijklm", d_mid, u3, u4, u5),
+        grads = {
+            "core": np.einsum(self._core_grad, d_mid, *rows),
             "up": g @ self.down @ mid.T,
             "down": g.T @ self.up @ mid,
-            "scene_experts": d_scene,
-            "env_experts": d_env,
-            "instr_experts": d_instr,
         }
+        for n, (name, i) in enumerate(zip(self.expert_axes, index)):
+            d_block = np.zeros_like(getattr(self, name))
+            d_block[i] = np.einsum(self._row_grads[n], d_mid, self.core,
+                                   *rows[:n], *rows[n + 1:])
+            grads[name] = d_block
+        return grads
 
 
 @dataclass
@@ -336,8 +268,6 @@ class LoraAdapter(AdapterBase):
 
     kind = "lora"
     shared_names = ("down", "up")
-    expert_axes = {}
-    ortho_names = ()
 
     @classmethod
     def init(cls, a: int, b: int, rank: int, rng: np.random.Generator) -> "LoraAdapter":
@@ -347,11 +277,58 @@ class LoraAdapter(AdapterBase):
         return cls(down=kaiming(rng, (rank, b), fan_in=b),
                    up=np.zeros((a, rank)))
 
+    @classmethod
+    def from_config(cls, cfg, a, b, rng_for):
+        return cls.init(a, b, cfg.lora_rank, rng_for(0))
+
     def delta(self, sel: Selection) -> np.ndarray:
         return self.up @ self.down
 
     def delta_backward(self, sel: Selection, g: np.ndarray) -> dict[str, np.ndarray]:
         return {"down": self.up.T @ g, "up": g @ self.down.T}
+
+
+@dataclass
+class TaskLoraAdapter(AdapterBase):
+    """One independent low-rank update per task: ``delta = ups[t] @ downs[t]``
+    for task t, with ``downs`` (T, r, b) and ``ups`` (T, a, r).
+
+    Nothing is shared: each task trains its own expert pair and no other
+    block, and only scenarios a task trained have an expert (``pairs_only``).
+    """
+
+    downs: np.ndarray
+    ups: np.ndarray
+
+    kind = "lora_per_task"
+    expert_axes = {"downs": "task", "ups": "task"}
+    pairs_only = True
+
+    @classmethod
+    def init(cls, a: int, b: int, rank: int,
+             rngs: list[np.random.Generator]) -> "TaskLoraAdapter":
+        """One expert per generator, drawn from it as ``LoraAdapter.init``
+        draws a LoRA."""
+        loras = [LoraAdapter.init(a, b, rank, rng) for rng in rngs]
+        return cls(downs=np.stack([lo.down for lo in loras]),
+                   ups=np.stack([lo.up for lo in loras]))
+
+    @classmethod
+    def from_config(cls, cfg, a, b, rng_for):
+        return cls.init(a, b, cfg.lora_rank,
+                        [rng_for(1 + t) for t in range(cfg.n_tasks)])
+
+    def delta(self, sel: Selection) -> np.ndarray:
+        t = self.expert_index("ups", sel)
+        return self.ups[t] @ self.downs[t]
+
+    def delta_backward(self, sel: Selection, g: np.ndarray) -> dict[str, np.ndarray]:
+        t = self.expert_index("ups", sel)
+        d_downs = np.zeros_like(self.downs)
+        d_ups = np.zeros_like(self.ups)
+        d_downs[t] = self.ups[t].T @ g
+        d_ups[t] = g @ self.downs[t].T
+        return {"downs": d_downs, "ups": d_ups}
 
 
 @dataclass
@@ -368,13 +345,16 @@ class SharedAMoeAdapter(AdapterBase):
     kind = "moe"
     shared_names = ("down",)
     expert_axes = {"ups": "task"}
-    ortho_names = ()
 
     @classmethod
     def init(cls, a: int, b: int, rank: int, n_experts: int,
              rng: np.random.Generator) -> "SharedAMoeAdapter":
         return cls(down=kaiming(rng, (rank, b), fan_in=b),
                    ups=np.zeros((n_experts, a, rank)))
+
+    @classmethod
+    def from_config(cls, cfg, a, b, rng_for):
+        return cls.init(a, b, cfg.moe_rank, cfg.n_tasks, rng_for(0))
 
     def delta(self, sel: Selection) -> np.ndarray:
         return np.einsum("kar,rb->ab", self.ups, self.down)
@@ -412,6 +392,11 @@ class AbcLoraAdapter(AdapterBase):
             tops=np.zeros((n_envs, a, rank_mid)),
         )
 
+    @classmethod
+    def from_config(cls, cfg, a, b, rng_for):
+        return cls.init(a, b, cfg.abc_rank_base, cfg.abc_rank_mid,
+                        cfg.n_scenes, cfg.n_envs, rng_for(0))
+
     def delta(self, sel: Selection) -> np.ndarray:
         s = self.expert_index("mids", sel)
         e = self.expert_index("tops", sel)
@@ -429,19 +414,10 @@ class AbcLoraAdapter(AdapterBase):
 
 
 ADAPTER_KINDS: dict[str, type] = {
-    cls.kind: cls
-    for cls in (TuckerAdapter, Tucker3Adapter, Tucker5Adapter,
-                LoraAdapter, SharedAMoeAdapter, AbcLoraAdapter)
+    **dict.fromkeys(TUCKER_KINDS, TuckerAdapter),
+    **{cls.kind: cls for cls in (LoraAdapter, TaskLoraAdapter,
+                                 SharedAMoeAdapter, AbcLoraAdapter)},
 }
-
-
-def init_adapter(kind: str, dims: dict, seed: int | np.random.Generator) -> AdapterBase:
-    """Seed-deterministic factory over all adapter kinds."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    if kind not in ADAPTER_KINDS:
-        raise ValueError(f"unknown adapter kind {kind!r}; "
-                         f"expected one of {sorted(ADAPTER_KINDS)}")
-    return ADAPTER_KINDS[kind].init(rng=rng, **dims)
 
 
 # ---------------------------------------------------------------------------
@@ -536,9 +512,9 @@ class FlatLayout:
         """One vector in this layout from per-layer block dicts; with
         ``shared_only``, of the leading ``n_shared`` slots alone."""
         stop = self.n_shared if shared_only else self.size
-        return np.concatenate([layers[l][name].ravel()
-                               for (l, name), s in self.slots.items()
-                               if s.start < stop])
+        parts = [layers[l][name].ravel()
+                 for (l, name), s in self.slots.items() if s.start < stop]
+        return np.concatenate(parts) if parts else np.empty(0)
 
     def views(self, vector: np.ndarray) -> dict[str, np.ndarray]:
         """Block-shaped views of a vector in this layout, keyed by ``block_key``."""

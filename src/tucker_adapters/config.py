@@ -10,14 +10,15 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import typing
 from dataclasses import dataclass
 from pathlib import Path
 
-from .adapters import ADAPTER_KINDS
+from .adapters import ADAPTER_KINDS, TUCKER_KINDS
 from .tasks import WorldConfig
 
-VALID_KINDS = tuple(sorted(ADAPTER_KINDS)) + ("lora_per_task",)
+VALID_KINDS = tuple(sorted(ADAPTER_KINDS))
 
 
 class ConfigError(ValueError):
@@ -75,6 +76,16 @@ def coerce_field(cls, key: str, raw: str):
                           f"({exc})") from exc
 
 
+def check_finite(obj) -> None:
+    """Raise ConfigError naming the first field of the dataclass ``obj``
+    that holds a float, or a tuple with a float, that is not finite."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        items = value if isinstance(value, tuple) else (value,)
+        if not all(math.isfinite(v) for v in items if isinstance(v, float)):
+            raise ConfigError(f"{f.name}: must be finite, got {value!r}")
+
+
 def _fits(kind, value) -> bool:
     if isinstance(value, bool):
         return kind is bool
@@ -86,16 +97,25 @@ def _fits(kind, value) -> bool:
 def check_field(cls, key: str, value):
     """``value``, as read from JSON, if it has the type of field ``key`` of
     the dataclass ``cls``: an int field takes an int but not a bool, a float
-    field also takes an int, and a tuple field a list (returned as a tuple)."""
+    field also takes an int (returned as a float, so that ``0`` and ``0.0``
+    hash alike), and a tuple field a list (returned as a tuple)."""
     kind = _field_type(cls, key)
     if typing.get_origin(kind) is not tuple:
         if _fits(kind, value):
-            return value
+            return float(value) if kind is float else value
     elif isinstance(value, (list, tuple)):
         items = _item_types(kind, len(value))
         if items is not None and all(map(_fits, items, value)):
-            return tuple(value)
+            return tuple(float(v) if k is float else v
+                         for k, v in zip(items, value))
     raise ConfigError(f"{key}: expected {_type_name(kind)}, got {value!r}")
+
+
+# the least value of each field that counts or sizes something
+_MINIMA = {**dict.fromkeys(
+    ("lora_rank", "moe_rank", "abc_rank_base", "abc_rank_mid", "n_scenes",
+     "n_envs", "n_tasks", "train_episodes", "test_episodes", "epochs",
+     "batch_size", "d_f", "hidden", "horizon"), 1), "n_instr": 0, "seed": 0}
 
 
 @dataclass
@@ -143,37 +163,39 @@ class ExperimentConfig:
     seed: int = 0
 
     def validate(self) -> "ExperimentConfig":
+        check_finite(self)
         if self.adapter_kind not in VALID_KINDS:
             raise ConfigError(
                 f"adapter_kind: {self.adapter_kind!r} is not one of {VALID_KINDS}")
+        for name, least in _MINIMA.items():
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name}: must be >= {least}, "
+                                  f"got {getattr(self, name)}")
+        if not all(r >= 1 for r in self.ranks):
+            raise ConfigError(f"ranks: must all be >= 1, got {list(self.ranks)}")
         if self.lam1 + self.lam2 + self.lam3 >= 1.0:
             raise ConfigError("lam1+lam2+lam3: must sum to < 1")
         if min(self.lam1, self.lam2, self.lam3) < 0:
             raise ConfigError("lam1/lam2/lam3: must be >= 0")
         if not 0.0 <= self.omega <= 1.0:
             raise ConfigError("omega: must lie in [0, 1]")
-        if self.n_scenes < 1 or self.n_envs < 1:
-            raise ConfigError("n_scenes/n_envs: must be >= 1")
+        # feature_noise: a redrawn episode gets more noise, so that a teacher
+        # that stands still at the cluster center moves eventually
+        for name in ("lr", "feature_noise", "epsilon"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name}: must be > 0, got {getattr(self, name)}")
         if self.n_tasks > self.n_scenes * self.n_envs:
             raise ConfigError(
                 f"n_tasks: {self.n_tasks} exceeds scenario capacity "
                 f"{self.n_scenes} x {self.n_envs}")
         if self.adapter_kind == "tucker5" and self.n_instr < 1:
             raise ConfigError("n_instr: tucker5 needs at least one instruction type")
-        if self.adapter_kind == "tucker3" and len(self.ranks) < 3:
-            raise ConfigError("ranks: tucker3 needs three ranks")
-        if self.adapter_kind == "tucker4" and len(self.ranks) < 4:
-            raise ConfigError("ranks: tucker4 needs four ranks")
-        if self.adapter_kind == "tucker5" and len(self.ranks) < 5:
-            raise ConfigError("ranks: tucker5 needs five ranks")
+        order = TUCKER_KINDS.get(self.adapter_kind, 0)
+        if len(self.ranks) < order:
+            raise ConfigError(f"ranks: {self.adapter_kind} needs {order} ranks, "
+                              f"got {len(self.ranks)}")
         if not 0.0 < self.fisher_fraction <= 1.0:
             raise ConfigError("fisher_fraction: must lie in (0, 1]")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("epochs/batch_size: must be >= 1")
-        if self.train_episodes < 1 or self.test_episodes < 1:
-            raise ConfigError("train_episodes/test_episodes: must be >= 1")
-        if self.epsilon <= 0:
-            raise ConfigError("epsilon: must be > 0")
         if self.d_f < max(self.n_scenes, self.n_envs):
             raise ConfigError("d_f: needs at least as many dims as expert keys")
         return self

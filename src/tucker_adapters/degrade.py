@@ -38,6 +38,8 @@ from pathlib import Path
 import numpy as np
 from scipy.ndimage import gaussian_filter, uniform_filter
 
+from .config import check_finite
+
 
 @dataclass
 class ScatterParams:
@@ -47,8 +49,9 @@ class ScatterParams:
     particle_size: float = 0.1        # recorded for provenance; not in the model
 
     def validate(self):
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
+        check_finite(self)
+        if self.beta < 0 or self.d_max < 0:
+            raise ValueError("beta and d_max must be >= 0")
         if not all(0.0 <= a <= 1.0 for a in self.atmospheric_light):
             raise ValueError("atmospheric light components must lie in [0, 1]")
         return self
@@ -68,10 +71,15 @@ class LowLightParams:
     seed: int = 0
 
     def validate(self):
+        check_finite(self)
         if self.exposure_time <= 0 or self.gain <= 0 or self.gamma <= 0:
             raise ValueError("exposure_time, gain, gamma must be > 0")
-        if self.read_noise < 0 or self.shot_noise < 0:
-            raise ValueError("noise levels must be >= 0")
+        if self.read_noise < 0 or self.shot_noise < 0 or self.brightness < 0:
+            raise ValueError("brightness and noise levels must be >= 0")
+        if not (0.0 <= self.denoise_strength <= 1.0
+                and 0.0 <= self.detail_preservation <= 1.0):
+            raise ValueError("denoise_strength and detail_preservation must "
+                             "lie in [0, 1]")
         return self
 
 
@@ -88,10 +96,14 @@ class OverexposeParams:
     seed: int = 0
 
     def validate(self):
+        check_finite(self)
         if not 0.0 < self.saturation <= 1.0:
             raise ValueError("saturation must lie in (0, 1]")
-        if self.exposure_multiplier <= 0:
-            raise ValueError("exposure multiplier must be > 0")
+        if self.exposure_multiplier <= 0 or self.gain <= 0 or self.gamma <= 0:
+            raise ValueError("exposure_multiplier, gain, gamma must be > 0")
+        if self.read_noise < 0 or self.bloom_strength < 0 or min(self.color_shift) < 0:
+            raise ValueError("read_noise, bloom_strength and color_shift "
+                             "must be >= 0")
         return self
 
 

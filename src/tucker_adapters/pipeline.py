@@ -25,9 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from .adapters import (
+    ADAPTER_KINDS,
     AdapterBase,
     Selection,
-    init_adapter,
     pack_layers,
     unpack_layers,
 )
@@ -66,35 +66,14 @@ def hyper_from_config(cfg: ExperimentConfig) -> Hyper:
                  fisher_fraction=cfg.fisher_fraction)
 
 
-def build_adapter_stack(cfg: ExperimentConfig, layer_dims: list[tuple[int, int]],
-                        seed_key: list[int]) -> list[AdapterBase]:
-    """One adapter per backbone layer, rng-keyed per layer."""
-    kind = "lora" if cfg.adapter_kind == "lora_per_task" else cfg.adapter_kind
-    stack = []
-    for l, (a, b) in enumerate(layer_dims):
-        rng = np.random.default_rng(seed_key + [l])
-        if kind == "tucker4":
-            dims = dict(a=a, b=b, ranks=tuple(cfg.ranks[:4]),
-                        n_scenes=cfg.n_scenes, n_envs=cfg.n_envs)
-        elif kind == "tucker3":
-            dims = dict(a=a, b=b, ranks=tuple(cfg.ranks[:3]),
-                        n_scenes=cfg.n_scenes, n_envs=cfg.n_envs)
-        elif kind == "tucker5":
-            dims = dict(a=a, b=b, ranks=tuple(cfg.ranks[:5]),
-                        n_scenes=cfg.n_scenes, n_envs=cfg.n_envs,
-                        n_instr=cfg.n_instr)
-        elif kind == "lora":
-            dims = dict(a=a, b=b, rank=cfg.lora_rank)
-        elif kind == "moe":
-            dims = dict(a=a, b=b, rank=cfg.moe_rank, n_experts=cfg.n_tasks)
-        elif kind == "abc":
-            dims = dict(a=a, b=b, rank_base=cfg.abc_rank_base,
-                        rank_mid=cfg.abc_rank_mid, n_scenes=cfg.n_scenes,
-                        n_envs=cfg.n_envs)
-        else:
-            raise ValueError(f"unhandled adapter kind {kind!r}")
-        stack.append(init_adapter(kind, dims, rng))
-    return stack
+def build_adapter_stack(cfg: ExperimentConfig,
+                        layer_dims: list[tuple[int, int]]) -> list[AdapterBase]:
+    """One adapter per backbone layer; draw d of layer l comes from
+    ``default_rng([seed, _TAG_ADAPTER, d, l])``."""
+    cls = ADAPTER_KINDS[cfg.adapter_kind]
+    return [cls.from_config(cfg, a, b, lambda draw, l=l: np.random.default_rng(
+                [cfg.seed, _TAG_ADAPTER, draw, l]))
+            for l, (a, b) in enumerate(layer_dims)]
 
 
 @dataclass
@@ -111,23 +90,18 @@ class LifelongState:
     seen_instr: set[int] = field(default_factory=set)
     seen_pairs: set[tuple[int, int]] = field(default_factory=set)
     pair_to_task: dict[tuple[int, int], int] = field(default_factory=dict)
-    task_stacks: dict[int, list[AdapterBase]] = field(default_factory=dict)
     task_count: int = 0
 
     @property
-    def per_task(self) -> bool:
-        return self.cfg.adapter_kind == "lora_per_task"
-
-    @property
     def lookup_pairs(self) -> set[tuple[int, int]] | None:
-        """The scenarios retrieval may return: per-task adapters exist only
-        for trained pairs, while expert rows combine freely (None)."""
-        return self.seen_pairs if self.per_task else None
+        """The scenarios retrieval may return: only trained pairs when each
+        scenario's expert is its own task's, all of them (None) when expert
+        rows combine freely."""
+        return self.seen_pairs if self.adapters[0].pairs_only else None
 
 
 def init_state(cfg: ExperimentConfig, world: World) -> LifelongState:
-    adapters = build_adapter_stack(cfg, world.backbone.layer_dims,
-                                   [cfg.seed, _TAG_ADAPTER, 0])
+    adapters = build_adapter_stack(cfg, world.backbone.layer_dims)
     return LifelongState(cfg=cfg, adapters=adapters,
                          store=FeatureStore(cfg.d_f))
 
@@ -149,28 +123,19 @@ def train_task(state: LifelongState, world: World, task: TaskDescriptor,
     hyper = hyper_from_config(cfg)
     sel = Selection(scene=task.scene, env=task.env, instr=task.instr,
                     task=state.task_count)
-    if state.per_task:
-        adapters = build_adapter_stack(
-            cfg, world.backbone.layer_dims,
-            [cfg.seed, _TAG_ADAPTER, 1 + state.task_count])
-        state.task_stacks[state.task_count] = adapters
-        snapshots = fishers = None
-        flags = {}
+    adapters = state.adapters
+    new_fisher = fisher_estimate(world.backbone, adapters, sel, episodes,
+                                 cfg.fisher_fraction)
+    if state.fisher is None:
+        state.fisher = new_fisher  # first task: nothing to average with
     else:
-        adapters = state.adapters
-        new_fisher = fisher_estimate(world.backbone, adapters, sel, episodes,
-                                     cfg.fisher_fraction)
-        if state.fisher is None:
-            state.fisher = new_fisher  # first task: nothing to average with
-        else:
-            state.fisher = [fisher_ema(prev, new, cfg.omega)
-                            for prev, new in zip(state.fisher, new_fisher)]
-        snapshots, fishers = state.snapshots, state.fisher
-        flags = {"scene": int(task.scene in state.seen_scenes),
-                 "env": int(task.env in state.seen_envs),
-                 "instr": int(task.instr in state.seen_instr),
-                 "task": 0}
-    plan = build_plan(adapters, sel, snapshots, fishers, flags, hyper)
+        state.fisher = [fisher_ema(prev, new, cfg.omega)
+                        for prev, new in zip(state.fisher, new_fisher)]
+    flags = {"scene": int(task.scene in state.seen_scenes),
+             "env": int(task.env in state.seen_envs),
+             "instr": int(task.instr in state.seen_instr),
+             "task": 0}
+    plan = build_plan(adapters, sel, state.snapshots, state.fisher, flags, hyper)
     params = {"theta": plan.theta}
     opt = AdamState(lr=cfg.lr)
     logs = []
@@ -198,9 +163,8 @@ def train_task(state: LifelongState, world: World, task: TaskDescriptor,
                      "wall_time": time.perf_counter() - t0})
 
     # snapshots for the next task's consolidation terms
-    if not state.per_task:
-        state.snapshots = [{k: v.copy() for k, v in ad.blocks().items()}
-                           for ad in adapters]
+    state.snapshots = [{k: v.copy() for k, v in ad.blocks().items()}
+                       for ad in adapters]
     state.seen_scenes.add(task.scene)
     state.seen_envs.add(task.env)
     if task.instr is not None:
@@ -226,25 +190,17 @@ def delta_provider(state: LifelongState):
     """Maps a retrieved (scene, env, instr) triple to per-layer deltas.
 
     Evaluation never changes the adapters, so each triple's deltas are
-    computed once and kept for the provider's lifetime.
+    computed once and kept for the provider's lifetime. The task index is
+    that of the task that trained the pair, None for an untrained pair.
     """
     cache: dict[tuple, list[np.ndarray]] = {}
-
-    def compute(scene: int, env: int, instr: int | None):
-        if state.per_task:
-            task_idx = state.pair_to_task.get((scene, env))
-            if task_idx is None:
-                raise KeyError(f"no per-task adapter for scenario {(scene, env)}")
-            stack = state.task_stacks[task_idx]
-            return [ad.delta(Selection()) for ad in stack]
-        sel = Selection(scene=scene, env=env, instr=instr,
-                        task=state.pair_to_task.get((scene, env), 0))
-        return [ad.delta(sel) for ad in state.adapters]
 
     def provide(scene: int, env: int, instr: int | None):
         key = (scene, env, instr)
         if key not in cache:
-            cache[key] = compute(scene, env, instr)
+            sel = Selection(scene=scene, env=env, instr=instr,
+                            task=state.pair_to_task.get((scene, env)))
+            cache[key] = [ad.delta(sel) for ad in state.adapters]
         return cache[key]
 
     return provide
@@ -317,13 +273,8 @@ def save_state(state: LifelongState, directory: str | Path) -> None:
     provenance = {"seed": state.cfg.seed, "ranks": list(state.cfg.ranks)}
     for l, ad in enumerate(state.adapters):
         ad.save(directory / f"adapter_L{l}.npz", provenance)
-    for t, stack in state.task_stacks.items():
-        for l, ad in enumerate(stack):
-            ad.save(directory / f"task{t}_adapter_L{l}.npz", provenance)
-    if state.fisher is not None:
-        np.savez(directory / "fisher.npz", **pack_layers(state.fisher))
-    if state.snapshots is not None:
-        np.savez(directory / "snapshot.npz", **pack_layers(state.snapshots))
+    np.savez(directory / "fisher.npz", **pack_layers(state.fisher))
+    np.savez(directory / "snapshot.npz", **pack_layers(state.snapshots))
     state.store.save(directory / "store.npz")
     meta = {
         "task_count": state.task_count,
@@ -345,8 +296,13 @@ def load_state(cfg: ExperimentConfig, directory: str | Path,
                n_layers: int) -> LifelongState:
     directory = Path(directory)
     meta = json.loads((directory / "state.json").read_text())
-    adapters = [AdapterBase.load(directory / f"adapter_L{l}.npz")
-                for l in range(n_layers)]
+    adapters = []
+    for l in range(n_layers):
+        path = directory / f"adapter_L{l}.npz"
+        adapters.append(AdapterBase.load(path))
+        if adapters[-1].kind != cfg.adapter_kind:
+            raise ValueError(f"checkpoint {path} holds a {adapters[-1].kind!r} "
+                             f"adapter, the config asks for {cfg.adapter_kind!r}")
     state = LifelongState(cfg=cfg, adapters=adapters,
                           store=FeatureStore.load(directory / "store.npz"))
     state.task_count = meta["task_count"]
@@ -355,21 +311,15 @@ def load_state(cfg: ExperimentConfig, directory: str | Path,
     state.seen_instr = set(meta["seen_instr"])
     state.seen_pairs = {tuple(p) for p in meta["seen_pairs"]}
     state.pair_to_task = {(s, e): t for s, e, t in meta["pair_to_task"]}
-    if (directory / "fisher.npz").exists():
-        with np.load(directory / "fisher.npz") as data:
-            state.fisher = unpack_layers(
-                {k: np.asarray(data[k]) for k in data.files}, n_layers)
-    if (directory / "snapshot.npz").exists():
-        with np.load(directory / "snapshot.npz") as data:
-            state.snapshots = unpack_layers(
-                {k: np.asarray(data[k]) for k in data.files}, n_layers)
-    for t in range(state.task_count):
-        first = directory / f"task{t}_adapter_L0.npz"
-        if first.exists():
-            state.task_stacks[t] = [
-                AdapterBase.load(directory / f"task{t}_adapter_L{l}.npz")
-                for l in range(n_layers)]
+    state.fisher = _load_layers(directory / "fisher.npz", n_layers)
+    state.snapshots = _load_layers(directory / "snapshot.npz", n_layers)
     return state
+
+
+def _load_layers(path: Path, n_layers: int) -> list[dict[str, np.ndarray]]:
+    with np.load(path) as data:
+        return unpack_layers({k: np.asarray(data[k]) for k in data.files},
+                             n_layers)
 
 
 # ---------------------------------------------------------------------------
@@ -601,8 +551,7 @@ def run_gradcheck(cfg: ExperimentConfig, n_episodes: int = 3) -> dict[str, float
     cfg.validate()
     world = World(cfg.world_config())
     rng = np.random.default_rng([cfg.seed, 31])
-    adapters = build_adapter_stack(cfg, world.backbone.layer_dims,
-                                   [cfg.seed, _TAG_ADAPTER, 0])
+    adapters = build_adapter_stack(cfg, world.backbone.layer_dims)
     for ad in adapters:
         for name, arr in ad.blocks().items():
             if name in ad.expert_axes:

@@ -9,6 +9,9 @@ matrix's row count.
 
 from __future__ import annotations
 
+import functools
+import string
+
 import numpy as np
 
 # Rows with Euclidean norm below this are left untouched by row_normalize
@@ -55,36 +58,50 @@ def tucker_reconstruct(core: np.ndarray, factors: list[np.ndarray]) -> np.ndarra
     return out
 
 
-def contract_adapter(
-    core: np.ndarray,
-    u1: np.ndarray,
-    u2: np.ndarray,
-    u3_row: np.ndarray,
-    u4_row: np.ndarray,
-) -> np.ndarray:
-    """Fused extraction of one adapter weight from a 4-D core.
+@functools.lru_cache(maxsize=None)
+def tucker_subscripts(k: int) -> tuple[str, str, tuple[str, ...]]:
+    """einsum subscripts of an order-(k + 2) adapter core whose up and down
+    modes are ``ij`` and whose expert modes are ``k``, ``l``, ``m``, ...
 
-    Computes ``u1 @ (core x_3 u3_row x_4 u4_row) @ u2.T`` where the two row
-    vectors contract modes 2 and 3 away (a 1 x r factor followed by a
-    squeeze), yielding an ``a x b`` matrix. This is the inner loop of every
-    adapted forward pass; the generic mode-product path above is kept as its
-    cross-check oracle.
+    Returned for k = 2: the contraction of the expert rows
+    (``ijkl,k,l->ij``), the core's gradient from the gradient of that
+    contraction and the rows (``ij,k,l->ijkl``), and the gradient of each
+    row from it, the core and the other rows (``ij,ijkl,l->k``,
+    ``ij,ijkl,k->l``).
+    """
+    modes = string.ascii_lowercase[10:10 + k]
+    return (",".join(["ij" + modes, *modes]) + "->ij",
+            ",".join(["ij", *modes]) + "->ij" + modes,
+            tuple(",".join(["ij", "ij" + modes, *modes.replace(m, "")]) + "->" + m
+                  for m in modes))
+
+
+def contract_adapter(core: np.ndarray, u1: np.ndarray, u2: np.ndarray,
+                     *rows: np.ndarray) -> np.ndarray:
+    """Fused extraction of one adapter weight from an order-(k + 2) core.
+
+    Computes ``u1 @ (core x_3 rows[0] ... x_{k+2} rows[k-1]) @ u2.T`` where
+    each row vector contracts one expert mode away (a 1 x r factor followed
+    by a squeeze), yielding an ``a x b`` matrix. This is the inner loop of
+    every adapted forward pass; the generic mode-product path above is kept
+    as its cross-check oracle.
     """
     core = _as_f64(core)
     u1, u2 = _as_f64(u1), _as_f64(u2)
-    u3_row, u4_row = _as_f64(u3_row).ravel(), _as_f64(u4_row).ravel()
-    if core.ndim != 4:
-        raise ValueError(f"adapter core must be 4-D, got {core.ndim}-D")
-    r1, r2, r3, r4 = core.shape
+    rows = [_as_f64(row).ravel() for row in rows]
+    if core.ndim != 2 + len(rows):
+        raise ValueError(f"a {core.ndim}-D adapter core takes {core.ndim - 2} "
+                         f"expert rows, got {len(rows)}")
+    r1, r2 = core.shape[:2]
     if u1.shape[1] != r1:
         raise ValueError(f"u1 has {u1.shape[1]} columns, core mode 0 is {r1}")
     if u2.shape[1] != r2:
         raise ValueError(f"u2 has {u2.shape[1]} columns, core mode 1 is {r2}")
-    if u3_row.size != r3:
-        raise ValueError(f"u3 row length {u3_row.size}, core mode 2 is {r3}")
-    if u4_row.size != r4:
-        raise ValueError(f"u4 row length {u4_row.size}, core mode 3 is {r4}")
-    mid = np.einsum("ijkl,k,l->ij", core, u3_row, u4_row)
+    for mode, (row, r) in enumerate(zip(rows, core.shape[2:]), start=2):
+        if row.size != r:
+            raise ValueError(f"u{mode + 1} row length {row.size}, core mode "
+                             f"{mode} is {r}")
+    mid = np.einsum(tucker_subscripts(len(rows))[0], core, *rows)
     return u1 @ mid @ u2.T
 
 
@@ -96,17 +113,3 @@ def row_normalize(m: np.ndarray, eps: float = EPS_NORM) -> np.ndarray:
     norms = np.linalg.norm(m, axis=1, keepdims=True)
     safe = np.where(norms < eps, 1.0, norms)
     return np.where(norms < eps, m, m / safe)
-
-
-def frobenius_norm_sq(t: np.ndarray) -> float:
-    """Sum of squared entries."""
-    t = np.asarray(t, dtype=np.float64)
-    return float(np.sum(t * t))
-
-
-def hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise product; shapes must match exactly."""
-    a, b = _as_f64(a), _as_f64(b)
-    if a.shape != b.shape:
-        raise ValueError(f"hadamard shape mismatch: {a.shape} vs {b.shape}")
-    return a * b

@@ -83,13 +83,6 @@ def ewc_loss(current: dict[str, np.ndarray], snapshot: dict[str, np.ndarray],
     return lam1 * total
 
 
-def consistency_loss(u3_row, u3_prev, u4_row, u4_prev, alpha: int, beta: int,
-                     lam2: float) -> float:
-    d3 = np.asarray(u3_row) - np.asarray(u3_prev)
-    d4 = np.asarray(u4_row) - np.asarray(u4_prev)
-    return lam2 * (alpha * float(np.sum(d3 * d3)) + beta * float(np.sum(d4 * d4)))
-
-
 def _gram_error(mat: np.ndarray):
     """Row norms, the mask of rows with norm >= EPS_NORM, those rows scaled
     to unit norm, and their Gram matrix minus the identity."""
@@ -100,15 +93,10 @@ def _gram_error(mat: np.ndarray):
     return norms, keep, unit, unit @ unit.T - np.eye(unit.shape[0])
 
 
-def gram_penalty(mat: np.ndarray) -> float:
-    """||U_hat U_hat^T - I||_F^2 over rows with norm >= EPS_NORM."""
-    err = _gram_error(mat)[3]
-    return float(np.sum(err * err))
-
-
 def gram_penalty_and_row_grad(mat: np.ndarray, row: int) -> tuple[float, np.ndarray]:
-    """gram_penalty(mat) and its gradient w.r.t. one (unnormalized) row of
-    ``mat``, both from one Gram error."""
+    """The Gram penalty ||U_hat U_hat^T - I||_F^2 over the rows of ``mat``
+    with norm >= EPS_NORM, and its gradient w.r.t. one (unnormalized) row,
+    both from one Gram error."""
     norms, keep, unit, err = _gram_error(mat)
     loss = float(np.sum(err * err))
     if not keep[row]:
@@ -117,11 +105,6 @@ def gram_penalty_and_row_grad(mat: np.ndarray, row: int) -> tuple[float, np.ndar
     g_unit = 4.0 * (err @ unit)[j]
     v_hat = unit[j]
     return loss, (g_unit - (g_unit @ v_hat) * v_hat) / norms[row]
-
-
-def orthogonality_loss(u3: np.ndarray, u4: np.ndarray, alpha: int, beta: int,
-                       lam3: float) -> float:
-    return lam3 * ((1 - alpha) * gram_penalty(u3) + (1 - beta) * gram_penalty(u4))
 
 
 def fisher_ema(prev: dict[str, np.ndarray], new: dict[str, np.ndarray],

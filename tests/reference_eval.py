@@ -54,9 +54,6 @@ def reference_search(store, query, pairs=None):
 
 
 def reference_deltas(state, scene, env, instr):
-    if state.per_task:
-        stack = state.task_stacks[state.pair_to_task[(scene, env)]]
-        return [ad.delta(Selection()) for ad in stack]
     sel = Selection(scene=scene, env=env, instr=instr,
                     task=state.pair_to_task.get((scene, env), 0))
     return [ad.delta(sel) for ad in state.adapters]

@@ -17,6 +17,7 @@ from tucker_adapters.adapters import (
     LoraAdapter,
     Selection,
     SharedAMoeAdapter,
+    TaskLoraAdapter,
     TuckerAdapter,
 )
 from tucker_adapters.config import ExperimentConfig
@@ -52,11 +53,7 @@ from tucker_adapters.tasks import (
     gen_stream,
 )
 from tucker_adapters.tensor_ops import contract_adapter, tucker_reconstruct
-from tucker_adapters.training import (
-    consistency_loss,
-    ewc_loss,
-    orthogonality_loss,
-)
+from tucker_adapters.training import Hyper, build_plan, regularizer_terms
 
 
 def criterion(number, name):
@@ -90,8 +87,8 @@ def test_c1_parameter_counts():
     tucker = TuckerAdapter.init(a=1024, b=1024, ranks=(8, 8, 64, 64),
                                 n_scenes=7, n_envs=4, rng=rng)
     assert tucker.param_count() == 279_232
-    per_task = LoraAdapter.init(a=1024, b=1024, rank=6, rng=rng)
-    assert 24 * per_task.param_count() == 294_912
+    per_task = TaskLoraAdapter.init(a=1024, b=1024, rank=6, rngs=[rng] * 24)
+    assert per_task.param_count() == 294_912
     single = LoraAdapter.init(a=1024, b=1024, rank=128, rng=rng)
     assert single.param_count() == 262_144
     moe = SharedAMoeAdapter.init(a=1024, b=1024, rank=12, n_experts=24, rng=rng)
@@ -159,21 +156,40 @@ def test_c3_gradcheck_default_config():
 # 4. Null-condition losses (exact to 1e-12)
 # ---------------------------------------------------------------------------
 
+def _consolidation_losses(rng, u3, u4, shift3, shift4, seen):
+    """The three consolidation losses one training step computes for a
+    tucker4 layer with expert blocks u3 and u4 whose task selects row 0 of
+    each; the snapshot is the layer itself with row 0 of u3 and of u4 moved
+    by shift3 and shift4, and ``seen`` flags both the scene and the env."""
+    ad = TuckerAdapter(core=rng.standard_normal((3, 3, u3.shape[1], u4.shape[1])),
+                       up=rng.standard_normal((4, 3)),
+                       down=rng.standard_normal((5, 3)),
+                       scene_experts=u3.copy(), env_experts=u4.copy())
+    snapshot = {k: v.copy() for k, v in ad.blocks().items()}
+    snapshot["scene_experts"][0] += shift3
+    snapshot["env_experts"][0] += shift4
+    fisher = {k: rng.uniform(0.5, 2.0, size=snapshot[k].shape)
+              for k in ad.shared_names}
+    plan = build_plan([ad], Selection(scene=0, env=0), [snapshot], [fisher],
+                      {"scene": seen, "env": seen},
+                      Hyper(lam1=0.2, lam2=0.2, lam3=0.1))
+    return regularizer_terms(plan)[0]
+
+
 @criterion(4, "null-condition losses")
 def test_c4_null_conditions():
     rng = np.random.default_rng(4)
-    theta = {"core": rng.standard_normal((3, 3))}
-    fisher = {"core": rng.uniform(0.5, 2.0, size=(3, 3))}
-    assert abs(ewc_loss(theta, {"core": theta["core"].copy()}, fisher, 0.2,
-                        ("core",))) <= 1e-12
-    row = rng.standard_normal(5)
-    assert abs(consistency_loss(row, row + 9.0, row, row - 4.0,
-                                alpha=0, beta=0, lam2=0.2)) <= 1e-12
+    row = rng.standard_normal((1, 5))
+    # shared blocks at their snapshot, and a novel task's moved rows
+    losses = _consolidation_losses(rng, row, row, 9.0, -4.0, seen=0)
+    assert abs(losses["ewc"]) <= 1e-12
+    assert abs(losses["consistency"]) <= 1e-12
     ortho = np.linalg.qr(rng.standard_normal((6, 6)))[0][:4]  # orthonormal rows
-    assert abs(orthogonality_loss(ortho, ortho, alpha=0, beta=0,
-                                  lam3=0.1)) <= 1e-12
+    losses = _consolidation_losses(rng, ortho, ortho, 0.0, 0.0, seen=0)
+    assert abs(losses["orthogonality"]) <= 1e-12
     messy = rng.standard_normal((4, 6))
-    assert orthogonality_loss(messy, messy, alpha=1, beta=1, lam3=0.1) == 0.0
+    losses = _consolidation_losses(rng, messy, messy, 0.0, 0.0, seen=1)
+    assert losses["orthogonality"] == 0.0
 
 
 # ---------------------------------------------------------------------------

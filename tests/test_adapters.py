@@ -4,19 +4,21 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tucker_adapters.adapters import (
+    ADAPTER_KINDS,
     SIGMA_EXPERT_INIT,
     AbcLoraAdapter,
     AdapterBase,
     LoraAdapter,
     Selection,
     SharedAMoeAdapter,
-    Tucker3Adapter,
-    Tucker5Adapter,
+    TaskLoraAdapter,
     TuckerAdapter,
-    init_adapter,
 )
+from tucker_adapters.config import ConfigError, ExperimentConfig
 from tucker_adapters.tensor_ops import tucker_reconstruct
 
 
@@ -36,8 +38,9 @@ def test_param_count_tucker_reference_config():
 
 
 def test_param_count_per_task_lora():
-    lora = LoraAdapter.init(a=1024, b=1024, rank=6, rng=np.random.default_rng(0))
-    assert 24 * lora.param_count() == 294_912
+    lora = TaskLoraAdapter.init(a=1024, b=1024, rank=6,
+                                rngs=[np.random.default_rng(0)] * 24)
+    assert lora.param_count() == 294_912
 
 
 def test_param_count_single_lora():
@@ -87,8 +90,8 @@ def test_tucker_delta_matches_reconstruct_slice():
 
 
 def test_tucker5_delta_matches_reconstruct_slice():
-    ad = Tucker5Adapter.init(a=4, b=5, ranks=(2, 2, 2, 2, 2), n_scenes=3,
-                             n_envs=2, n_instr=2, rng=np.random.default_rng(9))
+    ad = TuckerAdapter.init(a=4, b=5, ranks=(2, 2, 2, 2, 2), n_scenes=3,
+                            n_envs=2, n_instr=2, rng=np.random.default_rng(9))
     rec = tucker_reconstruct(
         ad.core, [ad.up, ad.down, ad.scene_experts, ad.env_experts,
                   ad.instr_experts])
@@ -98,8 +101,8 @@ def test_tucker5_delta_matches_reconstruct_slice():
 
 
 def test_tucker3_delta_matches_reconstruct_slice():
-    ad = Tucker3Adapter.init(a=4, b=5, ranks=(2, 2, 3), n_scenes=2, n_envs=3,
-                             rng=np.random.default_rng(13))
+    ad = TuckerAdapter.init(a=4, b=5, ranks=(2, 2, 3), n_scenes=2, n_envs=3,
+                            rng=np.random.default_rng(13))
     rec = tucker_reconstruct(ad.core, [ad.up, ad.down, ad.pair_experts])
     for s in range(2):
         for e in range(3):
@@ -130,8 +133,8 @@ def test_tucker_delta_bilinear_in_rows():
 
 
 def test_tucker5_linear_in_instruction_row():
-    ad = Tucker5Adapter.init(a=3, b=3, ranks=(2, 2, 2, 2, 2), n_scenes=2,
-                             n_envs=2, n_instr=2, rng=np.random.default_rng(21))
+    ad = TuckerAdapter.init(a=3, b=3, ranks=(2, 2, 2, 2, 2), n_scenes=2,
+                            n_envs=2, n_instr=2, rng=np.random.default_rng(21))
     base = ad.delta(Selection(scene=0, env=1, instr=0))
     ad.instr_experts[0] *= -2.0
     np.testing.assert_allclose(ad.delta(Selection(scene=0, env=1, instr=0)),
@@ -176,22 +179,22 @@ def test_abc_identity_top_reduces_to_mid_base():
 
 def test_same_seed_bitwise_identical():
     dims = dict(a=6, b=5, ranks=(2, 2, 2, 2), n_scenes=3, n_envs=2)
-    a1 = init_adapter("tucker4", dims, seed=99)
-    a2 = init_adapter("tucker4", dims, seed=99)
+    a1 = TuckerAdapter.init(**dims, rng=np.random.default_rng(99))
+    a2 = TuckerAdapter.init(**dims, rng=np.random.default_rng(99))
     for k in a1.blocks():
         assert np.array_equal(a1.blocks()[k], a2.blocks()[k])
 
 
 def test_different_seeds_differ():
     dims = dict(a=6, b=5, ranks=(2, 2, 2, 2), n_scenes=3, n_envs=2)
-    a1 = init_adapter("tucker4", dims, seed=1)
-    a2 = init_adapter("tucker4", dims, seed=2)
+    a1 = TuckerAdapter.init(**dims, rng=np.random.default_rng(1))
+    a2 = TuckerAdapter.init(**dims, rng=np.random.default_rng(2))
     assert not np.array_equal(a1.core, a2.core)
 
 
 def test_unknown_kind_rejected():
-    with pytest.raises(ValueError, match="unknown adapter kind"):
-        init_adapter("nope", {}, seed=0)
+    with pytest.raises(ConfigError, match="adapter_kind: 'nope' is not one of"):
+        ExperimentConfig(adapter_kind="nope").validate()
 
 
 def test_initial_delta_is_near_zero():
@@ -235,24 +238,38 @@ def test_mask_index_errors():
         ad.delta(Selection(scene=0, env=-1))
 
 
-@pytest.mark.parametrize("make", [
-    lambda rng: TuckerAdapter.init(4, 5, (2, 2, 2, 2), 3, 2, rng),
-    lambda rng: Tucker3Adapter.init(4, 5, (2, 2, 3), 3, 2, rng),
-    lambda rng: Tucker5Adapter.init(4, 5, (2, 2, 2, 2, 2), 3, 2, 2, rng),
-    lambda rng: LoraAdapter.init(4, 5, 3, rng),
-    lambda rng: SharedAMoeAdapter.init(4, 5, 3, 6, rng),
-    lambda rng: AbcLoraAdapter.init(4, 5, 3, 3, 3, 2, rng),
-])
-def test_checkpoint_roundtrip_lossless(tmp_path, make):
-    ad = make(np.random.default_rng(31))
-    path = tmp_path / "adapter.npz"
-    ad.save(path)
+@settings(max_examples=60)
+@given(kind=st.sampled_from(sorted(ADAPTER_KINDS)),
+       a=st.integers(1, 5), b=st.integers(1, 5),
+       ranks=st.lists(st.integers(1, 3), min_size=5, max_size=5),
+       rank=st.integers(1, 3), n_scenes=st.integers(1, 4),
+       n_envs=st.integers(1, 4), n_instr=st.integers(1, 3),
+       n_tasks=st.integers(1, 5), seed=st.integers(0, 2**16))
+def test_checkpoint_roundtrip_lossless(tmp_path_factory, kind, a, b, ranks, rank,
+                                       n_scenes, n_envs, n_instr, n_tasks, seed):
+    cfg = ExperimentConfig(adapter_kind=kind, ranks=tuple(ranks), lora_rank=rank,
+                           moe_rank=rank, abc_rank_base=rank, abc_rank_mid=rank,
+                           n_scenes=n_scenes, n_envs=n_envs, n_instr=n_instr,
+                           n_tasks=n_tasks)
+    rng = np.random.default_rng(seed)
+    ad = ADAPTER_KINDS[kind].from_config(
+        cfg, a, b, lambda draw: np.random.default_rng([seed, draw]))
+    for arr in ad.blocks().values():   # zero-initialised blocks too
+        arr[...] = rng.standard_normal(arr.shape)
+    path = tmp_path_factory.mktemp("ckpt") / "adapter.npz"
+    ad.save(path, {"seed": seed})
     back = AdapterBase.load(path)
-    assert type(back) is type(ad)
+    assert type(back) is type(ad) and back.kind == ad.kind == kind
+    assert list(back.blocks()) == list(ad.blocks())
     for k, v in ad.blocks().items():
-        assert np.array_equal(back.blocks()[k], v)
-    sel = Selection(scene=0, env=0, instr=0, task=0)
-    np.testing.assert_array_equal(ad.delta(sel), back.delta(sel))
+        assert back.blocks()[k].shape == v.shape
+        assert back.blocks()[k].tobytes() == v.tobytes()
+    back.save(path.with_name("again.npz"), {"seed": seed})
+    with np.load(path) as first, np.load(path.with_name("again.npz")) as second:
+        assert str(first["__meta__"]) == str(second["__meta__"])
+    sel = Selection(scene=int(rng.integers(n_scenes)), env=int(rng.integers(n_envs)),
+                    instr=int(rng.integers(n_instr)), task=int(rng.integers(n_tasks)))
+    assert back.delta(sel).tobytes() == ad.delta(sel).tobytes()
 
 
 def test_load_rejects_header_shape_mismatch(tmp_path):

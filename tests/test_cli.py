@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from tucker_adapters.cli import main
+from tucker_adapters.cli import build_parser, load_config, main
 from tucker_adapters.config import ExperimentConfig
 from tucker_adapters.degrade import load_image, save_image
 
@@ -185,3 +185,42 @@ def test_config_file_float_field_takes_an_int(tmp_path):
     cfg_file.write_text(json.dumps({"lam1": 0, "ranks": [2, 2, 2, 2]}))
     cfg = ExperimentConfig.from_file(cfg_file)
     assert cfg.lam1 == 0 and cfg.ranks == (2, 2, 2, 2)
+
+
+def test_int_in_float_field_hashes_like_the_float(tmp_path):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"lam1": 0}))
+    from_file = ExperimentConfig.from_file(cfg_file)
+    from_set = load_config(build_parser().parse_args(["train", "--set", "lam1=0"]))
+    assert isinstance(from_file.lam1, float)
+    assert from_file.config_hash() == from_set.config_hash()
+
+
+SMALL = ["--set", "n_tasks=1", "--set", "epochs=1", "--set", "train_episodes=4",
+         "--set", "test_episodes=2"]
+
+
+@pytest.mark.parametrize("argv,field", [
+    (["train", "--set", "lam1=nan"], "lam1"),
+    (["train", "--set", "lr=nan"], "lr"),
+    (["train", "--set", "hidden=0"], "hidden"),
+    (["train", "--set", "ranks=0,0,0,0"], "ranks"),
+    (["train", "--set", "horizon=0"], "horizon"),
+    (["train", "--set", "n_tasks=0"], "n_tasks"),
+    (["train", "--set", "feature_noise=-1"], "feature_noise"),
+    (["train", "--set", "epsilon=inf"], "epsilon"),
+    (["degrade", "--mode", "scattering", "--set", "beta=nan"], "beta"),
+    (["degrade", "--mode", "lowlight", "--set", "gain=nan"], "gain"),
+    (["degrade", "--mode", "lowlight", "--set", "gamma=inf"], "gamma"),
+])
+def test_non_finite_or_degenerate_value_exit_code_1(out_root, tmp_path, capsys,
+                                                    argv, field):
+    if argv[0] == "degrade":
+        argv = argv + ["--input", str(_one_image_dir(tmp_path)),
+                       "--output", str(tmp_path / "out")]
+    else:
+        argv = argv[:1] + SMALL + argv[1:]
+    assert main(argv) == 1
+    assert f"{field}:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert not list((out_root / "runs").glob("*"))

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tucker_adapters.degrade import (
     LowLightParams,
@@ -186,6 +189,51 @@ def test_overexpose_bloom_brightens_near_saturation():
     assert with_bloom[4, 5, 0] > without[4, 5, 0]
 
 
+def unit(lo=0.0, hi=1.0, **kw):
+    return st.floats(lo, hi, allow_nan=False, **kw)
+
+
+def positive(hi):
+    return unit(0.0, hi, exclude_min=True)
+
+
+def triple(lo, hi):
+    return st.tuples(unit(lo, hi), unit(lo, hi), unit(lo, hi))
+
+
+def images(max_side=6):
+    shapes = st.tuples(st.integers(1, max_side), st.integers(1, max_side),
+                       st.just(3))
+    return arrays(np.float64, shapes, elements=unit())
+
+
+@settings(max_examples=60)
+@given(img=images(), depth_scale=unit(0.0, 400.0), seed=st.integers(0, 2**16),
+       scatter_params=st.builds(ScatterParams, beta=unit(0.0, 1.0),
+                                atmospheric_light=triple(0.0, 1.0),
+                                d_max=unit(0.0, 500.0)),
+       low=st.builds(LowLightParams, brightness=unit(0.0, 2.0),
+                     exposure_time=positive(2.0), gain=positive(20.0),
+                     shot_noise=unit(0.0, 2.0), read_noise=unit(0.0, 50.0),
+                     gamma=unit(0.1, 5.0), denoise_strength=unit(),
+                     detail_preservation=unit(), crf_inverse=st.booleans(),
+                     seed=st.integers(0, 2**16)),
+       over=st.builds(OverexposeParams, exposure_multiplier=positive(5.0),
+                      gain=positive(5.0), saturation=positive(1.0),
+                      read_noise=unit(0.0, 0.2), gamma=unit(0.1, 5.0),
+                      bloom_strength=unit(0.0, 1.0),
+                      color_shift=triple(0.0, 1.5), crf_inverse=st.booleans(),
+                      seed=st.integers(0, 2**16)))
+def test_operators_stay_finite_in_unit_range(img, depth_scale, seed,
+                                             scatter_params, low, over):
+    depth = depth_scale * np.random.default_rng(seed).uniform(size=img.shape[:2])
+    for out in (scatter(img, depth, scatter_params), low_light(img, low),
+                overexpose(img, over)):
+        assert out.shape == img.shape
+        assert np.all(np.isfinite(out))
+        assert out.min() >= 0.0 and out.max() <= 1.0
+
+
 def test_param_validation_errors(img):
     with pytest.raises(ValueError, match="saturation"):
         overexpose(img, OverexposeParams(saturation=0.0))
@@ -199,10 +247,13 @@ def test_param_validation_errors(img):
 # PNM IO
 # ---------------------------------------------------------------------------
 
-def test_image_roundtrip_quantization_bound(tmp_path, img):
-    path = tmp_path / "x.ppm"
+@settings(max_examples=60)
+@given(img=images(max_side=9))
+def test_image_roundtrip_quantization_bound(tmp_path_factory, img):
+    path = tmp_path_factory.mktemp("pnm") / "x.ppm"
     save_image(path, img)
     back = load_image(path)
+    assert back.shape == img.shape
     assert np.max(np.abs(back - img)) <= 1.0 / 510.0 + 1e-12
 
 
@@ -237,12 +288,14 @@ def test_image_bad_magic_and_maxval(tmp_path):
         load_image(path)
 
 
-def test_depth_roundtrip_millimeter_quantization(tmp_path):
-    rng = np.random.default_rng(3)
-    depth = rng.uniform(0.0, 60.0, size=(5, 7))
-    path = tmp_path / "d.pgm"
+@settings(max_examples=60)
+@given(depth=arrays(np.float64, st.tuples(st.integers(1, 9), st.integers(1, 9)),
+                    elements=unit(0.0, 65.535)))
+def test_depth_roundtrip_millimeter_quantization(tmp_path_factory, depth):
+    path = tmp_path_factory.mktemp("pnm") / "d.pgm"
     save_depth(path, depth)
     back = load_depth(path)
+    assert back.shape == depth.shape
     assert np.max(np.abs(back - depth)) <= 0.0005 + 1e-12
 
 

@@ -1,0 +1,26 @@
+"""The quick demos run to completion against the library in this checkout.
+
+Demo 02 trains a whole stream and is left to acceptance criterion 5, which
+runs the same path.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("demo", ["01_tensor_adapters", "03_expert_retrieval",
+                                  "04_degradations", "05_metrics"])
+def test_demo_runs(demo, tmp_path):
+    env = {**os.environ, "TMPDIR": str(tmp_path),
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, str(ROOT / "demos" / f"{demo}.py")],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from tucker_adapters import pipeline
+from tucker_adapters.adapters import LoraAdapter
 from tucker_adapters.config import ExperimentConfig
 from tucker_adapters.metrics import EpisodeRecord
 from tucker_adapters.pipeline import (
@@ -23,7 +24,7 @@ from tucker_adapters.pipeline import (
 )
 from tucker_adapters.retrieval import FeatureStore
 from tucker_adapters.tasks import World, gen_episode, gen_stream, gen_task_data
-from tucker_adapters.training import gram_penalty
+from tucker_adapters.training import gram_penalty_and_row_grad
 
 
 def tiny_config(**kw):
@@ -221,7 +222,7 @@ def test_orthogonality_shrinks_gram_mass():
         state = init_state(cfg, world)
         for task in stream:
             train_task(state, world, task)
-        masses[tag] = sum(gram_penalty(ad.scene_experts)
+        masses[tag] = sum(gram_penalty_and_row_grad(ad.scene_experts, 0)[0]
                           for ad in state.adapters)
     assert masses["on"] < masses["off"]
 
@@ -308,6 +309,7 @@ def test_eval_without_checkpoint_errors(tmp_path):
     ("lora_per_task", {"lam1": 0.0, "lam2": 0.0, "lam3": 0.0}),
     ("moe", {}),
     ("abc", {}),
+    ("lora_per_task", {}),             # consolidation terms with no shared block
 ])
 def test_all_kinds_end_to_end(tmp_path, kind, extra):
     cfg = tiny_config(adapter_kind=kind, n_tasks=2, **extra)
@@ -326,6 +328,30 @@ def test_per_task_lookup_stays_on_trained_pairs(tmp_path):
     run_training(cfg, tmp_path / "r")
     scores = run_eval(cfg, tmp_path / "r")
     assert len(scores) == 6
+
+
+def test_task_experts_draw_from_their_own_task_keys():
+    # expert t of layer l is the LoRA drawn from [seed, 23, 1 + t, l]
+    cfg = tiny_config(adapter_kind="lora_per_task")
+    world = World(cfg.world_config())
+    stack = pipeline.build_adapter_stack(cfg, world.backbone.layer_dims)
+    for l, ((a, b), ad) in enumerate(zip(world.backbone.layer_dims, stack)):
+        assert ad.downs.shape[0] == ad.ups.shape[0] == cfg.n_tasks
+        for t in range(cfg.n_tasks):
+            rng = np.random.default_rng([cfg.seed, pipeline._TAG_ADAPTER, 1 + t, l])
+            lora = LoraAdapter.init(a, b, cfg.lora_rank, rng)
+            assert ad.downs[t].tobytes() == lora.down.tobytes()
+            assert ad.ups[t].tobytes() == lora.up.tobytes()
+
+
+def test_checkpoint_of_another_kind_is_refused(tmp_path):
+    # a lora_per_task run directory with 'lora' adapters in adapter_L*.npz
+    run_training(tiny_config(adapter_kind="lora", n_tasks=1), tmp_path / "r")
+    per_task = tiny_config(adapter_kind="lora_per_task", n_tasks=1)
+    with pytest.raises(ValueError, match=r"adapter_L0\.npz holds a 'lora' "
+                                         r"adapter, the config asks for "
+                                         r"'lora_per_task'"):
+        run_eval(per_task, tmp_path / "r")
 
 
 def test_gradcheck_on_default_toy_config():

@@ -5,8 +5,6 @@ import pytest
 
 from tucker_adapters.tensor_ops import (
     contract_adapter,
-    frobenius_norm_sq,
-    hadamard,
     mode_n_product,
     row_normalize,
     tucker_reconstruct,
@@ -177,6 +175,18 @@ def test_contract_matches_full_reconstruct_slice():
         np.testing.assert_allclose(fused, full, atol=1e-10)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_contract_any_number_of_expert_rows(k):
+    rng = np.random.default_rng(43 + k)
+    core = rng.standard_normal((2, 3) + tuple(range(2, 2 + k)))
+    u1 = rng.standard_normal((4, 2))
+    u2 = rng.standard_normal((5, 3))
+    rows = [rng.standard_normal(r) for r in core.shape[2:]]
+    full = tucker_reconstruct(core, [u1, u2] + [row[None, :] for row in rows])
+    np.testing.assert_allclose(contract_adapter(core, u1, u2, *rows),
+                               full.reshape(4, 5), atol=1e-10)
+
+
 def test_contract_bilinear_in_expert_rows():
     rng = np.random.default_rng(41)
     core = rng.standard_normal((2, 2, 3, 3))
@@ -199,10 +209,13 @@ def test_contract_dimension_errors():
         contract_adapter(core, np.zeros((3, 3)), np.zeros((3, 2)), np.zeros(2), np.zeros(2))
     with pytest.raises(ValueError, match="u3"):
         contract_adapter(core, np.zeros((3, 2)), np.zeros((3, 2)), np.zeros(5), np.zeros(2))
+    with pytest.raises(ValueError, match="takes 2 expert rows, got 3"):
+        contract_adapter(core, np.zeros((3, 2)), np.zeros((3, 2)), np.zeros(2),
+                         np.zeros(2), np.zeros(2))
 
 
 # ---------------------------------------------------------------------------
-# row_normalize / frobenius / hadamard
+# row_normalize
 # ---------------------------------------------------------------------------
 
 def test_row_normalize_345_triangle():
@@ -225,16 +238,3 @@ def test_row_normalize_unit_norms():
     m = rng.standard_normal((10, 6)) * 10.0 ** rng.integers(-3, 4, size=(10, 1))
     norms = np.linalg.norm(row_normalize(m), axis=1)
     assert np.all(np.abs(norms - 1.0) < 1e-12)
-
-
-def test_frobenius_norm_sq():
-    assert frobenius_norm_sq(np.array([[1.0, 2.0], [2.0, 0.0]])) == 9.0
-
-
-def test_hadamard_identities():
-    rng = np.random.default_rng(59)
-    x = rng.standard_normal((3, 4))
-    assert np.array_equal(hadamard(x, np.ones_like(x)), x)
-    assert np.array_equal(hadamard(x, np.zeros_like(x)), np.zeros_like(x))
-    with pytest.raises(ValueError, match="shape"):
-        hadamard(x, np.ones((4, 3)))

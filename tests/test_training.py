@@ -15,7 +15,8 @@ from reference_objective import (
 from reference_objective import gram_penalty as reference_gram_penalty
 from scipy.special import log_softmax
 
-from tucker_adapters.adapters import Selection, TuckerAdapter, block_key, init_adapter
+from tucker_adapters.adapters import ADAPTER_KINDS, Selection, TuckerAdapter, block_key
+from tucker_adapters.config import ExperimentConfig
 from tucker_adapters.tasks import (
     SyntheticEpisode,
     TaskDescriptor,
@@ -31,14 +32,11 @@ from tucker_adapters.training import (
     adam_step,
     batch_arrays,
     build_plan,
-    consistency_loss,
     ewc_loss,
     finite_difference_check,
     fisher_ema,
     fisher_estimate,
-    gram_penalty,
     gram_penalty_and_row_grad,
-    orthogonality_loss,
     regularizer_terms,
     task_loss_and_grads,
     total_loss_and_grads,
@@ -72,46 +70,67 @@ def test_ewc_scalar_case():
     assert ewc_loss(cur, snap, fisher, 0.2, ("w",)) == pytest.approx(7.2)
 
 
+def expert_terms(u3, u4, u3_prev, u4_prev, alpha, beta, lam2=0.0, lam3=0.0):
+    """Consistency and orthogonality losses of one tucker4 layer whose current
+    task selects scene and env row 0, as the training step computes them;
+    alpha and beta flag the scene and the env as seen before."""
+    u3, u4 = np.atleast_2d(u3).astype(float), np.atleast_2d(u4).astype(float)
+    ad = TuckerAdapter(core=np.ones((1, 1, u3.shape[1], u4.shape[1])),
+                       up=np.ones((1, 1)), down=np.ones((1, 1)),
+                       scene_experts=u3, env_experts=u4)
+    snapshot = {k: v.copy() for k, v in ad.blocks().items()}
+    snapshot["scene_experts"][0] = u3_prev
+    snapshot["env_experts"][0] = u4_prev
+    plan = build_plan([ad], Selection(scene=0, env=0), [snapshot], None,
+                      {"scene": alpha, "env": beta},
+                      Hyper(lam1=0.0, lam2=lam2, lam3=lam3))
+    return regularizer_terms(plan)[0]
+
+
 def test_consistency_novel_task_is_zero():
     r = np.array([1.0, 2.0])
-    assert consistency_loss(r, r + 5, r, r - 3, alpha=0, beta=0, lam2=0.2) == 0.0
+    assert expert_terms(r, r, r + 5, r - 3, alpha=0, beta=0,
+                        lam2=0.2)["consistency"] == 0.0
 
 
 def test_consistency_equal_rows_zero():
     r = np.array([0.3, -0.7])
-    assert consistency_loss(r, r.copy(), r, r.copy(), 1, 1, 0.2) == 0.0
+    assert expert_terms(r, r, r.copy(), r.copy(), 1, 1, lam2=0.2)["consistency"] == 0.0
 
 
 def test_consistency_arithmetic():
     # alpha=1, beta=0, u3 diff (1,1), lam2=0.2 -> 0.4
     u3, u3p = np.array([2.0, 2.0]), np.array([1.0, 1.0])
     u4, u4p = np.array([9.0]), np.array([0.0])
-    assert consistency_loss(u3, u3p, u4, u4p, 1, 0, 0.2) == pytest.approx(0.4)
+    assert expert_terms(u3, u4, u3p, u4p, 1, 0,
+                        lam2=0.2)["consistency"] == pytest.approx(0.4)
 
 
 def test_orthogonality_orthonormal_rows_zero():
     u3 = np.eye(3)[:2]
     u4 = np.array([[5.0, 0.0]])  # single row normalizes to a 1x1 identity Gram
-    assert orthogonality_loss(u3, u4, 0, 0, 0.1) == pytest.approx(0.0, abs=1e-15)
+    assert expert_terms(u3, u4, u3[0], u4[0], 0, 0, lam3=0.1)[
+        "orthogonality"] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_orthogonality_skipped_when_both_seen():
     rng = np.random.default_rng(0)
-    assert orthogonality_loss(rng.standard_normal((4, 3)),
-                              rng.standard_normal((3, 3)), 1, 1, 0.1) == 0.0
+    u3, u4 = rng.standard_normal((4, 3)), rng.standard_normal((3, 3))
+    assert expert_terms(u3, u4, u3[0], u4[0], 1, 1, lam3=0.1)["orthogonality"] == 0.0
 
 
 def test_orthogonality_identical_unit_rows():
     # Gram of two identical unit rows is all-ones; ||ones - I||^2 = 2 -> 0.2
     u3 = np.array([[1.0, 0.0], [1.0, 0.0]])
     u4 = np.array([[1.0, 0.0]])
-    assert orthogonality_loss(u3, u4, 0, 1, 0.1) == pytest.approx(0.2)
+    assert expert_terms(u3, u4, u3[0], u4[0], 0, 1, lam3=0.1)[
+        "orthogonality"] == pytest.approx(0.2)
 
 
 def test_orthogonality_excludes_subnorm_rows():
     u = np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
     # zero row drops out; remaining identical rows give penalty 2
-    assert gram_penalty(u) == pytest.approx(2.0)
+    assert gram_penalty_and_row_grad(u, 0)[0] == pytest.approx(2.0)
 
 
 @settings(max_examples=60)
@@ -123,7 +142,7 @@ def test_fused_gram_penalty_equals_separate_passes(rows, cols, zero_rows, row, s
     mat[[r for r in zero_rows if r < rows]] = 0.0
     row %= rows
     loss, grad = gram_penalty_and_row_grad(mat, row)
-    assert loss == reference_gram_penalty(mat) == gram_penalty(mat)
+    assert loss == reference_gram_penalty(mat)
     assert grad.tobytes() == gram_penalty_row_grad(mat, row).tobytes()
 
 
@@ -284,24 +303,12 @@ def build_check_setup(kind="tucker4", seed=0):
     world = tiny_world()
     dims_by_layer = world.backbone.layer_dims
     rng = np.random.default_rng(seed)
+    cfg = ExperimentConfig(adapter_kind=kind, ranks=(2, 2, 2, 2, 2), lora_rank=2,
+                           moe_rank=2, abc_rank_base=2, abc_rank_mid=2,
+                           n_scenes=3, n_envs=2, n_instr=2, n_tasks=4)
     adapters = []
     for a, b in dims_by_layer:
-        if kind == "tucker4":
-            ad = init_adapter(kind, dict(a=a, b=b, ranks=(2, 2, 2, 2),
-                                         n_scenes=3, n_envs=2), rng)
-        elif kind == "tucker3":
-            ad = init_adapter(kind, dict(a=a, b=b, ranks=(2, 2, 2),
-                                         n_scenes=3, n_envs=2), rng)
-        elif kind == "tucker5":
-            ad = init_adapter(kind, dict(a=a, b=b, ranks=(2, 2, 2, 2, 2),
-                                         n_scenes=3, n_envs=2, n_instr=2), rng)
-        elif kind == "lora":
-            ad = init_adapter(kind, dict(a=a, b=b, rank=2), rng)
-        elif kind == "moe":
-            ad = init_adapter(kind, dict(a=a, b=b, rank=2, n_experts=4), rng)
-        elif kind == "abc":
-            ad = init_adapter(kind, dict(a=a, b=b, rank_base=2, rank_mid=2,
-                                         n_scenes=3, n_envs=2), rng)
+        ad = ADAPTER_KINDS[kind].from_config(cfg, a, b, lambda draw: rng)
         # make every block influence the loss so the check is non-vacuous
         for name, arr in ad.blocks().items():
             if name in ad.expert_axes:
@@ -321,7 +328,7 @@ def build_check_setup(kind="tucker4", seed=0):
     return world, adapters, sel, x, y, snapshots, fishers, flags
 
 
-KINDS = ["tucker4", "tucker3", "tucker5", "lora", "moe", "abc"]
+KINDS = ["tucker4", "tucker3", "tucker5", "lora", "lora_per_task", "moe", "abc"]
 
 
 def check_plan(kind="tucker4", hyper=HYPER, first_task=False):
