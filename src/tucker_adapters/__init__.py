@@ -29,7 +29,7 @@ from .metrics import (
     spl,
     success_rate,
 )
-from .retrieval import FeatureStore, cosine_sim
+from .retrieval import FeatureStore
 from .tasks import (
     SyntheticEpisode,
     TaskDescriptor,
@@ -45,6 +45,6 @@ from .tensor_ops import (
     row_normalize,
     tucker_reconstruct,
 )
-from .training import AdamState, Hyper, adam_step, fisher_ema, fisher_estimate
+from .training import AdamState, adam_step, fisher_ema, fisher_estimate
 
 __version__ = "0.1.0"

@@ -202,6 +202,11 @@ class ExperimentConfig:
 
     # -- derived views -------------------------------------------------------
 
+    @property
+    def lam_task(self) -> float:
+        """The weight of the task loss: what the consolidation terms leave."""
+        return 1.0 - (self.lam1 + self.lam2 + self.lam3)
+
     def world_config(self) -> WorldConfig:
         return WorldConfig(
             d_f=self.d_f, hidden=self.hidden, n_scenes=self.n_scenes,

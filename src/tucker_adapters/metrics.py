@@ -138,21 +138,6 @@ def render_csv(scores: list[TaskScore]) -> str:
     return buf.getvalue()
 
 
-def parse_csv(text: str) -> list[dict]:
-    rows = []
-    for raw in csv.DictReader(io.StringIO(text)):
-        row = {}
-        for key, val in raw.items():
-            if val == "":
-                row[key] = None
-            elif key == "task":
-                row[key] = val if val == "avg" else int(val)
-            else:
-                row[key] = float(val)
-        rows.append(row)
-    return rows
-
-
 def render_json(scores: list[TaskScore]) -> str:
     return json.dumps(score_rows(scores), indent=2)
 

@@ -44,11 +44,9 @@ from .tasks import (
     gen_stream,
     gen_task_data,
     rollout_positions,
-    save_task_dataset,
 )
 from .training import (
     AdamState,
-    Hyper,
     adam_step,
     batch_arrays,
     build_plan,
@@ -58,12 +56,6 @@ from .training import (
 )
 
 _TAG_ADAPTER, _TAG_TRAIN = 23, 29
-
-
-def hyper_from_config(cfg: ExperimentConfig) -> Hyper:
-    return Hyper(lam1=cfg.lam1, lam2=cfg.lam2, lam3=cfg.lam3, omega=cfg.omega,
-                 lr=cfg.lr, epochs=cfg.epochs, batch_size=cfg.batch_size,
-                 fisher_fraction=cfg.fisher_fraction)
 
 
 def build_adapter_stack(cfg: ExperimentConfig,
@@ -106,9 +98,14 @@ def init_state(cfg: ExperimentConfig, world: World) -> LifelongState:
                          store=FeatureStore(cfg.d_f))
 
 
-def train_task(state: LifelongState, world: World, task: TaskDescriptor,
-               episodes: list[SyntheticEpisode] | None = None) -> list[dict]:
-    """Run one task through the full per-task pipeline; returns epoch logs."""
+def train_task(state: LifelongState, world: World,
+               task: TaskDescriptor) -> list[dict]:
+    """Run one task through the full per-task pipeline; returns epoch logs.
+
+    Raises FloatingPointError, naming the task, the epoch and the term, at
+    the first epoch whose mean of any loss term is not finite; ``state`` is
+    then part-trained and must not be saved.
+    """
     cfg = state.cfg
     pair = (task.scene, task.env)
     if pair in state.seen_pairs:
@@ -117,10 +114,7 @@ def train_task(state: LifelongState, world: World, task: TaskDescriptor,
     if not (0 <= task.scene < cfg.n_scenes and 0 <= task.env < cfg.n_envs):
         raise ValueError(f"scenario {pair} exceeds the configured capacity "
                          f"{cfg.n_scenes} x {cfg.n_envs}")
-    if episodes is None:
-        episodes = gen_task_data(world, task, cfg.train_episodes, split=0)
-
-    hyper = hyper_from_config(cfg)
+    episodes = gen_task_data(world, task, cfg.train_episodes, split=0)
     sel = Selection(scene=task.scene, env=task.env, instr=task.instr,
                     task=state.task_count)
     adapters = state.adapters
@@ -135,7 +129,7 @@ def train_task(state: LifelongState, world: World, task: TaskDescriptor,
              "env": int(task.env in state.seen_envs),
              "instr": int(task.instr in state.seen_instr),
              "task": 0}
-    plan = build_plan(adapters, sel, state.snapshots, state.fisher, flags, hyper)
+    plan = build_plan(adapters, sel, state.snapshots, state.fisher, flags, cfg)
     params = {"theta": plan.theta}
     opt = AdamState(lr=cfg.lr)
     logs = []
@@ -156,10 +150,16 @@ def train_task(state: LifelongState, world: World, task: TaskDescriptor,
                 sums[k] += terms[k]
             n_batches += 1
         # the task loss is logged as "task_loss": "task" is the task index
+        means = {"task_loss" if k == "task" else k: v / n_batches
+                 for k, v in sums.items()}
+        for name, value in means.items():
+            if not np.isfinite(value):
+                raise FloatingPointError(
+                    f"training diverged: task {state.task_count} (scene "
+                    f"{task.scene}, env {task.env}), epoch {epoch}: mean "
+                    f"{name} is {value}")
         logs.append({"task": state.task_count, "scene": task.scene,
-                     "env": task.env, "epoch": epoch,
-                     "task_loss": sums["task"] / n_batches,
-                     **{k: sums[k] / n_batches for k in sums if k != "task"},
+                     "env": task.env, "epoch": epoch, **means,
                      "wall_time": time.perf_counter() - t0})
 
     # snapshots for the next task's consolidation terms
@@ -331,8 +331,7 @@ def run_dir_layout(run_dir: str | Path) -> dict[str, Path]:
     return {"root": run_dir, "config": run_dir / "config.json",
             "manifest": run_dir / "manifest.json",
             "logs": run_dir / "train_log.jsonl",
-            "reference": run_dir / "reference.json",
-            "eval": run_dir / "eval"}
+            "reference": run_dir / "reference.json"}
 
 
 def task_dir(run_dir: str | Path, t: int) -> Path:
@@ -344,16 +343,16 @@ def run_training(cfg: ExperimentConfig, run_dir: str | Path,
     """Train the full stream sequentially, checkpointing after each task.
 
     If the run directory already holds complete task checkpoints for this
-    exact config, training resumes after the last complete task. With
-    ``eval_each`` the just-trained task is scored immediately, which by
-    sequential determinism equals the prefix-run reference value.
+    exact config, training resumes after the last complete task; a finished
+    run is left as it is. With ``eval_each`` the just-trained task is scored
+    immediately, which by sequential determinism equals the prefix-run
+    reference value.
     """
     cfg.validate()
     layout = run_dir_layout(run_dir)
     world = World(cfg.world_config())
     stream = gen_stream(cfg.n_scenes, cfg.n_envs, cfg.n_tasks, cfg.seed,
-                        n_instr=cfg.n_instr,
-                        episodes_per_task=cfg.train_episodes)
+                        n_instr=cfg.n_instr)
 
     layout["root"].mkdir(parents=True, exist_ok=True)
     if layout["manifest"].exists():
@@ -363,8 +362,11 @@ def run_training(cfg: ExperimentConfig, run_dir: str | Path,
                 f"run directory {run_dir} belongs to a different config "
                 f"(hash {manifest.get('config_hash')} != {cfg.config_hash()})")
     else:
-        manifest = {"config_hash": cfg.config_hash(), "completed_tasks": [],
-                    "stream": [[t.scene, t.env] for t in stream]}
+        # written before any checkpoint, so that no task is sealed in a
+        # directory that does not name its config
+        _write_atomic(layout["manifest"], json.dumps(
+            {"config_hash": cfg.config_hash(),
+             "stream": [[t.scene, t.env] for t in stream]}, indent=2))
     cfg.to_file(layout["config"])
 
     completed = 0
@@ -375,6 +377,10 @@ def run_training(cfg: ExperimentConfig, run_dir: str | Path,
         else:
             break
 
+    summary = {"run_dir": str(run_dir), "tasks": cfg.n_tasks,
+               "config_hash": cfg.config_hash()}
+    if completed == cfg.n_tasks:
+        return summary
     # an interrupted task may have logged epochs; it is trained again
     _trim_log(layout["logs"], completed)
     n_layers = len(world.backbone.layer_dims)
@@ -386,8 +392,7 @@ def run_training(cfg: ExperimentConfig, run_dir: str | Path,
     reference = _load_reference(layout["reference"])
     for t in range(completed, cfg.n_tasks):
         task = stream[t]
-        episodes = gen_task_data(world, task, cfg.train_episodes, split=0)
-        logs = train_task(state, world, task, episodes)
+        logs = train_task(state, world, task)
         with layout["logs"].open("a") as fh:
             for rec in logs:
                 fh.write(json.dumps(rec) + "\n")
@@ -395,23 +400,20 @@ def run_training(cfg: ExperimentConfig, run_dir: str | Path,
             score = evaluate_task(world, delta_provider(state), state.store,
                                   task, cfg.test_episodes, cfg,
                                   pairs=state.lookup_pairs)
-            reference[str(t)] = {"task": t, "scene": task.scene,
-                                 "env": task.env, "sr": score.sr,
-                                 "spl": score.spl, "osr": score.osr}
+            reference[str(t)] = _reference_entry(task, score)
             _write_atomic(layout["reference"], json.dumps(
                 {"config_hash": cfg.config_hash(), "values": reference},
                 indent=2))
-        # dataset dump first: the marker inside save_state seals the directory
-        task_dir(run_dir, t).mkdir(parents=True, exist_ok=True)
-        save_task_dataset(task_dir(run_dir, t) / "episodes.npz", task, episodes)
         save_state(state, task_dir(run_dir, t))
-        manifest["completed_tasks"] = list(range(t + 1))
-        _write_atomic(layout["manifest"], json.dumps(manifest, indent=2))
         if progress:
             progress(f"task {t + 1}/{cfg.n_tasks} "
                      f"(scene {task.scene}, env {task.env}) done")
-    return {"run_dir": str(run_dir), "tasks": cfg.n_tasks,
-            "config_hash": cfg.config_hash()}
+    return summary
+
+
+def _reference_entry(task: TaskDescriptor, score: TaskScore) -> dict:
+    return {"task": task.index, "scene": task.scene, "env": task.env,
+            "sr": score.sr, "spl": score.spl, "osr": score.osr}
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -492,52 +494,34 @@ def run_reference(cfg: ExperimentConfig, run_dir: str | Path,
                   progress=None) -> dict:
     """Reference metrics M-X_t: performance on task t when trained on 1..t.
 
-    Because training is deterministic and strictly sequential, the state
-    after the first t tasks of the full run equals a fresh prefix run of
-    length t, so the cache is produced by one sequential pass with
-    evaluate-after-each-task. A cache whose config hash matches is reused;
-    a missing or corrupted cache is rebuilt from the per-task checkpoints.
+    Training is deterministic and strictly sequential, so the checkpoint of
+    task t in the full run is the state of a prefix run of length t. The
+    run is trained (or resumed; a finished run is left as it is) with
+    evaluation after each task, then every task missing from
+    ``reference.json``, because it was trained without evaluation or the
+    file was corrupted, is scored from its own checkpoint.
     """
     cfg.validate()
     layout = run_dir_layout(run_dir)
-    if layout["reference"].exists():
-        try:
-            payload = json.loads(layout["reference"].read_text())
-            if (payload.get("config_hash") == cfg.config_hash()
-                    and len(payload.get("values", {})) == cfg.n_tasks):
-                return payload["values"]
-        except json.JSONDecodeError as exc:
-            warnings.warn(f"reference cache corrupted ({exc}); recomputing")
     run_training(cfg, run_dir, eval_each=True, progress=progress)
-    try:
-        payload = json.loads(layout["reference"].read_text())
-        if len(payload.get("values", {})) == cfg.n_tasks:
-            return payload["values"]
-    except (FileNotFoundError, json.JSONDecodeError):
-        pass
-    # training was already complete; rebuild from each prefix checkpoint
-    values = _recompute_reference(cfg, run_dir, progress)
-    _write_atomic(layout["reference"], json.dumps(
-        {"config_hash": cfg.config_hash(), "values": values}, indent=2))
-    return values
-
-
-def _recompute_reference(cfg: ExperimentConfig, run_dir: str | Path,
-                         progress=None) -> dict:
+    values = _load_reference(layout["reference"])
+    missing = [t for t in range(cfg.n_tasks) if str(t) not in values]
+    if not missing:
+        return values
     world = World(cfg.world_config())
     n_layers = len(world.backbone.layer_dims)
     stream = gen_stream(cfg.n_scenes, cfg.n_envs, cfg.n_tasks, cfg.seed,
                         n_instr=cfg.n_instr)
-    values = {}
-    for t, task in enumerate(stream):
+    for t in missing:
         state = load_state(cfg, task_dir(run_dir, t), n_layers)
-        score = evaluate_task(world, delta_provider(state), state.store,
-                              task, cfg.test_episodes, cfg,
-                              pairs=state.lookup_pairs)
-        values[str(t)] = {"task": t, "scene": task.scene, "env": task.env,
-                          "sr": score.sr, "spl": score.spl, "osr": score.osr}
+        values[str(t)] = _reference_entry(stream[t], evaluate_task(
+            world, delta_provider(state), state.store, stream[t],
+            cfg.test_episodes, cfg, pairs=state.lookup_pairs))
         if progress:
             progress(f"reference {t + 1}/{cfg.n_tasks} rebuilt")
+    values = {str(t): values[str(t)] for t in range(cfg.n_tasks)}
+    _write_atomic(layout["reference"], json.dumps(
+        {"config_hash": cfg.config_hash(), "values": values}, indent=2))
     return values
 
 
@@ -569,8 +553,7 @@ def run_gradcheck(cfg: ExperimentConfig, n_episodes: int = 3) -> dict[str, float
     fishers = [{k: rng.uniform(0.1, 1.5, size=ad.blocks()[k].shape)
                 for k in ad.shared_names} for ad in adapters]
     flags = {"scene": 1, "env": 0, "instr": 0, "task": 0}
-    plan = build_plan(adapters, sel, snapshots, fishers, flags,
-                      hyper_from_config(cfg))
+    plan = build_plan(adapters, sel, snapshots, fishers, flags, cfg)
     _, grad = total_loss_and_grads(world.backbone, plan, x, y)
 
     def loss_fn():

@@ -11,17 +11,6 @@ import numpy as np
 from .tensor_ops import EPS_NORM
 
 
-def cosine_sim(u: np.ndarray, v: np.ndarray) -> float:
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise ValueError(f"cosine_sim dimension mismatch: {u.shape} vs {v.shape}")
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu < EPS_NORM or nv < EPS_NORM:
-        raise ValueError("cosine similarity is undefined for zero vectors")
-    return float(u @ v / (nu * nv))
-
-
 class FeatureStore:
     """Per-scene and per-environment feature centroids (running means).
 
@@ -72,7 +61,8 @@ class FeatureStore:
         environments paired with the matched scene there. Ties break toward
         the lowest id.
 
-        Each similarity is ``cosine_sim(query, centroid)`` to the bit: the
+        Each similarity is, to the bit, that of the one-pair reference
+        ``cosine_sim(query, centroid)`` in ``tests/reference_eval.py``: the
         centroids and their norms are kept from one search to the next until
         ``add`` changes them, and each key still gets its own dot product (a
         single matrix product would round differently).

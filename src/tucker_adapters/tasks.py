@@ -19,9 +19,7 @@ regenerated without carrying RNG state.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -40,8 +38,6 @@ class TaskDescriptor:
     scene: int
     env: int
     instr: int | None = None
-    episodes: int = 24
-    seed: int = 0
 
 
 @dataclass
@@ -204,7 +200,7 @@ def _low_rank(rng: np.random.Generator, dims: tuple[int, int], rank: int,
 
 
 def gen_stream(n_scenes: int, n_envs: int, n_tasks: int, seed: int,
-               n_instr: int = 0, episodes_per_task: int = 24) -> list[TaskDescriptor]:
+               n_instr: int = 0) -> list[TaskDescriptor]:
     """Pseudorandom order over distinct (scene, env) pairs, seed-deterministic."""
     capacity = n_scenes * n_envs
     if n_tasks > capacity:
@@ -217,8 +213,7 @@ def gen_stream(n_scenes: int, n_envs: int, n_tasks: int, seed: int,
     for i, flat in enumerate(order):
         instr = int(rng.integers(n_instr)) if n_instr > 0 else None
         tasks.append(TaskDescriptor(index=i, scene=int(flat) // n_envs,
-                                    env=int(flat) % n_envs, instr=instr,
-                                    episodes=episodes_per_task, seed=seed))
+                                    env=int(flat) % n_envs, instr=instr))
     return tasks
 
 
@@ -285,40 +280,3 @@ def rollout_positions(actions: np.ndarray, step_length: float = 1.0,
     moves[1:, 0][forward] = step_length * np.cos(heading[forward])
     moves[1:, 1][forward] = step_length * np.sin(heading[forward])
     return np.cumsum(moves, axis=0)
-
-
-# ---------------------------------------------------------------------------
-# Dataset dump: one npz per task (padded feature arrays + lengths + meta)
-# ---------------------------------------------------------------------------
-
-def save_task_dataset(path: str | Path, task: TaskDescriptor,
-                      episodes: list[SyntheticEpisode]) -> None:
-    horizon = max(ep.n_steps for ep in episodes)
-    d_f = episodes[0].obs.shape[1]
-    obs = np.zeros((len(episodes), horizon, d_f))
-    actions = np.full((len(episodes), horizon), -1, dtype=np.int64)
-    instr = np.zeros((len(episodes), d_f))
-    lengths = np.zeros(len(episodes), dtype=np.int64)
-    for i, ep in enumerate(episodes):
-        obs[i, :ep.n_steps] = ep.obs
-        actions[i, :ep.n_steps] = ep.actions
-        instr[i] = ep.instr
-        lengths[i] = ep.n_steps
-    meta = {"task_index": task.index, "scene": task.scene, "env": task.env,
-            "instr": task.instr, "seed": task.seed}
-    np.savez(path, obs=obs, actions=actions, instr=instr, lengths=lengths,
-             meta=np.array(json.dumps(meta)))
-
-
-def load_task_dataset(path: str | Path) -> tuple[dict, list[SyntheticEpisode]]:
-    with np.load(path, allow_pickle=False) as data:
-        meta = json.loads(str(data["meta"]))
-        episodes = []
-        for i, n in enumerate(data["lengths"]):
-            episodes.append(SyntheticEpisode(
-                obs=np.asarray(data["obs"][i, :n]),
-                instr=np.asarray(data["instr"][i]),
-                actions=np.asarray(data["actions"][i, :n]),
-                scene=meta["scene"], env=meta["env"],
-                instr_type=meta["instr"]))
-    return meta, episodes

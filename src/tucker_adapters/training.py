@@ -26,31 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adapters import AdapterBase, FlatLayout, Selection
+from .config import ExperimentConfig
 from .tasks import SyntheticEpisode, ToyBackbone
 from .tensor_ops import EPS_NORM, row_normalize
-
-
-@dataclass
-class Hyper:
-    """Loss and optimizer hyperparameters (defaults follow the reference setup)."""
-
-    lam1: float = 0.2
-    lam2: float = 0.2
-    lam3: float = 0.1
-    omega: float = 0.95
-    lr: float = 1e-4
-    epochs: int = 10
-    batch_size: int = 2
-    fisher_fraction: float = 0.1
-
-    def __post_init__(self):
-        if self.lam1 + self.lam2 + self.lam3 >= 1.0:
-            raise ValueError("lam1 + lam2 + lam3 must be < 1 so the task "
-                             "loss keeps positive weight")
-
-    @property
-    def lam_task(self) -> float:
-        return 1.0 - (self.lam1 + self.lam2 + self.lam3)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +212,7 @@ class StepPlan:
     layout: FlatLayout
     theta: np.ndarray
     sel: Selection
-    hyper: Hyper
+    cfg: ExperimentConfig
     mask: np.ndarray
     snapshot: np.ndarray | None
     ewc_weight: np.ndarray | None
@@ -244,7 +222,7 @@ class StepPlan:
 def build_plan(adapters: list[AdapterBase], sel: Selection,
                snapshots: list[dict[str, np.ndarray]] | None,
                fishers: list[dict[str, np.ndarray]] | None,
-               flags: dict[str, int], hyper: Hyper) -> StepPlan:
+               flags: dict[str, int], cfg: ExperimentConfig) -> StepPlan:
     """Bind ``adapters`` to one flat vector and fix the task's constants.
 
     ``flags`` maps expert axis name ('scene', 'env', ...) to 1 when that
@@ -255,25 +233,25 @@ def build_plan(adapters: list[AdapterBase], sel: Selection,
     theta = layout.bind(adapters)
     mask = layout.flatten([ad.trainable_mask(sel) for ad in adapters])
     snapshot = None if snapshots is None else layout.flatten(snapshots)
-    ewc = snapshots is not None and fishers is not None and hyper.lam1 != 0.0
+    ewc = snapshots is not None and fishers is not None and cfg.lam1 != 0.0
     ewc_weight = None
     if ewc:
         fisher = layout.flatten(fishers, shared_only=True)
-        ewc_weight = 2.0 * hyper.lam1 * fisher * fisher
+        ewc_weight = 2.0 * cfg.lam1 * fisher * fisher
     layer_terms = []
     for l, ad in enumerate(adapters):
         terms = LayerTerms()
         if ewc:
             terms.ewc = ({name: getattr(ad, name) for name in ad.shared_names},
                          snapshots[l], fishers[l])
-        if snapshot is not None and hyper.lam2 != 0.0:
+        if snapshot is not None and cfg.lam2 != 0.0:
             for name, axis in ad.expert_axes.items():
                 if flags.get(axis, 0):
                     row = ad.expert_index(name, sel)
                     terms.consistency.append(layout.slots[l, name].row(row))
-        if hyper.lam3 != 0.0:
+        if cfg.lam3 != 0.0:
             for name in ad.ortho_names:
-                coeff = hyper.lam3 * (1 - flags.get(ad.expert_axes[name], 0))
+                coeff = cfg.lam3 * (1 - flags.get(ad.expert_axes[name], 0))
                 if coeff == 0.0:
                     continue
                 block = getattr(ad, name)
@@ -282,7 +260,7 @@ def build_plan(adapters: list[AdapterBase], sel: Selection,
                     (coeff, block.reshape(block.shape[0], -1), row,
                      layout.slots[l, name].row(row)))
         layer_terms.append(terms)
-    return StepPlan(adapters, layout, theta, sel, hyper, mask, snapshot,
+    return StepPlan(adapters, layout, theta, sel, cfg, mask, snapshot,
                     ewc_weight, layer_terms)
 
 
@@ -298,7 +276,7 @@ def regularizer_terms(plan: StepPlan) -> tuple[dict[str, float], np.ndarray]:
     orthogonality, and each loss per layer, so that the arithmetic is that of
     the per-block objective.
     """
-    theta, lam1, lam2 = plan.theta, plan.hyper.lam1, plan.hyper.lam2
+    theta, lam1, lam2 = plan.theta, plan.cfg.lam1, plan.cfg.lam2
     grad = np.zeros_like(theta)
     totals = {"ewc": 0.0, "consistency": 0.0, "orthogonality": 0.0}
     if plan.ewc_weight is not None:
@@ -330,7 +308,7 @@ def total_loss_and_grads(backbone, plan: StepPlan, x, y):
     """
     plan.layout.check_bound(plan.adapters, plan.theta)
     task, net_grads = task_loss_and_grads(backbone, plan.adapters, plan.sel,
-                                          x, y, plan.hyper.lam_task)
+                                          x, y, plan.cfg.lam_task)
     reg_losses, reg_grad = regularizer_terms(plan)
     terms = {"task": task, **reg_losses}
     terms["total"] = sum(terms.values())

@@ -12,8 +12,19 @@ import numpy as np
 
 from tucker_adapters.adapters import Selection
 from tucker_adapters.metrics import EpisodeRecord, score_task
-from tucker_adapters.retrieval import cosine_sim
 from tucker_adapters.tasks import FORWARD, LEFT, RIGHT, STOP, forward_logits, gen_episode
+from tucker_adapters.tensor_ops import EPS_NORM
+
+
+def cosine_sim(u, v):
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    if u.shape != v.shape:
+        raise ValueError(f"cosine_sim dimension mismatch: {u.shape} vs {v.shape}")
+    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+    if nu < EPS_NORM or nv < EPS_NORM:
+        raise ValueError("cosine similarity is undefined for zero vectors")
+    return float(u @ v / (nu * nv))
 
 
 def reference_rollout_positions(actions, step_length=1.0, turn_degrees=15.0):

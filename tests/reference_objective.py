@@ -44,34 +44,34 @@ def gram_penalty_row_grad(mat, row):
     return (g_unit - (g_unit @ v_hat) * v_hat) / norms[row]
 
 
-def reference_regularizer_terms(adapter, sel, snapshot, fisher, flags, hyper):
+def reference_regularizer_terms(adapter, sel, snapshot, fisher, flags, cfg):
     """Losses and per-block gradients of the consolidation terms of one layer."""
     sel = adapter.resolve(sel)
     blocks = adapter.blocks()
     losses = {"ewc": 0.0, "consistency": 0.0, "orthogonality": 0.0}
     grads = {name: np.zeros_like(arr) for name, arr in blocks.items()}
 
-    if snapshot is not None and fisher is not None and hyper.lam1 != 0.0:
-        losses["ewc"] = ewc_loss(blocks, snapshot, fisher, hyper.lam1,
+    if snapshot is not None and fisher is not None and cfg.lam1 != 0.0:
+        losses["ewc"] = ewc_loss(blocks, snapshot, fisher, cfg.lam1,
                                  adapter.shared_names)
         for name in adapter.shared_names:
             fw = fisher[name]
-            grads[name] += (2.0 * hyper.lam1 * fw * fw
+            grads[name] += (2.0 * cfg.lam1 * fw * fw
                             * (blocks[name] - snapshot[name]))
 
-    if snapshot is not None and hyper.lam2 != 0.0:
+    if snapshot is not None and cfg.lam2 != 0.0:
         for name, axis in adapter.expert_axes.items():
             if not flags.get(axis, 0):
                 continue
             idx = adapter.expert_index(name, sel)
             diff = blocks[name][idx] - snapshot[name][idx]
-            losses["consistency"] += hyper.lam2 * float(np.sum(diff * diff))
-            grads[name][idx] += 2.0 * hyper.lam2 * diff
+            losses["consistency"] += cfg.lam2 * float(np.sum(diff * diff))
+            grads[name][idx] += 2.0 * cfg.lam2 * diff
 
-    if hyper.lam3 != 0.0:
+    if cfg.lam3 != 0.0:
         for name in adapter.ortho_names:
             axis = adapter.expert_axes[name]
-            coeff = hyper.lam3 * (1 - flags.get(axis, 0))
+            coeff = cfg.lam3 * (1 - flags.get(axis, 0))
             if coeff == 0.0:
                 continue
             mat = blocks[name].reshape(blocks[name].shape[0], -1)
@@ -84,17 +84,17 @@ def reference_regularizer_terms(adapter, sel, snapshot, fisher, flags, hyper):
 
 
 def reference_total_loss_and_grads(backbone, adapters, sel, x, y,
-                                   snapshots, fishers, flags, hyper):
+                                   snapshots, fishers, flags, cfg):
     """Terms dict and per-layer masked gradient dicts for one minibatch."""
     task, net_grads = task_loss_and_grads(backbone, adapters, sel, x, y,
-                                          hyper.lam_task)
+                                          cfg.lam_task)
     terms = {"task": task, "ewc": 0.0, "consistency": 0.0, "orthogonality": 0.0}
     all_grads = []
     for l, ad in enumerate(adapters):
         snap = None if snapshots is None else snapshots[l]
         fish = None if fishers is None else fishers[l]
         reg_losses, reg_grads = reference_regularizer_terms(
-            ad, sel, snap, fish, flags, hyper)
+            ad, sel, snap, fish, flags, cfg)
         for k in ("ewc", "consistency", "orthogonality"):
             terms[k] += reg_losses[k]
         mask = ad.trainable_mask(sel)
@@ -129,10 +129,10 @@ class ReferenceAdam:
 
 
 def reference_step(opt, backbone, adapters, sel, x, y, snapshots, fishers,
-                   flags, hyper):
+                   flags, cfg):
     """One optimizer step the way the trainer took it before the flat vector."""
     terms, grads = reference_total_loss_and_grads(
-        backbone, adapters, sel, x, y, snapshots, fishers, flags, hyper)
+        backbone, adapters, sel, x, y, snapshots, fishers, flags, cfg)
     params = {f"L{l}:{name}": arr for l, ad in enumerate(adapters)
               for name, arr in ad.blocks().items()}
     opt.update(params, {f"L{l}:{name}": g for l, layer in enumerate(grads)

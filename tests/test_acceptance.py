@@ -53,7 +53,7 @@ from tucker_adapters.tasks import (
     gen_stream,
 )
 from tucker_adapters.tensor_ops import contract_adapter, tucker_reconstruct
-from tucker_adapters.training import Hyper, build_plan, regularizer_terms
+from tucker_adapters.training import build_plan, regularizer_terms
 
 
 def criterion(number, name):
@@ -172,7 +172,7 @@ def _consolidation_losses(rng, u3, u4, shift3, shift4, seen):
               for k in ad.shared_names}
     plan = build_plan([ad], Selection(scene=0, env=0), [snapshot], [fisher],
                       {"scene": seen, "env": seen},
-                      Hyper(lam1=0.2, lam2=0.2, lam3=0.1))
+                      ExperimentConfig(lam1=0.2, lam2=0.2, lam3=0.1))
     return regularizer_terms(plan)[0]
 
 

@@ -224,3 +224,15 @@ def test_non_finite_or_degenerate_value_exit_code_1(out_root, tmp_path, capsys,
     assert f"{field}:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
     assert not list((out_root / "runs").glob("*"))
+
+
+def test_divergence_exit_code_2(out_root, capsys):
+    run_dir = out_root / "exp"
+    argv = ["train", "--set", "n_tasks=2", "--set", "epochs=2",
+            "--set", "train_episodes=4", "--set", "test_episodes=2",
+            "--set", "lr=1e300", "--run-dir", str(run_dir)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "task 0 " in err and "epoch 0:" in err and "task_loss" in err
+    assert not list(run_dir.glob("task_*/complete.marker"))
+    assert not (run_dir / "train_log.jsonl").exists()

@@ -23,7 +23,7 @@ from tucker_adapters.pipeline import (
     train_task,
 )
 from tucker_adapters.retrieval import FeatureStore
-from tucker_adapters.tasks import World, gen_episode, gen_stream, gen_task_data
+from tucker_adapters.tasks import World, gen_episode, gen_stream
 from tucker_adapters.training import gram_penalty_and_row_grad
 
 
@@ -115,6 +115,43 @@ def test_run_dir_rejects_other_config(tmp_path):
     run_training(tiny_config(), tmp_path / "r")
     with pytest.raises(ValueError, match="different config"):
         run_training(tiny_config(seed=10), tmp_path / "r")
+
+
+def test_foreign_config_cannot_resume_an_unfinished_run(tmp_path, monkeypatch):
+    save_state = pipeline.save_state
+
+    def seal_then_fail(state, directory):
+        save_state(state, directory)
+        raise OSError("injected")
+
+    monkeypatch.setattr(pipeline, "save_state", seal_then_fail)
+    with pytest.raises(OSError, match="injected"):
+        run_training(tiny_config(), tmp_path / "r")
+    monkeypatch.setattr(pipeline, "save_state", save_state)
+    assert (task_dir(tmp_path / "r", 0) / "complete.marker").exists()
+    with pytest.raises(ValueError, match="different config"):
+        run_training(tiny_config(lr=1e-3), tmp_path / "r")
+
+
+def test_run_directory_holds_only_what_is_read(tmp_path):
+    run_training(tiny_config(), tmp_path / "r")
+    checkpoint = ("adapter_L0.npz", "adapter_L1.npz", "fisher.npz",
+                  "snapshot.npz", "store.npz", "state.json", "complete.marker")
+    files = {p.relative_to(tmp_path / "r").as_posix()
+             for p in (tmp_path / "r").rglob("*") if p.is_file()}
+    assert files == {"config.json", "manifest.json", "train_log.jsonl",
+                     "reference.json"} | {f"task_{t:03d}/{name}"
+                                          for t in range(3) for name in checkpoint}
+    assert not list((tmp_path / "r").rglob("*.tmp"))
+
+
+def test_divergence_stops_before_the_task_is_sealed(tmp_path):
+    with pytest.raises(FloatingPointError,
+                       match=r"task 0 \(scene \d+, env \d+\), epoch 0: "
+                             r"mean task_loss is nan"):
+        run_training(tiny_config(n_tasks=2, epochs=2, lr=1e300), tmp_path / "r")
+    assert not list((tmp_path / "r").glob("task_*/complete.marker"))
+    assert not (tmp_path / "r" / "train_log.jsonl").exists()
 
 
 def test_single_task_stream(tmp_path):
@@ -372,22 +409,6 @@ def test_training_log_structure(tmp_path):
         assert key in rec
     assert [json.loads(line)["task"] for line in lines] == [
         t for t in range(cfg.n_tasks) for _ in range(cfg.epochs)]
-
-
-def test_task_dataset_dump_is_replayable(tmp_path):
-    from tucker_adapters.tasks import load_task_dataset
-
-    cfg = tiny_config()
-    run_training(cfg, tmp_path / "r")
-    world = World(cfg.world_config())
-    stream = gen_stream(cfg.n_scenes, cfg.n_envs, cfg.n_tasks, cfg.seed)
-    meta, episodes = load_task_dataset(task_dir(tmp_path / "r", 1) / "episodes.npz")
-    assert meta["scene"] == stream[1].scene and meta["env"] == stream[1].env
-    regenerated = gen_task_data(world, stream[1], cfg.train_episodes, split=0)
-    assert len(episodes) == len(regenerated)
-    for a, b in zip(episodes, regenerated):
-        assert np.array_equal(a.obs, b.obs)
-        assert np.array_equal(a.actions, b.actions)
 
 
 def test_regularizers_reduce_first_task_drift():

@@ -3,32 +3,8 @@
 import numpy as np
 import pytest
 
-from tucker_adapters.retrieval import FeatureStore, cosine_sim
+from tucker_adapters.retrieval import FeatureStore
 from tucker_adapters.tasks import TaskDescriptor, World, WorldConfig, gen_episode
-
-
-# ---------------------------------------------------------------------------
-# cosine_sim
-# ---------------------------------------------------------------------------
-
-def test_cosine_self_similarity():
-    v = np.array([1.0, 2.0, -3.0])
-    assert cosine_sim(v, v) == pytest.approx(1.0)
-
-
-def test_cosine_orthogonal_and_opposite():
-    assert cosine_sim(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == pytest.approx(0.0)
-    assert cosine_sim(np.array([1.0, 0.0]), np.array([-1.0, 0.0])) == pytest.approx(-1.0)
-
-
-def test_cosine_zero_vector_error():
-    with pytest.raises(ValueError, match="zero"):
-        cosine_sim(np.zeros(3), np.ones(3))
-
-
-def test_cosine_dimension_mismatch():
-    with pytest.raises(ValueError, match="dimension"):
-        cosine_sim(np.ones(3), np.ones(4))
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +91,19 @@ def test_search_restricted_to_pairs():
 def test_search_empty_store_error():
     with pytest.raises(ValueError, match="empty"):
         FeatureStore(4).search(np.ones(4))
+
+
+@pytest.mark.parametrize("query,message", [
+    (np.zeros(4), "undefined"),
+    (np.array([1.0, np.nan, 0.0, 0.0]), "undefined"),
+    (np.array([np.inf, 1.0, 0.0, 0.0]), "undefined"),
+    (np.ones(5), "shape"),
+], ids=["zero", "nan", "inf", "wrong-shape"])
+def test_search_rejects_undefined_query(query, message):
+    store = FeatureStore(4)
+    store.add(0, 0, np.array([1.0, 0.0, 0.0, 0.0]))
+    with pytest.raises(ValueError, match=message):
+        store.search(query)
 
 
 def test_search_scale_invariant():

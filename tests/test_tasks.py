@@ -14,9 +14,7 @@ from tucker_adapters.tasks import (
     gen_episode,
     gen_stream,
     gen_task_data,
-    load_task_dataset,
     rollout_positions,
-    save_task_dataset,
 )
 
 
@@ -174,17 +172,3 @@ def test_rollout_full_left_turn_square():
         acts += [FORWARD] + [1] * 6  # six 15-degree lefts = 90 degrees
     pos = rollout_positions(np.array(acts))
     np.testing.assert_allclose(pos[-1], [0.0, 0.0], atol=1e-9)
-
-
-def test_dataset_roundtrip(tmp_path, world):
-    task = TaskDescriptor(index=4, scene=1, env=1)
-    eps = gen_task_data(world, task, 5)
-    path = tmp_path / "task_004.npz"
-    save_task_dataset(path, task, eps)
-    meta, back = load_task_dataset(path)
-    assert meta["scene"] == 1 and meta["task_index"] == 4
-    assert len(back) == len(eps)
-    for a, b in zip(eps, back):
-        assert np.array_equal(a.obs, b.obs)
-        assert np.array_equal(a.actions, b.actions)
-        assert np.array_equal(a.instr, b.instr)

@@ -27,7 +27,6 @@ from tucker_adapters.tasks import (
 )
 from tucker_adapters.training import (
     AdamState,
-    Hyper,
     action_nll,
     adam_step,
     batch_arrays,
@@ -42,7 +41,7 @@ from tucker_adapters.training import (
     total_loss_and_grads,
 )
 
-HYPER = Hyper()
+HYPER = ExperimentConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +82,7 @@ def expert_terms(u3, u4, u3_prev, u4_prev, alpha, beta, lam2=0.0, lam3=0.0):
     snapshot["env_experts"][0] = u4_prev
     plan = build_plan([ad], Selection(scene=0, env=0), [snapshot], None,
                       {"scene": alpha, "env": beta},
-                      Hyper(lam1=0.0, lam2=lam2, lam3=lam3))
+                      ExperimentConfig(lam1=0.0, lam2=lam2, lam3=lam3))
     return regularizer_terms(plan)[0]
 
 
@@ -374,7 +373,7 @@ def test_total_loss_terms_sum_and_first_task_branch():
 
 
 def test_total_loss_pure_task_when_lambdas_zero():
-    world, plan, x, y = check_plan(hyper=Hyper(lam1=0.0, lam2=0.0, lam3=0.0))
+    world, plan, x, y = check_plan(hyper=ExperimentConfig(lam1=0.0, lam2=0.0, lam3=0.0))
     terms, _ = total_loss_and_grads(world.backbone, plan, x, y)
     assert terms["total"] == pytest.approx(terms["task"])
     task_only, _ = task_loss_and_grads(world.backbone, plan.adapters, plan.sel,
@@ -386,7 +385,7 @@ def test_ewc_gradient_zero_at_snapshot():
     world, adapters, sel, x, y, _, fishers, flags = build_check_setup()
     snaps = [{k: v.copy() for k, v in ad.blocks().items()} for ad in adapters]
     plan = build_plan(adapters, sel, snaps, fishers, flags,
-                      Hyper(lam2=0.0, lam3=0.0))
+                      ExperimentConfig(lam2=0.0, lam3=0.0))
     losses, grad = regularizer_terms(plan)
     assert losses["ewc"] == 0.0
     views = plan.layout.views(grad)
@@ -441,8 +440,8 @@ def test_rebound_block_is_rejected():
        flags=st.fixed_dictionaries({axis: st.integers(0, 1)
                                     for axis in ("scene", "env", "instr", "task")}),
        first_task=st.booleans(),
-       hyper=st.sampled_from([Hyper(), Hyper(lam1=0.0, lam2=0.0, lam3=0.0),
-                              Hyper(lam1=0.3, lam2=0.0, lam3=0.2)]))
+       hyper=st.sampled_from([ExperimentConfig(), ExperimentConfig(lam1=0.0, lam2=0.0, lam3=0.0),
+                              ExperimentConfig(lam1=0.3, lam2=0.0, lam3=0.2)]))
 def test_flat_steps_equal_per_block_reference(kind, scene, env, instr, task,
                                               flags, first_task, hyper):
     sel = Selection(scene=scene, env=env, instr=instr, task=task)
