@@ -112,15 +112,32 @@ class AdapterBase:
                 masks[name] = np.ones_like(arr)
         return masks
 
-    def delta(self, sel: Selection) -> np.ndarray:
+    def operands(self, sel: Selection) -> tuple:
+        """The selected row of each expert block (``expert_axes`` order) and
+        a view of it, checked once. The views follow the blocks until they
+        are rebound, so a step takes them once per task and passes them
+        back as ``ops``, and ``sel`` is then not looked at."""
+        index = tuple(self.expert_index(name, sel) for name in self.expert_axes)
+        return index, tuple(getattr(self, name)[i]
+                            for name, i in zip(self.expert_axes, index))
+
+    def delta(self, sel: Selection, ops: tuple | None = None) -> np.ndarray:
         raise NotImplementedError
 
-    def delta_backward(self, sel: Selection, g: np.ndarray) -> dict[str, np.ndarray]:
-        """Gradients of ``sum(g * delta(sel))`` for every block.
+    def delta_backward(self, sel: Selection, g: np.ndarray, out=None,
+                       ops: tuple | None = None) -> dict[str, np.ndarray]:
+        """Gradients of ``sum(g * delta(sel))``.
 
-        Entries for non-selected experts are structurally zero.
+        ``out`` maps each block name to an array of the block's shape. The
+        gradient of every shared block and of the selected row of every
+        expert block is written into it, and no other row is touched.
+        Without ``out`` the blocks are new arrays that are zero elsewhere.
         """
         raise NotImplementedError
+
+    def _gradients(self, out) -> dict[str, np.ndarray]:
+        return out if out is not None else {
+            name: np.zeros_like(arr) for name, arr in self.blocks().items()}
 
     # -- persistence --------------------------------------------------------
 
@@ -233,30 +250,36 @@ class TuckerAdapter(AdapterBase):
         return Selection(scene=sel.scene, env=sel.env, instr=sel.instr,
                          task=sel.scene * self.n_envs + sel.env)
 
-    def _rows(self, sel: Selection) -> list[int]:
-        return [self.expert_index(name, sel) for name in self.expert_axes]
+    def operands(self, sel: Selection) -> tuple:
+        """As ``AdapterBase.operands``, with the step's einsum operands and
+        a buffer where ``delta`` leaves ``mid`` for ``delta_backward``."""
+        index, rows = super().operands(sel)
+        return (index, (self.core, *rows), np.empty(self.core.shape[:2]),
+                tuple((self.core, *rows[:n], *rows[n + 1:])
+                      for n in range(len(rows))))
 
-    def delta(self, sel: Selection) -> np.ndarray:
-        return contract_adapter(self.core, self.up, self.down,
-                                *(getattr(self, name)[i] for name, i in
-                                  zip(self.expert_axes, self._rows(sel))))
+    def delta(self, sel: Selection, ops: tuple | None = None) -> np.ndarray:
+        if ops is None:   # a one-off delta, as evaluation takes it
+            return contract_adapter(self.core, self.up, self.down,
+                                    *super().operands(sel)[1])
+        _, core_rows, mid, _ = ops
+        np.einsum(self._mid, *core_rows, out=mid)
+        return self.up @ mid @ self.down.T
 
-    def delta_backward(self, sel: Selection, g: np.ndarray) -> dict[str, np.ndarray]:
-        index = self._rows(sel)
-        rows = [getattr(self, name)[i] for name, i in zip(self.expert_axes, index)]
-        mid = np.einsum(self._mid, self.core, *rows)
+    def delta_backward(self, sel, g, out=None, ops=None):
+        if ops is None:
+            ops = self.operands(sel)
+            np.einsum(self._mid, *ops[1], out=ops[2])
+        index, (_, *rows), mid, row_operands = ops
+        out = self._gradients(out)
         d_mid = self.up.T @ g @ self.down
-        grads = {
-            "core": np.einsum(self._core_grad, d_mid, *rows),
-            "up": g @ self.down @ mid.T,
-            "down": g.T @ self.up @ mid,
-        }
-        for n, (name, i) in enumerate(zip(self.expert_axes, index)):
-            d_block = np.zeros_like(getattr(self, name))
-            d_block[i] = np.einsum(self._row_grads[n], d_mid, self.core,
-                                   *rows[:n], *rows[n + 1:])
-            grads[name] = d_block
-        return grads
+        np.einsum(self._core_grad, d_mid, *rows, out=out["core"])
+        np.matmul(g @ self.down, mid.T, out=out["up"])
+        np.matmul(g.T @ self.up, mid, out=out["down"])
+        for subscripts, name, i, operands in zip(
+                self._row_grads, self.expert_axes, index, row_operands):
+            np.einsum(subscripts, d_mid, *operands, out=out[name][i])
+        return out
 
 
 @dataclass
@@ -281,11 +304,14 @@ class LoraAdapter(AdapterBase):
     def from_config(cls, cfg, a, b, rng_for):
         return cls.init(a, b, cfg.lora_rank, rng_for(0))
 
-    def delta(self, sel: Selection) -> np.ndarray:
+    def delta(self, sel: Selection, ops: tuple | None = None) -> np.ndarray:
         return self.up @ self.down
 
-    def delta_backward(self, sel: Selection, g: np.ndarray) -> dict[str, np.ndarray]:
-        return {"down": self.up.T @ g, "up": g @ self.down.T}
+    def delta_backward(self, sel, g, out=None, ops=None):
+        out = self._gradients(out)
+        np.matmul(self.up.T, g, out=out["down"])
+        np.matmul(g, self.down.T, out=out["up"])
+        return out
 
 
 @dataclass
@@ -318,17 +344,16 @@ class TaskLoraAdapter(AdapterBase):
         return cls.init(a, b, cfg.lora_rank,
                         [rng_for(1 + t) for t in range(cfg.n_tasks)])
 
-    def delta(self, sel: Selection) -> np.ndarray:
-        t = self.expert_index("ups", sel)
-        return self.ups[t] @ self.downs[t]
+    def delta(self, sel: Selection, ops: tuple | None = None) -> np.ndarray:
+        down, up = (ops or self.operands(sel))[1]
+        return up @ down
 
-    def delta_backward(self, sel: Selection, g: np.ndarray) -> dict[str, np.ndarray]:
-        t = self.expert_index("ups", sel)
-        d_downs = np.zeros_like(self.downs)
-        d_ups = np.zeros_like(self.ups)
-        d_downs[t] = self.ups[t].T @ g
-        d_ups[t] = g @ self.downs[t].T
-        return {"downs": d_downs, "ups": d_ups}
+    def delta_backward(self, sel, g, out=None, ops=None):
+        (t, _), (down, up) = ops or self.operands(sel)
+        out = self._gradients(out)
+        np.matmul(up.T, g, out=out["downs"][t])
+        np.matmul(g, down.T, out=out["ups"][t])
+        return out
 
 
 @dataclass
@@ -356,14 +381,15 @@ class SharedAMoeAdapter(AdapterBase):
     def from_config(cls, cfg, a, b, rng_for):
         return cls.init(a, b, cfg.moe_rank, cfg.n_tasks, rng_for(0))
 
-    def delta(self, sel: Selection) -> np.ndarray:
+    def delta(self, sel: Selection, ops: tuple | None = None) -> np.ndarray:
         return np.einsum("kar,rb->ab", self.ups, self.down)
 
-    def delta_backward(self, sel: Selection, g: np.ndarray) -> dict[str, np.ndarray]:
-        k = self.expert_index("ups", sel)
-        d_ups = np.zeros_like(self.ups)
-        d_ups[k] = g @ self.down.T
-        return {"down": np.einsum("kar,ab->rb", self.ups, g), "ups": d_ups}
+    def delta_backward(self, sel, g, out=None, ops=None):
+        (k,), _ = ops or self.operands(sel)
+        out = self._gradients(out)
+        np.einsum("kar,ab->rb", self.ups, g, out=out["down"])
+        np.matmul(g, self.down.T, out=out["ups"][k])
+        return out
 
 
 @dataclass
@@ -397,20 +423,17 @@ class AbcLoraAdapter(AdapterBase):
         return cls.init(a, b, cfg.abc_rank_base, cfg.abc_rank_mid,
                         cfg.n_scenes, cfg.n_envs, rng_for(0))
 
-    def delta(self, sel: Selection) -> np.ndarray:
-        s = self.expert_index("mids", sel)
-        e = self.expert_index("tops", sel)
-        return self.tops[e] @ self.mids[s] @ self.base
+    def delta(self, sel: Selection, ops: tuple | None = None) -> np.ndarray:
+        mid, top = (ops or self.operands(sel))[1]
+        return top @ mid @ self.base
 
-    def delta_backward(self, sel: Selection, g: np.ndarray) -> dict[str, np.ndarray]:
-        s = self.expert_index("mids", sel)
-        e = self.expert_index("tops", sel)
-        mid, top = self.mids[s], self.tops[e]
-        d_mids = np.zeros_like(self.mids)
-        d_tops = np.zeros_like(self.tops)
-        d_mids[s] = top.T @ g @ self.base.T
-        d_tops[e] = g @ self.base.T @ mid.T
-        return {"base": mid.T @ top.T @ g, "mids": d_mids, "tops": d_tops}
+    def delta_backward(self, sel, g, out=None, ops=None):
+        (s, e), (mid, top) = ops or self.operands(sel)
+        out = self._gradients(out)
+        np.matmul(top.T @ g, self.base.T, out=out["mids"][s])
+        np.matmul(g @ self.base.T, mid.T, out=out["tops"][e])
+        np.matmul(mid.T @ top.T, g, out=out["base"])
+        return out
 
 
 ADAPTER_KINDS: dict[str, type] = {
@@ -429,28 +452,13 @@ def block_key(layer: int, name: str) -> str:
     return f"L{layer}:{name}"
 
 
-def pack_layers(layers: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
-    """Per-layer block dicts as one dict keyed by ``block_key``."""
-    return {block_key(l, name): arr for l, layer in enumerate(layers)
-            for name, arr in layer.items()}
-
-
-def unpack_layers(packed: dict[str, np.ndarray],
-                  n_layers: int) -> list[dict[str, np.ndarray]]:
-    """Inverse of ``pack_layers``."""
-    layers = [{} for _ in range(n_layers)]
-    for key, arr in packed.items():
-        prefix, name = key.split(":", 1)
-        layers[int(prefix[1:])][name] = arr
-    return layers
-
-
 @dataclass(frozen=True)
 class Slot:
     """Where one block of an adapter stack lives in the flat vector."""
 
     start: int
     shape: tuple[int, ...]
+    shared: bool
 
     @property
     def span(self) -> slice:
@@ -483,7 +491,7 @@ class FlatLayout:
                   for name, arr in ad.blocks().items()]
         slots, start, n_shared = {}, 0, 0
         for expert, l, name, shape in sorted(blocks, key=lambda b: b[0]):
-            slots[l, name] = Slot(start, shape)
+            slots[l, name] = Slot(start, shape, not expert)
             start = slots[l, name].span.stop
             if not expert:
                 n_shared = start
@@ -507,16 +515,21 @@ class FlatLayout:
                     raise RuntimeError(f"block {block_key(l, name)} is not a "
                                        "view of the flat parameter vector")
 
-    def flatten(self, layers: list[dict[str, np.ndarray]],
-                shared_only: bool = False) -> np.ndarray:
-        """One vector in this layout from per-layer block dicts; with
-        ``shared_only``, of the leading ``n_shared`` slots alone."""
-        stop = self.n_shared if shared_only else self.size
-        parts = [layers[l][name].ravel()
-                 for (l, name), s in self.slots.items() if s.start < stop]
+    def flatten(self, blocks, shared_only: bool = False) -> np.ndarray:
+        """One vector in this layout from block arrays keyed by
+        ``block_key``, as a checkpoint holds them; with ``shared_only``, of
+        the leading ``n_shared`` slots alone."""
+        parts = [np.ravel(blocks[block_key(l, name)])
+                 for (l, name), s in self.slots.items()
+                 if s.shared or not shared_only]
         return np.concatenate(parts) if parts else np.empty(0)
 
     def views(self, vector: np.ndarray) -> dict[str, np.ndarray]:
-        """Block-shaped views of a vector in this layout, keyed by ``block_key``."""
+        """Block-shaped views of a vector in this layout, keyed by
+        ``block_key`` in checkpoint order (layer by layer); a vector of the
+        ``n_shared`` leading slots has views of the shared blocks alone."""
+        every = vector.size == self.size
         return {block_key(l, name): vector[s.span].reshape(s.shape)
-                for (l, name), s in self.slots.items()}
+                for (l, name), s in sorted(self.slots.items(),
+                                           key=lambda item: item[0][0])
+                if s.shared or every}

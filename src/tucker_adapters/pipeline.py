@@ -24,13 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .adapters import (
-    ADAPTER_KINDS,
-    AdapterBase,
-    Selection,
-    pack_layers,
-    unpack_layers,
-)
+from .adapters import ADAPTER_KINDS, AdapterBase, FlatLayout, Selection, block_key
 from .config import ExperimentConfig
 from .metrics import EpisodeRecord, TaskScore, score_task
 from .retrieval import FeatureStore
@@ -75,8 +69,10 @@ class LifelongState:
     cfg: ExperimentConfig
     adapters: list[AdapterBase]
     store: FeatureStore
-    fisher: list[dict[str, np.ndarray]] | None = None
-    snapshots: list[dict[str, np.ndarray]] | None = None
+    # vectors in FlatLayout.of(adapters): Fisher over the shared slots, and
+    # every parameter as the last task left it
+    fisher: np.ndarray | None = None
+    snapshot: np.ndarray | None = None
     seen_scenes: set[int] = field(default_factory=set)
     seen_envs: set[int] = field(default_factory=set)
     seen_instr: set[int] = field(default_factory=set)
@@ -123,14 +119,12 @@ def train_task(state: LifelongState, world: World,
     if state.fisher is None:
         state.fisher = new_fisher  # first task: nothing to average with
     else:
-        state.fisher = [fisher_ema(prev, new, cfg.omega)
-                        for prev, new in zip(state.fisher, new_fisher)]
+        state.fisher = fisher_ema(state.fisher, new_fisher, cfg.omega)
     flags = {"scene": int(task.scene in state.seen_scenes),
              "env": int(task.env in state.seen_envs),
              "instr": int(task.instr in state.seen_instr),
              "task": 0}
-    plan = build_plan(adapters, sel, state.snapshots, state.fisher, flags, cfg)
-    params = {"theta": plan.theta}
+    plan = build_plan(adapters, sel, state.snapshot, state.fisher, flags, cfg)
     opt = AdamState(lr=cfg.lr)
     logs = []
     for epoch in range(cfg.epochs):
@@ -145,7 +139,7 @@ def train_task(state: LifelongState, world: World,
             batch = [episodes[i] for i in order[start:start + cfg.batch_size]]
             x, y = batch_arrays(batch)
             terms, grad = total_loss_and_grads(world.backbone, plan, x, y)
-            adam_step(opt, params, {"theta": grad})
+            adam_step(opt, plan.theta, grad)
             for k in sums:
                 sums[k] += terms[k]
             n_batches += 1
@@ -162,9 +156,8 @@ def train_task(state: LifelongState, world: World,
                      "env": task.env, "epoch": epoch, **means,
                      "wall_time": time.perf_counter() - t0})
 
-    # snapshots for the next task's consolidation terms
-    state.snapshots = [{k: v.copy() for k, v in ad.blocks().items()}
-                       for ad in adapters]
+    # the snapshot for the next task's consolidation terms
+    state.snapshot = plan.theta.copy()
     state.seen_scenes.add(task.scene)
     state.seen_envs.add(task.env)
     if task.instr is not None:
@@ -254,7 +247,7 @@ def evaluate_task(world: World, provider, store: FeatureStore,
         predicted = [None] * len(episodes)
         for ((scene, env), _), members in groups.items():
             deltas = provider(scene, env, task.instr)
-            inputs = np.stack([episodes[j].model_inputs() for j in members])
+            inputs = np.stack([episodes[j].inputs for j in members])
             for j, actions in zip(members, policy_actions(world.backbone,
                                                           deltas, inputs)):
                 predicted[j] = actions
@@ -273,8 +266,9 @@ def save_state(state: LifelongState, directory: str | Path) -> None:
     provenance = {"seed": state.cfg.seed, "ranks": list(state.cfg.ranks)}
     for l, ad in enumerate(state.adapters):
         ad.save(directory / f"adapter_L{l}.npz", provenance)
-    np.savez(directory / "fisher.npz", **pack_layers(state.fisher))
-    np.savez(directory / "snapshot.npz", **pack_layers(state.snapshots))
+    layout = FlatLayout.of(state.adapters)
+    np.savez(directory / "fisher.npz", **layout.views(state.fisher))
+    np.savez(directory / "snapshot.npz", **layout.views(state.snapshot))
     state.store.save(directory / "store.npz")
     meta = {
         "task_count": state.task_count,
@@ -311,15 +305,12 @@ def load_state(cfg: ExperimentConfig, directory: str | Path,
     state.seen_instr = set(meta["seen_instr"])
     state.seen_pairs = {tuple(p) for p in meta["seen_pairs"]}
     state.pair_to_task = {(s, e): t for s, e, t in meta["pair_to_task"]}
-    state.fisher = _load_layers(directory / "fisher.npz", n_layers)
-    state.snapshots = _load_layers(directory / "snapshot.npz", n_layers)
+    layout = FlatLayout.of(adapters)
+    with np.load(directory / "fisher.npz") as data:
+        state.fisher = layout.flatten(data, shared_only=True)
+    with np.load(directory / "snapshot.npz") as data:
+        state.snapshot = layout.flatten(data)
     return state
-
-
-def _load_layers(path: Path, n_layers: int) -> list[dict[str, np.ndarray]]:
-    with np.load(path) as data:
-        return unpack_layers({k: np.asarray(data[k]) for k in data.files},
-                             n_layers)
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +352,9 @@ def run_training(cfg: ExperimentConfig, run_dir: str | Path,
             raise ValueError(
                 f"run directory {run_dir} belongs to a different config "
                 f"(hash {manifest.get('config_hash')} != {cfg.config_hash()})")
+    elif any(layout["root"].glob("task_*")):
+        raise ValueError(f"run directory {run_dir} holds task checkpoints but "
+                         "no manifest.json, so no config can resume it")
     else:
         # written before any checkpoint, so that no task is sealed in a
         # directory that does not name its config
@@ -548,12 +542,14 @@ def run_gradcheck(cfg: ExperimentConfig, n_episodes: int = 3) -> dict[str, float
     episodes = gen_task_data(world, task, n_episodes)
     x, y = batch_arrays(episodes)
     sel = Selection(scene=task.scene, env=task.env, instr=task.instr, task=0)
-    snapshots = [{k: v + 0.02 * rng.standard_normal(v.shape)
-                  for k, v in ad.blocks().items()} for ad in adapters]
-    fishers = [{k: rng.uniform(0.1, 1.5, size=ad.blocks()[k].shape)
-                for k in ad.shared_names} for ad in adapters]
+    snapshot = {block_key(l, k): v + 0.02 * rng.standard_normal(v.shape)
+                for l, ad in enumerate(adapters) for k, v in ad.blocks().items()}
+    fisher = {block_key(l, k): rng.uniform(0.1, 1.5, size=getattr(ad, k).shape)
+              for l, ad in enumerate(adapters) for k in ad.shared_names}
     flags = {"scene": 1, "env": 0, "instr": 0, "task": 0}
-    plan = build_plan(adapters, sel, snapshots, fishers, flags, cfg)
+    layout = FlatLayout.of(adapters)
+    plan = build_plan(adapters, sel, layout.flatten(snapshot),
+                      layout.flatten(fisher, shared_only=True), flags, cfg)
     _, grad = total_loss_and_grads(world.backbone, plan, x, y)
 
     def loss_fn():

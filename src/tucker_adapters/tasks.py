@@ -118,14 +118,15 @@ class SyntheticEpisode:
     scene: int
     env: int
     instr_type: int | None = None
+    inputs: np.ndarray | None = None  # (n_steps, 2 d_f): (obs, instr) per step
+
+    def __post_init__(self):
+        if self.inputs is None:
+            self.inputs = np.hstack([self.obs, np.tile(self.instr, (self.n_steps, 1))])
 
     @property
     def n_steps(self) -> int:
         return len(self.actions)
-
-    def model_inputs(self) -> np.ndarray:
-        """Per-step concatenated (obs, instr) rows for the backbone."""
-        return np.hstack([self.obs, np.tile(self.instr, (self.n_steps, 1))])
 
 
 class World:
@@ -243,10 +244,11 @@ def gen_episode(world: World, task: TaskDescriptor, episode_idx: int,
         stops = np.flatnonzero(actions == STOP)
         n_steps = int(stops[0]) + 1 if stops.size else cfg.horizon
         if np.any(actions[:n_steps] == FORWARD):
-            return SyntheticEpisode(obs=obs[:n_steps], instr=instr,
+            return SyntheticEpisode(obs=inputs[:n_steps, :cfg.d_f], instr=instr,
                                     actions=actions[:n_steps],
                                     scene=task.scene, env=task.env,
-                                    instr_type=task.instr)
+                                    instr_type=task.instr,
+                                    inputs=inputs[:n_steps])
     raise RuntimeError(
         f"could not draw a moving episode for task {task.index} "
         f"(scene {task.scene}, env {task.env}) in 64 attempts")

@@ -25,77 +25,60 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adapters import AdapterBase, FlatLayout, Selection
+from .adapters import AdapterBase, FlatLayout, Selection, block_key
 from .config import ExperimentConfig
 from .tasks import SyntheticEpisode, ToyBackbone
-from .tensor_ops import EPS_NORM, row_normalize
+from .tensor_ops import EPS_NORM
 
 
 # ---------------------------------------------------------------------------
 # Individual loss terms
 # ---------------------------------------------------------------------------
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - np.max(logits, axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / np.sum(e, axis=-1, keepdims=True)
-
-
-def action_nll(logits: np.ndarray, targets: np.ndarray) -> float:
-    """Mean negative log-likelihood of the target actions."""
-    logits = np.atleast_2d(logits)
+def softmax_nll(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean negative log-likelihood of the target actions and the softmax
+    probabilities of ``logits``, both from one ``exp``."""
     if len(targets) == 0:
         raise ValueError("empty batch")
-    z = logits - np.max(logits, axis=1, keepdims=True)
-    log_p = z - np.log(np.sum(np.exp(z), axis=1, keepdims=True))
-    return float(-np.mean(log_p[np.arange(len(targets)), targets]))
+    z = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    e = np.exp(z)
+    total = np.add.reduce(e, axis=-1, keepdims=True)
+    log_p = z[np.arange(len(targets)), targets] - np.log(total[:, 0])
+    return float(-(np.add.reduce(log_p) / len(log_p))), e / total
 
 
-def ewc_loss(current: dict[str, np.ndarray], snapshot: dict[str, np.ndarray],
-             fisher: dict[str, np.ndarray], lam1: float,
-             names: tuple[str, ...]) -> float:
+def ewc_loss(weighted: np.ndarray, spans: list[slice], lam1: float) -> float:
+    """``lam1`` times the sum over ``spans`` of ``||weighted[span]||^2``,
+    where ``weighted`` = ``F * (theta - theta')`` over the shared slots and
+    each span holds one shared block."""
     total = 0.0
-    for name in names:
-        weighted = fisher[name] * (current[name] - snapshot[name])
-        total += float(np.sum(weighted * weighted))
+    for span in spans:
+        total += float(np.add.reduce(weighted[span] * weighted[span]))
     return lam1 * total
-
-
-def _gram_error(mat: np.ndarray):
-    """Row norms, the mask of rows with norm >= EPS_NORM, those rows scaled
-    to unit norm, and their Gram matrix minus the identity."""
-    mat = np.atleast_2d(mat)
-    norms = np.linalg.norm(mat, axis=1)
-    keep = norms >= EPS_NORM
-    unit = row_normalize(mat[keep])
-    return norms, keep, unit, unit @ unit.T - np.eye(unit.shape[0])
 
 
 def gram_penalty_and_row_grad(mat: np.ndarray, row: int) -> tuple[float, np.ndarray]:
     """The Gram penalty ||U_hat U_hat^T - I||_F^2 over the rows of ``mat``
     with norm >= EPS_NORM, and its gradient w.r.t. one (unnormalized) row,
     both from one Gram error."""
-    norms, keep, unit, err = _gram_error(mat)
-    loss = float(np.sum(err * err))
+    norms = np.sqrt(np.add.reduce(mat * mat, axis=1))
+    keep = norms >= EPS_NORM
+    unit = mat[keep] / norms[keep, None]   # the kept rows, row-normalized
+    err = unit @ unit.T - np.eye(unit.shape[0])
+    loss = float(np.add.reduce(err * err, axis=None))
     if not keep[row]:
         return loss, np.zeros(unit.shape[1])
-    j = int(np.sum(keep[:row]))  # position of `row` among kept rows
+    j = np.count_nonzero(keep[:row])  # position of `row` among kept rows
     g_unit = 4.0 * (err @ unit)[j]
     v_hat = unit[j]
     return loss, (g_unit - (g_unit @ v_hat) * v_hat) / norms[row]
 
 
-def fisher_ema(prev: dict[str, np.ndarray], new: dict[str, np.ndarray],
-               omega: float) -> dict[str, np.ndarray]:
-    """F = omega * prev + (1 - omega) * new, elementwise per block."""
-    out = {}
-    for name, p in prev.items():
-        n = new[name]
-        if p.shape != n.shape:
-            raise ValueError(f"fisher block {name!r} shape mismatch: "
-                             f"{p.shape} vs {n.shape}")
-        out[name] = omega * p + (1.0 - omega) * n
-    return out
+def fisher_ema(prev: np.ndarray, new: np.ndarray, omega: float) -> np.ndarray:
+    """F = omega * prev + (1 - omega) * new, elementwise."""
+    if prev.shape != new.shape:
+        raise ValueError(f"fisher shape mismatch: {prev.shape} vs {new.shape}")
+    return omega * prev + (1.0 - omega) * new
 
 
 # ---------------------------------------------------------------------------
@@ -103,58 +86,61 @@ def fisher_ema(prev: dict[str, np.ndarray], new: dict[str, np.ndarray],
 # ---------------------------------------------------------------------------
 
 def batch_arrays(episodes: list[SyntheticEpisode]) -> tuple[np.ndarray, np.ndarray]:
-    """Flatten episodes into per-step (inputs, target-action) arrays."""
-    xs = [ep.model_inputs() for ep in episodes]
-    ys = [ep.actions for ep in episodes]
-    return np.vstack(xs), np.concatenate(ys)
+    """Stack episodes into per-step (inputs, target-action) arrays."""
+    return (np.vstack([ep.inputs for ep in episodes]),
+            np.concatenate([ep.actions for ep in episodes]))
 
 
-def _network_pass(backbone: ToyBackbone, adapters: list[AdapterBase],
-                  sel: Selection, x: np.ndarray, y: np.ndarray,
-                  scale: float, mean_reduce: bool):
-    """NLL (optionally mean-reduced) and gradients of ``scale * nll``.
+Kernel = list[tuple[AdapterBase, tuple, dict[str, np.ndarray]]]
 
-    Returns (nll, per-layer dict of block gradients). The backbone itself is
-    frozen; only adapter blocks receive gradients.
-    """
-    n_layers = len(backbone.weights)
-    deltas = [ad.delta(sel) for ad in adapters]
-    acts = [np.atleast_2d(x)]
-    for l in range(n_layers):
-        z = acts[-1] @ (backbone.weights[l] + deltas[l]).T + backbone.biases[l]
-        acts.append(np.tanh(z) if l < n_layers - 1 else z)
-    logits = acts[-1]
+
+def layer_kernels(adapters: list[AdapterBase], sel: Selection,
+                  layout: FlatLayout, grad: np.ndarray) -> Kernel:
+    """Per layer: the adapter, its ``operands(sel)`` and the views of
+    ``grad`` its ``delta_backward`` writes into."""
+    views = layout.views(grad)
+    return [(ad, ad.operands(sel),
+             {name: views[block_key(l, name)] for name in ad.blocks()})
+            for l, ad in enumerate(adapters)]
+
+
+def _network_pass(backbone: ToyBackbone, kernel: Kernel, sel: Selection,
+                  x: np.ndarray, y: np.ndarray, scale: float,
+                  mean_reduce: bool) -> float:
+    """NLL (optionally mean-reduced) of the actions ``y``. The gradient of
+    ``scale * nll`` overwrites the shared blocks and selected expert rows
+    in the gradient views of ``kernel``; the backbone is frozen."""
+    acts, weights = [x], []
+    last = len(kernel) - 1
+    for l, (ad, ops, _) in enumerate(kernel):
+        weights.append(backbone.weights[l] + ad.delta(sel, ops))
+        z = acts[-1] @ weights[l].T + backbone.biases[l]
+        acts.append(np.tanh(z) if l < last else z)
     n = len(y)
-    if n == 0:
-        raise ValueError("empty batch")
-    probs = softmax(logits)
-    nll = action_nll(logits, y)
+    nll, g = softmax_nll(acts[-1], y)
     if not mean_reduce:
         nll *= n
-
-    g = probs.copy()
     g[np.arange(n), y] -= 1.0
     g *= scale / n if mean_reduce else scale
-    grads: list[dict[str, np.ndarray]] = [None] * n_layers
-    for l in range(n_layers - 1, -1, -1):
-        d_w = g.T @ acts[l]
-        grads[l] = adapters[l].delta_backward(sel, d_w)
+    for l in range(last, -1, -1):
+        ad, ops, out = kernel[l]
+        ad.delta_backward(sel, g.T @ acts[l], out=out, ops=ops)
         if l > 0:
-            g = (g @ (backbone.weights[l] + deltas[l])) * (1.0 - acts[l] ** 2)
-    return nll, grads
+            g = (g @ weights[l]) * (1.0 - acts[l] ** 2)
+    return nll
 
 
-def task_loss_and_grads(backbone, adapters, sel, x, y, lam_task):
-    """lambda-scaled mean action NLL and its adapter gradients."""
-    nll, grads = _network_pass(backbone, adapters, sel, x, y,
-                               scale=lam_task, mean_reduce=True)
-    return lam_task * nll, grads
+def task_loss_and_grads(backbone, plan: "StepPlan", x, y, lam_task: float) -> float:
+    """lambda-scaled mean action NLL; its gradient goes to ``plan.grad``."""
+    return lam_task * _network_pass(backbone, plan.kernel, plan.sel, x, y,
+                                    scale=lam_task, mean_reduce=True)
 
 
 def fisher_estimate(backbone, adapters, sel: Selection,
                     episodes: list[SyntheticEpisode],
-                    fraction: float) -> list[dict[str, np.ndarray]]:
-    """Mean squared per-episode log-likelihood gradient for shared blocks.
+                    fraction: float) -> np.ndarray:
+    """Mean squared per-episode log-likelihood gradient over the shared
+    slots of ``FlatLayout.of(adapters)``.
 
     Uses the leading ``fraction`` of the episode list (at least one episode);
     the gradient is of the summed log-likelihood of each episode's action
@@ -165,19 +151,16 @@ def fisher_estimate(backbone, adapters, sel: Selection,
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must be in (0, 1]")
     subset = episodes[:max(1, int(round(fraction * len(episodes))))]
-    fisher = [{name: np.zeros_like(getattr(ad, name)) for name in ad.shared_names}
-              for ad in adapters]
+    layout = FlatLayout.of(adapters)
+    grad = np.zeros(layout.size)
+    kernel = layer_kernels(adapters, sel, layout, grad)
+    fisher = np.zeros(layout.n_shared)
     for ep in subset:
-        x, y = ep.model_inputs(), ep.actions
         # d(log p)/d theta = -d(summed NLL)/d theta
-        _, grads = _network_pass(backbone, adapters, sel, x, y,
-                                 scale=-1.0, mean_reduce=False)
-        for layer, acc in zip(grads, fisher):
-            for name in acc:
-                acc[name] += layer[name] ** 2
-    for acc in fisher:
-        for name in acc:
-            acc[name] /= len(subset)
+        _network_pass(backbone, kernel, sel, ep.inputs, ep.actions,
+                      scale=-1.0, mean_reduce=False)
+        fisher += grad[:layout.n_shared] ** 2
+    fisher /= len(subset)
     return fisher
 
 
@@ -189,8 +172,7 @@ def fisher_estimate(backbone, adapters, sel: Selection,
 class LayerTerms:
     """Where one layer's consolidation terms act in the flat vector."""
 
-    # (live shared blocks, their snapshot, their Fisher weights) for ewc_loss
-    ewc: tuple[dict, dict, dict] | None = None
+    ewc: list[slice] | None = None   # its shared blocks, when EWC is on
     consistency: list[slice] = field(default_factory=list)  # revisited rows
     # (coefficient, live (rows, k) view of the block, current row, row slots)
     orthogonality: list[tuple[float, np.ndarray, int, slice]] = field(
@@ -201,11 +183,12 @@ class LayerTerms:
 class StepPlan:
     """Everything about the training step that stays fixed for one task.
 
-    ``theta`` holds every block of ``adapters`` (the blocks are views of it),
-    and the step's gradient is one vector in the same layout. ``mask`` is
-    1.0 on the slots the task trains. ``snapshot`` is the previous task's
-    parameters, and ``ewc_weight`` = ``(2 lam1 F) F`` covers the leading
-    ``layout.n_shared`` (shared) slots.
+    ``theta`` holds every block of ``adapters`` (the blocks are views of it).
+    ``kernel`` fixes each layer's selected rows and einsum operands and the
+    views of ``grad`` the network pass writes; other experts' rows are never
+    written. ``mask`` is 1.0 on the slots the task trains. ``snapshot`` is
+    the previous task's parameters; ``fisher`` and ``ewc_weight`` =
+    ``(2 lam1 F) F`` cover the leading ``layout.n_shared`` (shared) slots.
     """
 
     adapters: list[AdapterBase]
@@ -215,35 +198,34 @@ class StepPlan:
     cfg: ExperimentConfig
     mask: np.ndarray
     snapshot: np.ndarray | None
+    fisher: np.ndarray | None
     ewc_weight: np.ndarray | None
     layer_terms: list[LayerTerms]
+    grad: np.ndarray
+    kernel: Kernel
 
 
 def build_plan(adapters: list[AdapterBase], sel: Selection,
-               snapshots: list[dict[str, np.ndarray]] | None,
-               fishers: list[dict[str, np.ndarray]] | None,
+               snapshot: np.ndarray | None, fisher: np.ndarray | None,
                flags: dict[str, int], cfg: ExperimentConfig) -> StepPlan:
     """Bind ``adapters`` to one flat vector and fix the task's constants.
 
-    ``flags`` maps expert axis name ('scene', 'env', ...) to 1 when that
-    expert was learned by a previous task. Afterwards every block of
-    ``adapters`` is a view of ``plan.theta``.
+    ``snapshot`` is a vector in ``FlatLayout.of(adapters)`` and ``fisher``
+    one over its shared slots. ``flags`` maps expert axis name ('scene',
+    'env', ...) to 1 when that expert was learned by a previous task.
+    Afterwards every block of ``adapters`` is a view of ``plan.theta``.
     """
     layout = FlatLayout.of(adapters)
     theta = layout.bind(adapters)
-    mask = layout.flatten([ad.trainable_mask(sel) for ad in adapters])
-    snapshot = None if snapshots is None else layout.flatten(snapshots)
-    ewc = snapshots is not None and fishers is not None and cfg.lam1 != 0.0
-    ewc_weight = None
-    if ewc:
-        fisher = layout.flatten(fishers, shared_only=True)
-        ewc_weight = 2.0 * cfg.lam1 * fisher * fisher
+    mask = layout.flatten({block_key(l, name): m for l, ad in enumerate(adapters)
+                           for name, m in ad.trainable_mask(sel).items()})
+    ewc = snapshot is not None and fisher is not None and cfg.lam1 != 0.0
+    grad = np.zeros(layout.size)
     layer_terms = []
     for l, ad in enumerate(adapters):
         terms = LayerTerms()
         if ewc:
-            terms.ewc = ({name: getattr(ad, name) for name in ad.shared_names},
-                         snapshots[l], fishers[l])
+            terms.ewc = [layout.slots[l, name].span for name in ad.shared_names]
         if snapshot is not None and cfg.lam2 != 0.0:
             for name, axis in ad.expert_axes.items():
                 if flags.get(axis, 0):
@@ -261,7 +243,9 @@ def build_plan(adapters: list[AdapterBase], sel: Selection,
                      layout.slots[l, name].row(row)))
         layer_terms.append(terms)
     return StepPlan(adapters, layout, theta, sel, cfg, mask, snapshot,
-                    ewc_weight, layer_terms)
+                    fisher if ewc else None,
+                    2.0 * cfg.lam1 * fisher * fisher if ewc else None,
+                    layer_terms, grad, layer_kernels(adapters, sel, layout, grad))
 
 
 # ---------------------------------------------------------------------------
@@ -278,41 +262,44 @@ def regularizer_terms(plan: StepPlan) -> tuple[dict[str, float], np.ndarray]:
     """
     theta, lam1, lam2 = plan.theta, plan.cfg.lam1, plan.cfg.lam2
     grad = np.zeros_like(theta)
-    totals = {"ewc": 0.0, "consistency": 0.0, "orthogonality": 0.0}
+    ewc = consistency = orthogonality = 0.0
     if plan.ewc_weight is not None:
         n = plan.layout.n_shared
-        grad[:n] += plan.ewc_weight * (theta[:n] - plan.snapshot[:n])
+        diff = theta[:n] - plan.snapshot[:n]
+        grad[:n] += plan.ewc_weight * diff
+        weighted = plan.fisher * diff
     for terms in plan.layer_terms:
-        losses = {"ewc": 0.0, "consistency": 0.0, "orthogonality": 0.0}
+        layer_ewc = layer_consistency = layer_orthogonality = 0.0
         if terms.ewc is not None:
-            current, snapshot, fisher = terms.ewc
-            losses["ewc"] = ewc_loss(current, snapshot, fisher, lam1,
-                                     tuple(current))
+            layer_ewc = ewc_loss(weighted, terms.ewc, lam1)
         for slots in terms.consistency:
             diff = theta[slots] - plan.snapshot[slots]
-            losses["consistency"] += lam2 * float(np.sum(diff * diff))
+            layer_consistency += lam2 * float(np.add.reduce(diff * diff))
             grad[slots] += 2.0 * lam2 * diff
         for coeff, mat, row, slots in terms.orthogonality:
             loss, row_grad = gram_penalty_and_row_grad(mat, row)
-            losses["orthogonality"] += coeff * loss
+            layer_orthogonality += coeff * loss
             grad[slots] += coeff * row_grad
-        for k in totals:
-            totals[k] += losses[k]
-    return totals, grad
+        ewc += layer_ewc
+        consistency += layer_consistency
+        orthogonality += layer_orthogonality
+    return ({"ewc": ewc, "consistency": consistency,
+             "orthogonality": orthogonality}, grad)
 
 
 def total_loss_and_grads(backbone, plan: StepPlan, x, y):
     """Full training objective for one minibatch across all layers.
 
-    Returns (terms dict, masked gradient over ``plan.theta``).
+    Returns (terms dict, gradient over ``plan.theta``, a new vector that is
+    zero on the slots the task does not train).
     """
     plan.layout.check_bound(plan.adapters, plan.theta)
-    task, net_grads = task_loss_and_grads(backbone, plan.adapters, plan.sel,
-                                          x, y, plan.cfg.lam_task)
-    reg_losses, reg_grad = regularizer_terms(plan)
+    task = task_loss_and_grads(backbone, plan, x, y, plan.cfg.lam_task)
+    reg_losses, grad = regularizer_terms(plan)
     terms = {"task": task, **reg_losses}
     terms["total"] = sum(terms.values())
-    return terms, (plan.layout.flatten(net_grads) + reg_grad) * plan.mask
+    # the network gradient plus the regularizer's, added slot by slot
+    return terms, np.add(plan.grad, grad, out=grad)
 
 
 # ---------------------------------------------------------------------------
@@ -321,35 +308,37 @@ def total_loss_and_grads(backbone, plan: StepPlan, x, y):
 
 @dataclass
 class AdamState:
-    """Bias-corrected first/second moment accumulators, keyed like the params."""
+    """Bias-corrected first/second moment vectors, laid out like the
+    parameter vector (allocated by the first step)."""
 
     lr: float = 1e-4
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
 
-def adam_step(state: AdamState, params: dict[str, np.ndarray],
-              grads: dict[str, np.ndarray]) -> None:
-    """One in-place Adam update across all parameter arrays."""
+def adam_step(state: AdamState, theta: np.ndarray, grad: np.ndarray) -> None:
+    """One in-place Adam update of the parameter vector ``theta``."""
+    if theta.shape != grad.shape:
+        raise ValueError(f"param/grad shape mismatch: {theta.shape} vs "
+                         f"{grad.shape}")
     state.step += 1
     t = state.step
-    for key, g in grads.items():
-        p = params[key]
-        if p.shape != g.shape:
-            raise ValueError(f"param/grad shape mismatch for {key!r}: "
-                             f"{p.shape} vs {g.shape}")
-        if key not in state.m:
-            state.m[key] = np.zeros_like(p)
-            state.v[key] = np.zeros_like(p)
-        state.m[key] = state.beta1 * state.m[key] + (1 - state.beta1) * g
-        state.v[key] = state.beta2 * state.v[key] + (1 - state.beta2) * g * g
-        m_hat = state.m[key] / (1 - state.beta1 ** t)
-        v_hat = state.v[key] / (1 - state.beta2 ** t)
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    if state.m is None:
+        state.m, state.v = np.zeros_like(theta), np.zeros_like(theta)
+    # theta -= lr m_hat / (sqrt(v_hat) + eps), in place and in this order
+    m, v = state.m, state.v
+    m *= state.beta1
+    m += (1 - state.beta1) * grad
+    v *= state.beta2
+    v += (1 - state.beta2) * grad * grad
+    update = m / (1 - state.beta1 ** t)
+    update *= state.lr
+    update /= np.sqrt(v / (1 - state.beta2 ** t)) + state.eps
+    theta -= update
 
 
 # ---------------------------------------------------------------------------

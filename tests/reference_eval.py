@@ -71,7 +71,7 @@ def reference_deltas(state, scene, env, instr):
 
 
 def reference_policy_actions(backbone, deltas, episode):
-    logits = forward_logits(backbone, deltas, episode.model_inputs())
+    logits = forward_logits(backbone, deltas, episode.inputs)
     actions = np.argmax(logits, axis=1)
     stops = np.flatnonzero(actions == STOP)
     if stops.size:

@@ -1,17 +1,106 @@
 """The per-block training objective and Adam that the flat step replaced.
 
 Kept only as the reference ``test_training.py`` compares the flat step with:
-gradients are per-layer dicts of block arrays, every constant is rebuilt on
-each call, the Gram penalty and its row gradient each compute the Gram
-error, and Adam keeps one moment array per ``L{l}:{name}`` key.
+gradients are per-layer dicts of block arrays that ``delta_backward``
+returns, every constant is rebuilt on each call, softmax and NLL each take
+their own ``exp``, EWC walks the blocks of each layer, the Gram penalty and
+its row gradient each compute the Gram error, and Adam keeps one moment
+array per ``L{l}:{name}`` key.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from tucker_adapters.adapters import FlatLayout, block_key
 from tucker_adapters.tensor_ops import EPS_NORM, row_normalize
-from tucker_adapters.training import ewc_loss, task_loss_and_grads
+
+
+def flat_state(adapters, snapshots, fishers):
+    """Per-layer snapshot and Fisher dicts as the vectors ``build_plan``
+    takes, in the layout of ``adapters``; None stays None."""
+    layout = FlatLayout.of(adapters)
+
+    def packed(layers):
+        return {block_key(l, name): arr for l, layer in enumerate(layers)
+                for name, arr in layer.items()}
+
+    return (None if snapshots is None else layout.flatten(packed(snapshots)),
+            None if fishers is None
+            else layout.flatten(packed(fishers), shared_only=True))
+
+
+def softmax(logits):
+    z = logits - np.max(logits, axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def action_nll(logits, targets):
+    """Mean negative log-likelihood of the target actions."""
+    logits = np.atleast_2d(logits)
+    if len(targets) == 0:
+        raise ValueError("empty batch")
+    z = logits - np.max(logits, axis=1, keepdims=True)
+    log_p = z - np.log(np.sum(np.exp(z), axis=1, keepdims=True))
+    return float(-np.mean(log_p[np.arange(len(targets)), targets]))
+
+
+def ewc_loss(current, snapshot, fisher, lam1, names):
+    total = 0.0
+    for name in names:
+        weighted = fisher[name] * (current[name] - snapshot[name])
+        total += float(np.sum(weighted * weighted))
+    return lam1 * total
+
+
+def network_pass(backbone, adapters, sel, x, y, scale, mean_reduce):
+    """NLL (optionally mean-reduced) and per-layer dicts of the gradients
+    of ``scale * nll``."""
+    n_layers = len(backbone.weights)
+    deltas = [ad.delta(sel) for ad in adapters]
+    acts = [np.atleast_2d(x)]
+    for l in range(n_layers):
+        z = acts[-1] @ (backbone.weights[l] + deltas[l]).T + backbone.biases[l]
+        acts.append(np.tanh(z) if l < n_layers - 1 else z)
+    logits = acts[-1]
+    n = len(y)
+    probs = softmax(logits)
+    nll = action_nll(logits, y)
+    if not mean_reduce:
+        nll *= n
+    g = probs.copy()
+    g[np.arange(n), y] -= 1.0
+    g *= scale / n if mean_reduce else scale
+    grads = [None] * n_layers
+    for l in range(n_layers - 1, -1, -1):
+        grads[l] = adapters[l].delta_backward(sel, g.T @ acts[l])
+        if l > 0:
+            g = (g @ (backbone.weights[l] + deltas[l])) * (1.0 - acts[l] ** 2)
+    return nll, grads
+
+
+def task_loss_and_grads(backbone, adapters, sel, x, y, lam_task):
+    nll, grads = network_pass(backbone, adapters, sel, x, y,
+                              scale=lam_task, mean_reduce=True)
+    return lam_task * nll, grads
+
+
+def fisher_estimate(backbone, adapters, sel, episodes):
+    """Per-layer dicts of the mean squared per-episode log-likelihood
+    gradient of the shared blocks, over every episode."""
+    fisher = [{name: np.zeros_like(getattr(ad, name)) for name in ad.shared_names}
+              for ad in adapters]
+    for ep in episodes:
+        _, grads = network_pass(backbone, adapters, sel, ep.inputs, ep.actions,
+                                scale=-1.0, mean_reduce=False)
+        for layer, acc in zip(grads, fisher):
+            for name in acc:
+                acc[name] += layer[name] ** 2
+    for acc in fisher:
+        for name in acc:
+            acc[name] /= len(episodes)
+    return fisher
 
 
 def gram_penalty(mat):

@@ -14,11 +14,13 @@ import pytest
 
 from tucker_adapters.adapters import (
     AbcLoraAdapter,
+    FlatLayout,
     LoraAdapter,
     Selection,
     SharedAMoeAdapter,
     TaskLoraAdapter,
     TuckerAdapter,
+    block_key,
 )
 from tucker_adapters.config import ExperimentConfig
 from tucker_adapters.degrade import (
@@ -170,7 +172,12 @@ def _consolidation_losses(rng, u3, u4, shift3, shift4, seen):
     snapshot["env_experts"][0] += shift4
     fisher = {k: rng.uniform(0.5, 2.0, size=snapshot[k].shape)
               for k in ad.shared_names}
-    plan = build_plan([ad], Selection(scene=0, env=0), [snapshot], [fisher],
+    layout = FlatLayout.of([ad])
+    plan = build_plan([ad], Selection(scene=0, env=0),
+                      layout.flatten({block_key(0, k): v
+                                      for k, v in snapshot.items()}),
+                      layout.flatten({block_key(0, k): v for k, v in fisher.items()},
+                                     shared_only=True),
                       {"scene": seen, "env": seen},
                       ExperimentConfig(lam1=0.2, lam2=0.2, lam3=0.1))
     return regularizer_terms(plan)[0]

@@ -1,0 +1,49 @@
+"""The committed benchmark trail: each ``BENCH_*.json`` at the repository
+root holds parent and change results of ``bench/run.py`` for one change.
+
+Every file must parse, name only the workloads and metrics ``BENCHMARK.json``
+defines, and give each side of each end-to-end metric a median and
+quartiles, so that a speed claim can be read back from the file alone.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = {w["name"] for w in SPEC["workloads"]}
+END_TO_END = {m["name"]: m for m in SPEC["end_to_end"]}
+PER_LAYER = {m["name"] for m in SPEC["per_layer"]}
+SIDES = ("parent", "change")
+TRAIL = sorted(ROOT.glob("BENCH_*.json"))
+
+
+def test_the_trail_has_a_file():
+    assert TRAIL
+
+
+@pytest.mark.parametrize("path", TRAIL, ids=lambda p: p.name)
+def test_bench_file_holds_benchmark_workloads_and_metrics(path):
+    bench = json.loads(path.read_text())
+    assert bench["environment"]
+    assert bench["workloads"] and set(bench["workloads"]) <= WORKLOADS
+    for name, workload in bench["workloads"].items():
+        pairs = workload["pairs"]
+        assert pairs >= 1, name
+        assert workload["metrics"] and set(workload["metrics"]) <= set(END_TO_END)
+        for metric, entry in workload["metrics"].items():
+            spec = END_TO_END[metric]
+            assert (entry["unit"], entry["better"]) == (spec["unit"], spec["better"])
+            assert 0 <= entry["wins"] <= pairs, (name, metric)
+            for side in SIDES:
+                stats = entry[side]
+                assert len(stats["runs"]) == pairs, (name, metric, side)
+                assert stats["q1"] <= stats["median"] <= stats["q3"], (name, metric)
+        for side in SIDES:
+            assert workload["failed_ops"][side] >= 0
+            assert workload["digests"][side], (name, side)
+        for layer, values in workload.get("layers", {}).items():
+            assert layer in PER_LAYER, layer
+            assert set(values) == set(SIDES)

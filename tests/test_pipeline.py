@@ -2,12 +2,16 @@
 expert isolation, and consolidation orderings."""
 
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tucker_adapters import pipeline
-from tucker_adapters.adapters import LoraAdapter
+from tucker_adapters.adapters import AdapterBase, LoraAdapter
 from tucker_adapters.config import ExperimentConfig
 from tucker_adapters.metrics import EpisodeRecord
 from tucker_adapters.pipeline import (
@@ -111,6 +115,97 @@ def test_resume_after_failure_past_the_log_write(tmp_path, monkeypatch):
     assert not list((tmp_path / "part").glob("*.tmp"))
 
 
+class Crash(Exception):
+    pass
+
+
+def crash_config():
+    return tiny_config(epochs=1, train_episodes=4, test_episodes=2)
+
+
+def count_writes(mp, crash_at=0):
+    """Count every filesystem write of a run: ``np.savez``,
+    ``Path.write_text``, the training-log append and ``os.replace``. The
+    ``crash_at``-th write raises Crash; a ``write_text`` writes half its
+    text first, as a write cut off partway would."""
+    count = [0]
+
+    def due():
+        count[0] += 1
+        return count[0] == crash_at
+
+    savez, write_text, replace, open_ = np.savez, Path.write_text, os.replace, Path.open
+
+    def faulty_savez(*args, **kwargs):
+        if due():
+            raise Crash("np.savez")
+        savez(*args, **kwargs)
+
+    def faulty_write_text(path, data, *args, **kwargs):
+        if due():
+            write_text(path, data[:len(data) // 2], *args, **kwargs)
+            raise Crash(f"write_text {path.name}")
+        return write_text(path, data, *args, **kwargs)
+
+    def faulty_replace(*args, **kwargs):
+        if due():
+            raise Crash("os.replace")
+        replace(*args, **kwargs)
+
+    def faulty_open(path, mode="r", *args, **kwargs):
+        if "a" in mode and due():
+            raise Crash(f"append to {path.name}")
+        return open_(path, mode, *args, **kwargs)
+
+    mp.setattr(np, "savez", faulty_savez)
+    mp.setattr(Path, "write_text", faulty_write_text)
+    mp.setattr(os, "replace", faulty_replace)
+    mp.setattr(Path, "open", faulty_open)
+    return count
+
+
+def run_dir_contents(run_dir):
+    """Every array of every task checkpoint, the reference and manifest
+    files, and the training log less its wall times."""
+    out = {}
+    for path in sorted(run_dir.glob("task_*/*.npz")):
+        with np.load(path) as data:
+            out[path.relative_to(run_dir).as_posix()] = {
+                key: (data[key].dtype.str, data[key].shape, data[key].tobytes())
+                for key in data.files}
+    for name in ("reference.json", "manifest.json"):
+        out[name] = (run_dir / name).read_text()
+    out["log"] = [{k: v for k, v in json.loads(line).items() if k != "wall_time"}
+                  for line in (run_dir / "train_log.jsonl").read_text().splitlines()]
+    return out
+
+
+@pytest.fixture(scope="module")
+def uninterrupted(tmp_path_factory):
+    """The contents of an uninterrupted crash_config run and its write count."""
+    run_dir = tmp_path_factory.mktemp("uninterrupted")
+    with pytest.MonkeyPatch.context() as mp:
+        count = count_writes(mp)
+        run_training(crash_config(), run_dir)
+    return run_dir_contents(run_dir), count[0]
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_crash_at_any_write_resumes_to_the_uninterrupted_run(
+        uninterrupted, tmp_path_factory, data):
+    contents, n_writes = uninterrupted
+    crash_at = data.draw(st.integers(1, n_writes), label="crash_at")
+    run_dir = tmp_path_factory.mktemp("crashed")
+    with pytest.MonkeyPatch.context() as mp:
+        count_writes(mp, crash_at)
+        with pytest.raises(Crash):
+            run_training(crash_config(), run_dir)
+    run_training(crash_config(), run_dir)
+    assert run_dir_contents(run_dir) == contents
+    assert not list(run_dir.rglob("*.tmp"))
+
+
 def test_run_dir_rejects_other_config(tmp_path):
     run_training(tiny_config(), tmp_path / "r")
     with pytest.raises(ValueError, match="different config"):
@@ -133,6 +228,18 @@ def test_foreign_config_cannot_resume_an_unfinished_run(tmp_path, monkeypatch):
         run_training(tiny_config(lr=1e-3), tmp_path / "r")
 
 
+def test_checkpoints_without_a_manifest_are_refused(tmp_path):
+    run_dir = tmp_path / "r"
+    run_training(tiny_config(n_tasks=2), run_dir)
+    (run_dir / "manifest.json").unlink()
+    before = checkpoint_bytes(run_dir, 1)
+    with pytest.raises(ValueError, match="no manifest.json") as raised:
+        run_training(tiny_config(n_tasks=2, lam1=0.0), run_dir)
+    assert str(run_dir) in str(raised.value)
+    assert not (run_dir / "manifest.json").exists()
+    assert checkpoint_bytes(run_dir, 1) == before
+
+
 def test_run_directory_holds_only_what_is_read(tmp_path):
     run_training(tiny_config(), tmp_path / "r")
     checkpoint = ("adapter_L0.npz", "adapter_L1.npz", "fisher.npz",
@@ -143,6 +250,26 @@ def test_run_directory_holds_only_what_is_read(tmp_path):
                      "reference.json"} | {f"task_{t:03d}/{name}"
                                           for t in range(3) for name in checkpoint}
     assert not list((tmp_path / "r").rglob("*.tmp"))
+
+
+@pytest.mark.parametrize("kind", ["tucker4", "lora_per_task"])
+def test_fisher_and_snapshot_files_are_per_block(tmp_path, kind):
+    """fisher.npz and snapshot.npz hold one array per block under its
+    ``L{l}:{name}`` key, layer by layer; the snapshot is the trained adapters."""
+    run_training(tiny_config(adapter_kind=kind, n_tasks=2, epochs=1), tmp_path / "r")
+    last = task_dir(tmp_path / "r", 1)
+    adapters = [AdapterBase.load(last / f"adapter_L{l}.npz") for l in range(2)]
+    with np.load(last / "snapshot.npz") as data:
+        snapshot = {k: data[k] for k in data.files}
+    with np.load(last / "fisher.npz") as data:
+        fisher = {k: data[k] for k in data.files}
+    blocks = {f"L{l}:{name}": arr for l, ad in enumerate(adapters)
+              for name, arr in ad.blocks().items()}
+    assert list(snapshot) == list(blocks)
+    assert all(snapshot[k].tobytes() == blocks[k].tobytes() for k in blocks)
+    assert list(fisher) == [f"L{l}:{name}" for l, ad in enumerate(adapters)
+                            for name in ad.shared_names]
+    assert all(fisher[k].shape == blocks[k].shape for k in fisher)
 
 
 def test_divergence_stops_before_the_task_is_sealed(tmp_path):
@@ -416,7 +543,7 @@ def test_regularizers_reduce_first_task_drift():
     re-evaluation loss after the second task is lower."""
     from tucker_adapters.adapters import Selection
     from tucker_adapters.tasks import forward_logits
-    from tucker_adapters.training import action_nll, batch_arrays
+    from tucker_adapters.training import batch_arrays, softmax_nll
 
     results = {}
     for tag, lams in (("on", (0.2, 0.2, 0.1)), ("off", (0.0, 0.0, 0.0))):
@@ -432,5 +559,5 @@ def test_regularizers_reduce_first_task_drift():
         x, y = batch_arrays(eps)
         sel = Selection(scene=first.scene, env=first.env, task=0)
         deltas = [ad.delta(sel) for ad in state.adapters]
-        results[tag] = action_nll(forward_logits(world.backbone, deltas, x), y)
+        results[tag] = softmax_nll(forward_logits(world.backbone, deltas, x), y)[0]
     assert results["on"] < results["off"]

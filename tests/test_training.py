@@ -9,13 +9,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_objective import (
     ReferenceAdam,
+    flat_state,
     gram_penalty_row_grad,
     reference_step,
 )
+from reference_objective import fisher_estimate as reference_fisher_estimate
 from reference_objective import gram_penalty as reference_gram_penalty
 from scipy.special import log_softmax
 
-from tucker_adapters.adapters import ADAPTER_KINDS, Selection, TuckerAdapter, block_key
+from tucker_adapters.adapters import (
+    ADAPTER_KINDS,
+    FlatLayout,
+    Selection,
+    TuckerAdapter,
+    block_key,
+)
 from tucker_adapters.config import ExperimentConfig
 from tucker_adapters.tasks import (
     SyntheticEpisode,
@@ -27,7 +35,6 @@ from tucker_adapters.tasks import (
 )
 from tucker_adapters.training import (
     AdamState,
-    action_nll,
     adam_step,
     batch_arrays,
     build_plan,
@@ -37,6 +44,7 @@ from tucker_adapters.training import (
     fisher_estimate,
     gram_penalty_and_row_grad,
     regularizer_terms,
+    softmax_nll,
     task_loss_and_grads,
     total_loss_and_grads,
 )
@@ -48,25 +56,27 @@ HYPER = ExperimentConfig()
 # Loss-term arithmetic
 # ---------------------------------------------------------------------------
 
+def flat_ewc(theta, snapshot, fisher, lam1, spans=(slice(None),)):
+    """ewc_loss of vectors, from the weighted displacement F * (theta - theta')."""
+    weighted = np.asarray(fisher) * (np.asarray(theta) - np.asarray(snapshot))
+    return ewc_loss(weighted, list(spans), lam1)
+
+
 def test_ewc_zero_at_snapshot():
-    theta = {"core": np.array([1.0, -2.0])}
-    fisher = {"core": np.array([3.0, 4.0])}
-    assert ewc_loss(theta, {"core": theta["core"].copy()}, fisher, 0.2,
-                    ("core",)) == 0.0
+    theta = np.array([1.0, -2.0])
+    assert flat_ewc(theta, theta.copy(), [3.0, 4.0], 0.2) == 0.0
 
 
 def test_ewc_zero_fisher():
-    cur = {"core": np.array([5.0])}
-    snap = {"core": np.array([1.0])}
-    assert ewc_loss(cur, snap, {"core": np.zeros(1)}, 0.2, ("core",)) == 0.0
+    assert flat_ewc([5.0], [1.0], np.zeros(1), 0.2) == 0.0
 
 
 def test_ewc_scalar_case():
     # F=2, displacement=3, lam1=0.2 -> 0.2 * (2*3)^2 = 7.2
-    cur = {"w": np.array([4.0])}
-    snap = {"w": np.array([1.0])}
-    fisher = {"w": np.array([2.0])}
-    assert ewc_loss(cur, snap, fisher, 0.2, ("w",)) == pytest.approx(7.2)
+    assert flat_ewc([4.0], [1.0], [2.0], 0.2) == pytest.approx(7.2)
+    # one block per span: the second block adds 0.2 * (1*1)^2
+    assert flat_ewc([4.0, 2.0], [1.0, 1.0], [2.0, 1.0], 0.2,
+                    (slice(0, 1), slice(1, 2))) == pytest.approx(7.4)
 
 
 def expert_terms(u3, u4, u3_prev, u4_prev, alpha, beta, lam2=0.0, lam3=0.0):
@@ -80,8 +90,9 @@ def expert_terms(u3, u4, u3_prev, u4_prev, alpha, beta, lam2=0.0, lam3=0.0):
     snapshot = {k: v.copy() for k, v in ad.blocks().items()}
     snapshot["scene_experts"][0] = u3_prev
     snapshot["env_experts"][0] = u4_prev
-    plan = build_plan([ad], Selection(scene=0, env=0), [snapshot], None,
-                      {"scene": alpha, "env": beta},
+    plan = build_plan([ad], Selection(scene=0, env=0),
+                      flat_state([ad], [snapshot], None)[0],
+                      None, {"scene": alpha, "env": beta},
                       ExperimentConfig(lam1=0.0, lam2=lam2, lam3=lam3))
     return regularizer_terms(plan)[0]
 
@@ -148,13 +159,14 @@ def test_fused_gram_penalty_equals_separate_passes(rows, cols, zero_rows, row, s
 def test_task_loss_uniform_logits():
     # uniform logits over 4 actions -> lam * ln 4 per action
     x = np.zeros((3, 4))
-    nll = action_nll(x, np.array([0, 1, 3]))
+    nll, probs = softmax_nll(x, np.array([0, 1, 3]))
     assert nll == pytest.approx(math.log(4.0))
+    assert np.array_equal(probs, np.full((3, 4), 0.25))
 
 
 def test_task_loss_confident_prediction():
     logits = np.array([[50.0, 0.0, 0.0, 0.0]])
-    assert action_nll(logits, np.array([0])) == pytest.approx(0.0, abs=1e-12)
+    assert softmax_nll(logits, np.array([0]))[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_task_loss_matches_log_softmax_oracle():
@@ -162,22 +174,24 @@ def test_task_loss_matches_log_softmax_oracle():
     logits = rng.standard_normal((10, 4))
     y = rng.integers(0, 4, size=10)
     ref = -np.mean(log_softmax(logits, axis=1)[np.arange(10), y])
-    assert action_nll(logits, y) == pytest.approx(float(ref), rel=1e-12)
+    nll, probs = softmax_nll(logits, y)
+    assert nll == pytest.approx(float(ref), rel=1e-12)
+    np.testing.assert_allclose(probs, np.exp(log_softmax(logits, axis=1)),
+                               rtol=1e-12)
 
 
 def test_task_loss_empty_batch():
     with pytest.raises(ValueError, match="empty"):
-        action_nll(np.zeros((0, 4)), np.zeros(0, dtype=int))
+        softmax_nll(np.zeros((0, 4)), np.zeros(0, dtype=int))
 
 
 def test_fisher_ema_boundaries_and_arithmetic():
-    prev = {"w": np.array([2.0])}
-    new = {"w": np.array([4.0])}
-    assert fisher_ema(prev, new, 1.0)["w"][0] == 2.0
-    assert fisher_ema(prev, new, 0.0)["w"][0] == 4.0
-    assert fisher_ema(prev, new, 0.95)["w"][0] == pytest.approx(2.1)
+    prev, new = np.array([2.0]), np.array([4.0])
+    assert fisher_ema(prev, new, 1.0)[0] == 2.0
+    assert fisher_ema(prev, new, 0.0)[0] == 4.0
+    assert fisher_ema(prev, new, 0.95)[0] == pytest.approx(2.1)
     with pytest.raises(ValueError, match="shape"):
-        fisher_ema(prev, {"w": np.zeros(3)}, 0.5)
+        fisher_ema(prev, np.zeros(3), 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +215,8 @@ def test_fisher_zero_when_delta_inert():
     eps = gen_task_data(world, TaskDescriptor(index=0, scene=0, env=0), 4)
     fisher = fisher_estimate(world.backbone, [ad, ad2],
                              Selection(scene=0, env=0), eps, 1.0)
-    for layer in fisher:
-        for arr in layer.values():
-            assert np.array_equal(arr, np.zeros_like(arr))
+    assert fisher.size == FlatLayout.of([ad, ad2]).n_shared
+    assert np.array_equal(fisher, np.zeros_like(fisher))
 
 
 def test_fisher_mean_invariant_under_duplication():
@@ -215,9 +228,7 @@ def test_fisher_mean_invariant_under_duplication():
     sel = Selection(scene=1, env=1)
     f1 = fisher_estimate(world.backbone, ads, sel, eps, 1.0)
     f2 = fisher_estimate(world.backbone, ads, sel, eps + eps, 1.0)
-    for a, b in zip(f1, f2):
-        for name in a:
-            np.testing.assert_allclose(a[name], b[name], atol=1e-12)
+    np.testing.assert_allclose(f1, f2, atol=1e-12)
 
 
 def test_fisher_nonnegative_and_ema_preserves_it():
@@ -227,11 +238,8 @@ def test_fisher_nonnegative_and_ema_preserves_it():
            TuckerAdapter.init(4, 5, (2, 2, 2, 2), 3, 2, rng)]
     eps = gen_task_data(world, TaskDescriptor(index=0, scene=2, env=0), 6)
     f = fisher_estimate(world.backbone, ads, Selection(scene=2, env=0), eps, 0.5)
-    for layer in f:
-        for arr in layer.values():
-            assert np.all(arr >= 0.0)
-        mixed = fisher_ema(layer, {k: v + 1.0 for k, v in layer.items()}, 0.3)
-        assert all(np.all(v >= 0.0) for v in mixed.values())
+    assert np.all(f >= 0.0)
+    assert np.all(fisher_ema(f, f + 1.0, 0.3) >= 0.0)
 
 
 def test_fisher_single_sample_matches_hand_logistic():
@@ -251,7 +259,8 @@ def test_fisher_single_sample_matches_hand_logistic():
     fisher = fisher_estimate(backbone, [ad], Selection(scene=0, env=0), [ep], 1.0)
     p0 = math.exp(g * x0) / (math.exp(g * x0) + 3.0)
     expected = (x0 * (1.0 - p0)) ** 2
-    assert fisher[0]["core"][0, 0, 0, 0] == pytest.approx(expected, rel=1e-12)
+    core = FlatLayout.of([ad]).views(fisher)["L0:core"]
+    assert core[0, 0, 0, 0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_fisher_empty_data_error():
@@ -267,31 +276,31 @@ def test_fisher_empty_data_error():
 
 def test_adam_zero_gradient_no_change():
     state = AdamState(lr=1e-3)
-    params = {"w": np.array([1.0, 2.0])}
-    adam_step(state, params, {"w": np.zeros(2)})
-    assert np.array_equal(params["w"], [1.0, 2.0])
+    theta = np.array([1.0, 2.0])
+    adam_step(state, theta, np.zeros(2))
+    assert np.array_equal(theta, [1.0, 2.0])
 
 
 def test_adam_first_step_magnitude():
     state = AdamState(lr=1e-4)
-    params = {"w": np.array([0.0])}
-    adam_step(state, params, {"w": np.array([1.0])})
-    assert params["w"][0] == pytest.approx(-1e-4, rel=1e-6)
+    theta = np.array([0.0])
+    adam_step(state, theta, np.array([1.0]))
+    assert theta[0] == pytest.approx(-1e-4, rel=1e-6)
 
 
 def test_adam_constant_gradient_limit():
     state = AdamState(lr=1e-3)
-    params = {"w": np.array([0.0])}
+    theta = np.array([0.0])
     prev = 0.0
     for _ in range(500):
-        adam_step(state, params, {"w": np.array([3.0])})
-        step, prev = params["w"][0] - prev, params["w"][0]
+        adam_step(state, theta, np.array([3.0]))
+        step, prev = theta[0] - prev, theta[0]
     assert step == pytest.approx(-1e-3, rel=1e-3)
 
 
 def test_adam_shape_mismatch():
     with pytest.raises(ValueError, match="shape"):
-        adam_step(AdamState(), {"w": np.zeros(2)}, {"w": np.zeros(3)})
+        adam_step(AdamState(), np.zeros(2), np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +345,8 @@ def check_plan(kind="tucker4", hyper=HYPER, first_task=False):
     world, adapters, sel, x, y, snaps, fishers, flags = build_check_setup(kind)
     if first_task:
         snaps, flags = None, {}
-    plan = build_plan(adapters, sel, snaps, fishers, flags, hyper)
+    plan = build_plan(adapters, sel, *flat_state(adapters, snaps, fishers),
+                      flags, hyper)
     return world, plan, x, y
 
 
@@ -376,16 +386,15 @@ def test_total_loss_pure_task_when_lambdas_zero():
     world, plan, x, y = check_plan(hyper=ExperimentConfig(lam1=0.0, lam2=0.0, lam3=0.0))
     terms, _ = total_loss_and_grads(world.backbone, plan, x, y)
     assert terms["total"] == pytest.approx(terms["task"])
-    task_only, _ = task_loss_and_grads(world.backbone, plan.adapters, plan.sel,
-                                       x, y, 1.0)
+    task_only = task_loss_and_grads(world.backbone, plan, x, y, 1.0)
     assert terms["task"] == pytest.approx(task_only)
 
 
 def test_ewc_gradient_zero_at_snapshot():
     world, adapters, sel, x, y, _, fishers, flags = build_check_setup()
     snaps = [{k: v.copy() for k, v in ad.blocks().items()} for ad in adapters]
-    plan = build_plan(adapters, sel, snaps, fishers, flags,
-                      ExperimentConfig(lam2=0.0, lam3=0.0))
+    plan = build_plan(adapters, sel, *flat_state(adapters, snaps, fishers),
+                      flags, ExperimentConfig(lam2=0.0, lam3=0.0))
     losses, grad = regularizer_terms(plan)
     assert losses["ewc"] == 0.0
     views = plan.layout.views(grad)
@@ -412,7 +421,7 @@ def test_masked_params_unchanged_by_adam():
     before = {k: v.copy() for k, v in ad.blocks().items()}
     _, grad = total_loss_and_grads(world.backbone, plan, x, y)
     state = AdamState(lr=1e-2)
-    adam_step(state, {"theta": plan.theta}, {"theta": grad})
+    adam_step(state, plan.theta, grad)
     for name in ad.expert_axes:
         idx = ad.expert_index(name, plan.sel)
         after = ad.blocks()[name]
@@ -450,14 +459,66 @@ def test_flat_steps_equal_per_block_reference(kind, scene, env, instr, task,
     if first_task:   # the trainer's first task: Fisher but no snapshot yet
         snaps, flags = None, {axis: 0 for axis in flags}
     ref_opt = ReferenceAdam(lr=3e-3)
-    plan = build_plan(adapters, sel, snaps, fishers, flags, hyper)
+    plan = build_plan(adapters, sel, *flat_state(adapters, snaps, fishers),
+                      flags, hyper)
     opt = AdamState(lr=3e-3)
     for _ in range(3):
         ref_terms = reference_step(ref_opt, world.backbone, ref_adapters, sel,
                                    x, y, snaps, fishers, flags, hyper)
         terms, grad = total_loss_and_grads(world.backbone, plan, x, y)
-        adam_step(opt, {"theta": plan.theta}, {"theta": grad})
+        adam_step(opt, plan.theta, grad)
         assert terms == ref_terms
         for ref, ad in zip(ref_adapters, adapters):
             for name, arr in ref.blocks().items():
                 assert getattr(ad, name).tobytes() == arr.tobytes(), name
+
+
+# ---------------------------------------------------------------------------
+# The in-place gradient and the flat Fisher equal their per-block forms
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=60)
+@given(kind=st.sampled_from(sorted(ADAPTER_KINDS)), layer=st.integers(0, 1),
+       scene=st.integers(0, 2), env=st.integers(0, 1), instr=st.integers(0, 1),
+       task=st.integers(0, 3), with_ops=st.booleans(), seed=st.integers(0, 2**16))
+def test_in_place_delta_backward_equals_dict_form(kind, layer, scene, env, instr,
+                                                  task, with_ops, seed):
+    """``delta_backward(out=...)`` writes the shared blocks and the selected
+    rows bitwise as the dict form returns them, and leaves every other row
+    of ``out`` as it was."""
+    _, adapters, *_ = build_check_setup(kind)
+    ad = adapters[layer]
+    sel = Selection(scene=scene, env=env, instr=instr, task=task)
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal(ad.delta(sel).shape)
+    expected = ad.delta_backward(sel, g)
+
+    layout = FlatLayout.of([ad])
+    vector = rng.standard_normal(layout.size)
+    before = vector.copy()
+    views, old = layout.views(vector), layout.views(before)
+    out = {name: views[block_key(0, name)] for name in ad.blocks()}
+    ops = ad.operands(sel) if with_ops else None
+    if with_ops:
+        ad.delta(sel, ops)   # the forward pass the step runs first
+    assert ad.delta_backward(sel, g, out=out, ops=ops) is out
+    for name, grad in expected.items():
+        if name not in ad.expert_axes:
+            assert out[name].tobytes() == grad.tobytes(), name
+            continue
+        row = ad.expert_index(name, sel)
+        assert out[name][row].tobytes() == grad[row].tobytes(), name
+        others = [i for i in range(grad.shape[0]) if i != row]
+        assert out[name][others].tobytes() == old[block_key(0, name)][others].tobytes()
+        assert not np.any(grad[others])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_flat_fisher_equals_per_block_reference(kind):
+    world, adapters, sel, *_ = build_check_setup(kind)
+    episodes = gen_task_data(world, TaskDescriptor(index=0, scene=1, env=0,
+                                                   instr=0), 5)
+    fisher = fisher_estimate(world.backbone, adapters, sel, episodes, 1.0)
+    reference = flat_state(adapters, None, reference_fisher_estimate(
+        world.backbone, adapters, sel, episodes))[1]
+    assert fisher.tobytes() == reference.tobytes()
