@@ -20,8 +20,8 @@ store = FeatureStore(cfg.d_f)
 for s in range(cfg.n_scenes):
     for e in range(cfg.n_envs):
         task = TaskDescriptor(index=s * cfg.n_envs + e, scene=s, env=e)
-        for i in range(20):
-            store.add(s, e, gen_episode(world, task, i, split=0).obs[0])
+        for ep in gen_episode(world, task, range(20), split=0):
+            store.add(s, e, ep.obs[0])
 print(f"stored centroids for {len(store.scene_ids)} scenes and "
       f"{len(store.env_ids)} environments")
 
@@ -29,8 +29,8 @@ hits = scene_hits = env_hits = 0
 n = 1000
 for i in range(n):
     s, e = (i // cfg.n_envs) % cfg.n_scenes, i % cfg.n_envs
-    ep = gen_episode(world, TaskDescriptor(index=0, scene=s, env=e),
-                     5000 + i, split=1)
+    [ep] = gen_episode(world, TaskDescriptor(index=0, scene=s, env=e),
+                       [5000 + i], split=1)
     got = store.search(ep.obs[0])
     scene_hits += int(got[0] == s)
     env_hits += int(got[1] == e)
@@ -40,7 +40,7 @@ print(f"  scene accuracy:       {scene_hits / n:.3f}")
 print(f"  environment accuracy: {env_hits / n:.3f}")
 print(f"  joint accuracy:       {hits / n:.3f}")
 
-q = gen_episode(world, TaskDescriptor(index=0, scene=2, env=1), 9999,
-                split=1).obs[0]
+q = gen_episode(world, TaskDescriptor(index=0, scene=2, env=1), [9999],
+                split=1)[0].obs[0]
 print(f"\ncosine matching ignores query magnitude: "
       f"{store.search(q)} == {store.search(250.0 * q)}")

@@ -11,6 +11,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import typing
 from dataclasses import dataclass
 from pathlib import Path
@@ -92,6 +93,14 @@ def _fits(kind, value) -> bool:
     if kind is float:
         return isinstance(value, (int, float))
     return isinstance(value, kind)
+
+
+def write_atomic(path: Path, text: str) -> None:
+    """Replace ``path`` by a file holding ``text``; an interruption leaves
+    the old file or the new one, never a part."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text)
+    os.replace(tmp, path)
 
 
 def check_field(cls, key: str, value):
@@ -222,8 +231,8 @@ class ExperimentConfig:
     # -- file round-trip -----------------------------------------------------
 
     def to_file(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True) + "\n")
+        write_atomic(Path(path), json.dumps(
+            dataclasses.asdict(self), indent=2, sort_keys=True) + "\n")
 
     @classmethod
     def from_file(cls, path: str | Path,

@@ -25,46 +25,60 @@ DEFAULT_SUCCESS_RADIUS = 3.0
 
 @dataclass
 class EpisodeRecord:
-    """One evaluated episode: where the agent went and where it should have."""
+    """One evaluated episode, or a stack whose row r owns its first
+    ``n_points[r]`` points: where the agent went and where it should have."""
 
     trajectory: np.ndarray          # (n_points, 2 or 3) positions, start included
     goal: np.ndarray                # target position
-    tl_ref: float                   # reference (shortest demonstrated) path length
+    tl_ref: float | np.ndarray      # reference (shortest demonstrated) path length
     epsilon: float = DEFAULT_SUCCESS_RADIUS
+    n_points: np.ndarray | None = None  # (k,) for a stack
 
     def __post_init__(self):
         self.trajectory = np.atleast_2d(np.asarray(self.trajectory, dtype=float))
         self.goal = np.asarray(self.goal, dtype=float)
         if self.trajectory.size == 0:
             raise ValueError("empty trajectory")
-        if self.tl_ref <= 0:
+        if np.any(np.asarray(self.tl_ref) <= 0):
             raise ValueError(f"reference path length must be > 0, got {self.tl_ref}")
         if self.epsilon <= 0:
             raise ValueError("success threshold must be > 0")
 
     @property
-    def tl(self) -> float:
-        segs = np.diff(self.trajectory, axis=0)
-        return float(np.sum(np.linalg.norm(segs, axis=1)))
+    def tl(self) -> float | np.ndarray:
+        return path_length(self.trajectory, self.n_points)
 
 
-def success_rate(rec: EpisodeRecord) -> int:
+def path_length(trajectory: np.ndarray, n_points: np.ndarray | None = None):
+    """Summed segment lengths of a path, or of each row of a stack over its own
+    points only: adding the padding's 0.0 would regroup the pairwise sum."""
+    norms = np.linalg.norm(np.diff(trajectory, axis=-2), axis=-1)
+    if n_points is None:
+        return np.add.reduce(norms, axis=-1)
+    lengths = np.empty(len(norms))
+    for n in set(n_points.tolist()):
+        lengths[n_points == n] = np.add.reduce(norms[n_points == n, :n - 1], axis=-1)
+    return lengths
+
+
+def success_rate(rec: EpisodeRecord):
     """1 iff the final position is within epsilon of the goal (inclusive)."""
-    return int(np.linalg.norm(rec.trajectory[-1] - rec.goal) <= rec.epsilon)
+    gap = (rec.trajectory[..., -1, :] - rec.goal)[..., None, :]
+    return (np.sqrt(gap @ gap.swapaxes(-1, -2))[..., 0, 0] <= rec.epsilon).astype(int)
 
 
-def oracle_success(rec: EpisodeRecord) -> int:
+def oracle_success(rec: EpisodeRecord):
     """1 iff any trajectory point passes within epsilon of the goal."""
-    d = np.linalg.norm(rec.trajectory - rec.goal, axis=1)
-    return int(np.min(d) <= rec.epsilon)
+    d = np.linalg.norm(rec.trajectory - rec.goal[..., None, :], axis=-1)
+    return (np.min(d, axis=-1) <= rec.epsilon).astype(int)
 
 
-def spl(rec: EpisodeRecord, literal: bool = False) -> float:
+def spl(rec: EpisodeRecord, literal: bool = False):
     """Success weighted by path efficiency."""
     sr = success_rate(rec)
     if literal:
         return sr * rec.tl / rec.tl_ref
-    return sr * rec.tl_ref / max(rec.tl, rec.tl_ref)
+    return sr * rec.tl_ref / np.maximum(rec.tl, rec.tl_ref)
 
 
 @dataclass
@@ -94,14 +108,13 @@ def forgetting_rate(reference: float | None, value: float) -> float | None:
 
 def score_task(task: int, records: list[EpisodeRecord],
                spl_literal: bool = False) -> TaskScore:
+    """Mean metrics over every episode of ``records``, taken in order."""
     if not records:
         raise ValueError("cannot score a task with no episode records")
-    return TaskScore(
-        task=task,
-        sr=float(np.mean([success_rate(r) for r in records])),
-        spl=float(np.mean([spl(r, literal=spl_literal) for r in records])),
-        osr=float(np.mean([oracle_success(r) for r in records])),
-    )
+    sr, spl_, osr = (
+        float(np.mean(np.concatenate([np.atleast_1d(fn(r)) for r in records])))
+        for fn in (success_rate, lambda r: spl(r, literal=spl_literal), oracle_success))
+    return TaskScore(task=task, sr=sr, spl=spl_, osr=osr)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ bitwise-identical to an uninterrupted one.
 from __future__ import annotations
 
 import json
-import os
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -25,12 +24,12 @@ from pathlib import Path
 import numpy as np
 
 from .adapters import ADAPTER_KINDS, AdapterBase, FlatLayout, Selection, block_key
-from .config import ExperimentConfig
-from .metrics import EpisodeRecord, TaskScore, score_task
+from .config import ExperimentConfig, write_atomic
+from .metrics import EpisodeRecord, TaskScore, path_length, score_task
 from .retrieval import FeatureStore
 from .tasks import (
+    EPISODE_CHUNK,
     STOP,
-    SyntheticEpisode,
     TaskDescriptor,
     World,
     forward_logits,
@@ -38,6 +37,7 @@ from .tasks import (
     gen_stream,
     gen_task_data,
     rollout_positions,
+    walk_steps,
 )
 from .training import (
     AdamState,
@@ -174,11 +174,6 @@ def train_task(state: LifelongState, world: World,
 # Evaluation
 # ---------------------------------------------------------------------------
 
-# held-out episodes generated, retrieved and grouped at a time: enough for
-# groups of several episodes, few enough to add little to peak memory
-EVAL_CHUNK = 32
-
-
 def delta_provider(state: LifelongState):
     """Maps a retrieved (scene, env, instr) triple to per-layer deltas.
 
@@ -199,25 +194,20 @@ def delta_provider(state: LifelongState):
     return provide
 
 
-def policy_actions(backbone, deltas, inputs: np.ndarray) -> list[np.ndarray]:
-    """Greedy open-loop action predictions for a (g, n_steps, in) stack of
-    episode inputs, each truncated at its first STOP."""
-    logits = forward_logits(backbone, deltas, inputs)
-    predicted = []
-    for actions in np.argmax(logits, axis=-1):
-        stops = np.flatnonzero(actions == STOP)
-        predicted.append(actions[:int(stops[0]) + 1] if stops.size else actions)
-    return predicted
+def policy_actions(backbone, deltas, inputs: np.ndarray) -> np.ndarray:
+    """Greedy open-loop actions for a (g, n_steps, in) stack of episode inputs."""
+    return np.argmax(forward_logits(backbone, deltas, inputs), axis=-1)
 
 
-def episode_record(world: World, episode: SyntheticEpisode,
-                   predicted: np.ndarray, epsilon: float) -> EpisodeRecord:
+def episode_record(world: World, reference: np.ndarray, predicted: np.ndarray,
+                   epsilon: float) -> EpisodeRecord:
+    """The stacked record of STOP-padded teacher and predicted action rows."""
     cfg = world.cfg
-    ref = rollout_positions(episode.actions, cfg.step_length, cfg.turn_degrees)
+    ref = rollout_positions(reference, cfg.step_length, cfg.turn_degrees)
     pred = rollout_positions(predicted, cfg.step_length, cfg.turn_degrees)
-    tl_ref = float(np.sum(np.linalg.norm(np.diff(ref, axis=0), axis=1)))
-    return EpisodeRecord(trajectory=pred, goal=ref[-1], tl_ref=tl_ref,
-                         epsilon=epsilon)
+    return EpisodeRecord(trajectory=pred, goal=ref[:, -1],
+                         tl_ref=path_length(ref, walk_steps(reference) + 1),
+                         epsilon=epsilon, n_points=walk_steps(predicted) + 1)
 
 
 def evaluate_task(world: World, provider, store: FeatureStore,
@@ -227,33 +217,34 @@ def evaluate_task(world: World, provider, store: FeatureStore,
     """Score one task's held-out episodes with task-agnostic expert lookup.
 
     ``pairs`` restricts retrieval to those (scene, env) pairs. Episodes are
-    taken ``EVAL_CHUNK`` at a time; in each chunk, the episodes that
+    drawn ``EPISODE_CHUNK`` at a time; in each chunk, the episodes that
     retrieved the same (scene, env) and have the same length share one
     forward pass. Groups are never padded to a common length, since the
-    products of a padded stack round differently, so every score is bitwise
-    that of scoring the episodes one by one.
+    products of a padded stack round differently. All episodes are then
+    scored as one stack, so every score is bitwise that of scoring the
+    episodes one by one.
     """
     if n_episodes < 1:
         raise ValueError("evaluation needs at least one episode")
-    records = []
-    for start in range(0, n_episodes, EVAL_CHUNK):
-        episodes = [gen_episode(world, task, i, split=1)
-                    for i in range(start, min(start + EVAL_CHUNK, n_episodes))]
+    # STOP-padded action rows of the teacher and of the policy
+    reference = np.full((n_episodes, world.cfg.horizon), STOP)
+    predicted = reference.copy()
+    for start in range(0, n_episodes, EPISODE_CHUNK):
+        episodes = gen_episode(world, task, range(
+            start, min(start + EPISODE_CHUNK, n_episodes)), split=1)
         groups: dict[tuple, list[int]] = {}
-        for j, ep in enumerate(episodes):
+        for j, ep in enumerate(episodes, start):
+            reference[j, :ep.n_steps] = ep.actions
             pair = ((task.scene, task.env) if oracle_ids
                     else store.search(ep.obs[0], pairs))
             groups.setdefault((pair, ep.n_steps), []).append(j)
-        predicted = [None] * len(episodes)
-        for ((scene, env), _), members in groups.items():
+        for ((scene, env), n_steps), members in groups.items():
             deltas = provider(scene, env, task.instr)
-            inputs = np.stack([episodes[j].inputs for j in members])
-            for j, actions in zip(members, policy_actions(world.backbone,
-                                                          deltas, inputs)):
-                predicted[j] = actions
-        records += [episode_record(world, ep, actions, cfg.epsilon)
-                    for ep, actions in zip(episodes, predicted)]
-    return score_task(task.index, records, spl_literal=cfg.spl_literal)
+            inputs = np.stack([episodes[j - start].inputs for j in members])
+            predicted[members, :n_steps] = policy_actions(world.backbone,
+                                                          deltas, inputs)
+    record = episode_record(world, reference, predicted, cfg.epsilon)
+    return score_task(task.index, [record], spl_literal=cfg.spl_literal)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +349,7 @@ def run_training(cfg: ExperimentConfig, run_dir: str | Path,
     else:
         # written before any checkpoint, so that no task is sealed in a
         # directory that does not name its config
-        _write_atomic(layout["manifest"], json.dumps(
+        write_atomic(layout["manifest"], json.dumps(
             {"config_hash": cfg.config_hash(),
              "stream": [[t.scene, t.env] for t in stream]}, indent=2))
     cfg.to_file(layout["config"])
@@ -395,7 +386,7 @@ def run_training(cfg: ExperimentConfig, run_dir: str | Path,
                                   task, cfg.test_episodes, cfg,
                                   pairs=state.lookup_pairs)
             reference[str(t)] = _reference_entry(task, score)
-            _write_atomic(layout["reference"], json.dumps(
+            write_atomic(layout["reference"], json.dumps(
                 {"config_hash": cfg.config_hash(), "values": reference},
                 indent=2))
         save_state(state, task_dir(run_dir, t))
@@ -408,14 +399,6 @@ def run_training(cfg: ExperimentConfig, run_dir: str | Path,
 def _reference_entry(task: TaskDescriptor, score: TaskScore) -> dict:
     return {"task": task.index, "scene": task.scene, "env": task.env,
             "sr": score.sr, "spl": score.spl, "osr": score.osr}
-
-
-def _write_atomic(path: Path, text: str) -> None:
-    """Replace ``path`` by a file holding ``text``; an interruption leaves
-    the old file or the new one, never a part."""
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
 
 
 def _trim_log(path: Path, completed: int) -> None:
@@ -432,7 +415,7 @@ def _trim_log(path: Path, completed: int) -> None:
 
     kept = [line for line in lines if done(line)]
     if len(kept) != len(lines):
-        _write_atomic(path, "".join(kept))
+        write_atomic(path, "".join(kept))
 
 
 def _load_reference(path: Path) -> dict:
@@ -514,7 +497,7 @@ def run_reference(cfg: ExperimentConfig, run_dir: str | Path,
         if progress:
             progress(f"reference {t + 1}/{cfg.n_tasks} rebuilt")
     values = {str(t): values[str(t)] for t in range(cfg.n_tasks)}
-    _write_atomic(layout["reference"], json.dumps(
+    write_atomic(layout["reference"], json.dumps(
         {"config_hash": cfg.config_hash(), "values": values}, indent=2))
     return values
 

@@ -28,6 +28,9 @@ N_ACTIONS = 4
 
 # tags to keep independent rng streams disjoint under one experiment seed
 _TAG_WORLD, _TAG_STREAM, _TAG_EPISODE = 11, 13, 17
+# episodes drawn and labelled at a time: enough to share each teacher pass,
+# few enough that a batch's arrays add little to peak memory
+EPISODE_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -104,9 +107,10 @@ def forward_logits(backbone: ToyBackbone, deltas: list[np.ndarray] | None,
         if h.shape[-1] != w_eff.shape[1]:
             raise ValueError(
                 f"layer {l} expects input width {w_eff.shape[1]}, got {h.shape[-1]}")
-        h = h @ w_eff.T + b
+        h = h @ w_eff.T
+        h += b
         if l < n_layers - 1:
-            h = np.tanh(h)
+            np.tanh(h, out=h)
     return h
 
 
@@ -181,7 +185,7 @@ class World:
                 weights=[w + d for w, d in zip(self.backbone.weights, deltas)],
                 biases=self.backbone.biases)
             self._teachers[key] = teacher
-        return np.argmax(forward_logits(teacher, None, inputs), axis=1)
+        return np.argmax(forward_logits(teacher, None, inputs), axis=-1)
 
 
 def _orthonormal_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
@@ -218,37 +222,55 @@ def gen_stream(n_scenes: int, n_envs: int, n_tasks: int, seed: int,
     return tasks
 
 
-def gen_episode(world: World, task: TaskDescriptor, episode_idx: int,
-                split: int = 0) -> SyntheticEpisode:
-    """Deterministic episode for (task, index, split); split 0 train, 1 test.
+def gen_episode(world: World, task: TaskDescriptor, indices: list[int] | range,
+                split: int = 0) -> list[SyntheticEpisode]:
+    """Deterministic episodes for (task, index, split) per index; split 0 train, 1 test.
 
     Observation features are scene-center + environment-offset + Gaussian
     noise; actions are teacher argmax labels, truncated at the first STOP.
     Episodes whose teacher never moves forward are redrawn (bounded retries)
-    so reference paths always have positive length.
+    so reference paths always have positive length; one teacher pass labels
+    each attempt's batch.
     """
     cfg = world.cfg
+    h, d = cfg.horizon, cfg.d_f
+    center = world.scene_centers[task.scene] + world.env_offsets[task.env]
+    # the 32-bit words default_rng reads from [seed, tag, task, i, split, attempt]
+    prefix = [cfg.seed >> s & 0xFFFFFFFF for s in range(
+        0, max(cfg.seed.bit_length(), 1), 32)] + [_TAG_EPISODE, task.index]
+    episodes, pending = {}, list(indices)
     for attempt in range(64):
-        rng = np.random.default_rng(
-            [cfg.seed, _TAG_EPISODE, task.index, episode_idx, split, attempt])
-        center = world.scene_centers[task.scene] + world.env_offsets[task.env]
+        # one draw per episode: its obs noise, then its instr noise
+        draws = np.empty((len(pending), (h + 1) * d))
+        for row, i in zip(draws, pending):
+            key = np.array(prefix + [i, split, attempt], dtype=np.uint32)
+            np.random.default_rng(key).standard_normal(out=row)
+        inputs = np.empty((len(pending), h, 2 * d))   # (obs, instr) per step
         # escalate exploration noise on redraws so a teacher that is inert at
         # the cluster center still yields moving episodes eventually
         noise = cfg.feature_noise * (1.0 + attempt / 16.0)
-        obs = center + noise * rng.standard_normal((cfg.horizon, cfg.d_f))
-        instr = cfg.instr_scale * rng.standard_normal(cfg.d_f) / np.sqrt(cfg.d_f)
+        obs = np.multiply(draws[:, :-d].reshape(-1, h, d), noise, out=inputs[..., :d])
+        obs += center
+        instr = cfg.instr_scale * draws[:, -d:] / np.sqrt(d)
         if cfg.n_instr > 0 and task.instr is not None:
             instr = instr + world.instr_offsets[task.instr]
-        inputs = np.hstack([obs, np.tile(instr, (cfg.horizon, 1))])
+        inputs[..., d:] = instr[:, None]
         actions = world.teacher_actions(task.scene, task.env, task.instr, inputs)
-        stops = np.flatnonzero(actions == STOP)
-        n_steps = int(stops[0]) + 1 if stops.size else cfg.horizon
-        if np.any(actions[:n_steps] == FORWARD):
-            return SyntheticEpisode(obs=inputs[:n_steps, :cfg.d_f], instr=instr,
-                                    actions=actions[:n_steps],
-                                    scene=task.scene, env=task.env,
-                                    instr_type=task.instr,
-                                    inputs=inputs[:n_steps])
+        walking = np.logical_and.accumulate(actions != STOP, axis=-1)
+        moving = (walking & (actions == FORWARD)).any(axis=-1)
+        n_steps = np.minimum(walking.sum(axis=-1) + 1, h)
+        moved = [i for i, m in zip(pending, moving) if m]
+        pending = [i for i, m in zip(pending, moving) if not m]
+        if pending:   # the moved rows alone outlive this attempt
+            inputs, instr, actions, n_steps = (
+                a[moving] for a in (inputs, instr, actions, n_steps))
+        for j, (i, n) in enumerate(zip(moved, n_steps)):
+            episodes[i] = SyntheticEpisode(
+                obs=inputs[j, :n, :d], instr=instr[j], actions=actions[j, :n],
+                scene=task.scene, env=task.env, instr_type=task.instr,
+                inputs=inputs[j, :n])
+        if not pending:
+            return [episodes[i] for i in indices]
     raise RuntimeError(
         f"could not draw a moving episode for task {task.index} "
         f"(scene {task.scene}, env {task.env}) in 64 attempts")
@@ -256,29 +278,32 @@ def gen_episode(world: World, task: TaskDescriptor, episode_idx: int,
 
 def gen_task_data(world: World, task: TaskDescriptor, n_episodes: int,
                   split: int = 0) -> list[SyntheticEpisode]:
-    return [gen_episode(world, task, i, split) for i in range(n_episodes)]
+    return [ep for s in range(0, n_episodes, EPISODE_CHUNK) for ep in gen_episode(
+        world, task, range(s, min(s + EPISODE_CHUNK, n_episodes)), split)]
+
+
+def walk_steps(actions: np.ndarray) -> np.ndarray:
+    """Actions before the first STOP in each row (all of a row without one)."""
+    return np.logical_and.accumulate(actions != STOP, axis=-1).sum(axis=-1)
 
 
 def rollout_positions(actions: np.ndarray, step_length: float = 1.0,
                       turn_degrees: float = 15.0) -> np.ndarray:
-    """Map an action sequence to 2-D positions (turtle kinematics).
-
-    Returns (n+1, 2) positions including the start at the origin; the walk
-    ends at the first STOP. Headings and positions are running sums that
-    start from the origin's 0.0, so ``np.cumsum`` adds in the order of a
-    step-by-step walk and gives its bits.
+    """Map one (n,) action row or a (k, n) stack to (..., n+1, 2) positions
+    from the origin (turtle kinematics); a row's walk ends at its first STOP
+    and its later positions repeat the last one, so rows stack padded with
+    STOP. Headings and positions are running sums from the origin's 0.0, so
+    ``np.cumsum`` adds in the order of a step-by-step walk and gives its bits.
     """
     actions = np.asarray(actions)
-    stops = np.flatnonzero(actions == STOP)
-    if stops.size:
-        actions = actions[:int(stops[0])]
+    walking = np.logical_and.accumulate(actions != STOP, axis=-1)
     turn = np.deg2rad(turn_degrees)
-    turns = np.zeros(len(actions) + 1)
-    turns[1:][actions == LEFT] = turn
-    turns[1:][actions == RIGHT] = -turn
-    heading = np.cumsum(turns)[1:]
-    forward = actions == FORWARD
-    moves = np.zeros((len(actions) + 1, 2))
-    moves[1:, 0][forward] = step_length * np.cos(heading[forward])
-    moves[1:, 1][forward] = step_length * np.sin(heading[forward])
-    return np.cumsum(moves, axis=0)
+    turns = np.zeros(actions.shape[:-1] + (actions.shape[-1] + 1,))
+    turns[..., 1:][walking & (actions == LEFT)] = turn
+    turns[..., 1:][walking & (actions == RIGHT)] = -turn
+    heading = np.cumsum(turns, axis=-1)[..., 1:]
+    forward = walking & (actions == FORWARD)
+    moves = np.zeros(turns.shape + (2,))
+    moves[..., 1:, 0][forward] = step_length * np.cos(heading[forward])
+    moves[..., 1:, 1][forward] = step_length * np.sin(heading[forward])
+    return np.cumsum(moves, axis=-2)

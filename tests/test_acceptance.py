@@ -267,13 +267,13 @@ def test_c7_retrieval(tmp_path):
     for s in range(wc.n_scenes):
         for e in range(wc.n_envs):
             task = TaskDescriptor(index=s * wc.n_envs + e, scene=s, env=e)
-            for i in range(20):
-                store.add(s, e, gen_episode(world, task, i, split=0).obs[0])
+            for ep in gen_episode(world, task, range(20), split=0):
+                store.add(s, e, ep.obs[0])
     hits = 0
     for i in range(1000):
         s, e = (i // wc.n_envs) % wc.n_scenes, i % wc.n_envs
-        ep = gen_episode(world, TaskDescriptor(index=0, scene=s, env=e),
-                         2000 + i, split=1)
+        [ep] = gen_episode(world, TaskDescriptor(index=0, scene=s, env=e),
+                           [2000 + i], split=1)
         hits += int(store.search(ep.obs[0]) == (s, e))
     assert hits / 1000 >= 0.95, f"retrieval accuracy {hits / 1000}"
 
@@ -283,8 +283,7 @@ def test_c7_retrieval(tmp_path):
     world, state = final_state(cfg, tmp_path / "run")
     stream = gen_stream(cfg.n_scenes, cfg.n_envs, cfg.n_tasks, cfg.seed)
     for task in stream:
-        for i in range(cfg.test_episodes):
-            ep = gen_episode(world, task, i, split=1)
+        for ep in gen_episode(world, task, range(cfg.test_episodes), split=1):
             assert state.store.search(ep.obs[0]) == (task.scene, task.env)
     retrieved = run_eval(cfg, tmp_path / "run", oracle_ids=False)
     oracle = run_eval(cfg, tmp_path / "run", oracle_ids=True)

@@ -3,12 +3,15 @@ root holds parent and change results of ``bench/run.py`` for one change.
 
 Every file must parse, name only the workloads and metrics ``BENCHMARK.json``
 defines, and give each side of each end-to-end metric a median and
-quartiles, so that a speed claim can be read back from the file alone.
+quartiles, so that a speed claim can be read back from the file alone. The
+median, quartiles and wins must be those of the runs the file lists, the
+change may fail no operation, and its outputs must equal the parent's.
 """
 
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -36,14 +39,22 @@ def test_bench_file_holds_benchmark_workloads_and_metrics(path):
         for metric, entry in workload["metrics"].items():
             spec = END_TO_END[metric]
             assert (entry["unit"], entry["better"]) == (spec["unit"], spec["better"])
-            assert 0 <= entry["wins"] <= pairs, (name, metric)
             for side in SIDES:
                 stats = entry[side]
                 assert len(stats["runs"]) == pairs, (name, metric, side)
                 assert stats["q1"] <= stats["median"] <= stats["q3"], (name, metric)
+                quartiles = np.percentile(stats["runs"], [25, 50, 75]).tolist()
+                assert [stats["q1"], stats["median"], stats["q3"]] == quartiles, \
+                    (name, metric, side)
+            sign = 1 if spec["better"] == "higher" else -1
+            wins = sum(sign * (change - parent) > 0 for parent, change in
+                       zip(entry["parent"]["runs"], entry["change"]["runs"]))
+            assert entry["wins"] == wins, (name, metric)
         for side in SIDES:
             assert workload["failed_ops"][side] >= 0
             assert workload["digests"][side], (name, side)
+        assert workload["failed_ops"]["change"] == 0, name
+        assert workload["digests"]["change"] == workload["digests"]["parent"], name
         for layer, values in workload.get("layers", {}).items():
             assert layer in PER_LAYER, layer
             assert set(values) == set(SIDES)

@@ -1,8 +1,9 @@
-"""The chunked, grouped evaluation path against the per-episode reference in
-``reference_eval.py``: every position, retrieved pair and score must be
-bitwise the same."""
+"""The batched generation and the chunked, grouped evaluation path against
+the per-episode reference in ``reference_eval.py``: every episode, position,
+retrieved pair and score must be bitwise the same."""
 
 import dataclasses
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -13,20 +14,122 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_eval import (
     reference_evaluate_task,
+    reference_gen_episode,
+    reference_oracle_success,
     reference_rollout_positions,
+    reference_score_task,
     reference_search,
+    reference_spl,
+    reference_success_rate,
+    reference_tl,
 )
 
 from tucker_adapters import pipeline
 from tucker_adapters.config import ExperimentConfig
+from tucker_adapters.metrics import (
+    EpisodeRecord,
+    oracle_success,
+    score_task,
+    spl,
+    success_rate,
+)
 from tucker_adapters.retrieval import FeatureStore
 from tucker_adapters.tasks import (
+    EPISODE_CHUNK,
+    FORWARD,
+    STOP,
+    TaskDescriptor,
     World,
+    WorldConfig,
     forward_logits,
     gen_episode,
     gen_stream,
     rollout_positions,
+    walk_steps,
 )
+
+# ---------------------------------------------------------------------------
+# Batched episode generation
+# ---------------------------------------------------------------------------
+
+
+def small_world(**kw):
+    return World(WorldConfig(d_f=16, hidden=12, n_scenes=3, n_envs=2,
+                             horizon=8, seed=3, **kw))
+
+
+def _same_episode(got, want):
+    for name in ("obs", "instr", "actions", "inputs"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    assert (got.scene, got.env, got.instr_type) == (want.scene, want.env,
+                                                     want.instr_type)
+
+
+# a stop bias above 0.5 or a negative forward bias makes the teacher stand
+# still often, so that episodes are redrawn over several attempts
+@settings(max_examples=60)
+@given(stop_bias=st.sampled_from([-1.5, 0.5, 2.0, 3.0]),
+       forward_bias=st.sampled_from([0.5, -1.0, -2.0]),
+       n_instr=st.sampled_from([0, 2]), seed=st.integers(0, 3),
+       scene=st.integers(0, 2), env=st.integers(0, 1),
+       task_index=st.integers(0, 5), split=st.sampled_from([0, 1]),
+       indices=st.lists(st.integers(0, 500), min_size=1, max_size=40))
+def test_batched_episodes_equal_per_episode_reference(
+        stop_bias, forward_bias, n_instr, seed, scene, env, task_index, split,
+        indices):
+    world = World(WorldConfig(d_f=16, hidden=12, n_scenes=3, n_envs=2,
+                              horizon=8, n_instr=n_instr, stop_bias=stop_bias,
+                              forward_bias=forward_bias, seed=seed))
+    task = TaskDescriptor(index=task_index, scene=scene, env=env,
+                          instr=n_instr - 1 if n_instr else None)
+    try:
+        want = [reference_gen_episode(world, task, i, split) for i in indices]
+    except RuntimeError as exc:   # a teacher that stands still everywhere
+        with pytest.raises(RuntimeError, match=re.escape(str(exc))):
+            gen_episode(world, task, indices, split)
+        return
+    episodes = gen_episode(world, task, indices, split)
+    assert len(episodes) == len(indices)
+    for got, ref in zip(episodes, want):
+        _same_episode(got, ref)
+
+
+def test_redrawn_batches_shrink_to_the_episodes_that_did_not_move():
+    world = small_world(stop_bias=3.0)
+    sizes, real = [], world.teacher_actions
+
+    def count(scene, env, instr, inputs):
+        sizes.append(len(inputs))
+        return real(scene, env, instr, inputs)
+
+    world.teacher_actions = count
+    task = TaskDescriptor(index=1, scene=2, env=1)
+    episodes = gen_episode(world, task, range(5, 45), split=1)
+    assert sizes[0] == 40 and len(sizes) > 3
+    assert all(a >= b for a, b in zip(sizes, sizes[1:])) and sizes[-1] < 40
+    for i, ep in zip(range(5, 45), episodes):
+        _same_episode(ep, reference_gen_episode(world, task, i, 1))
+
+
+@pytest.mark.parametrize("kw", [{"stop_bias": 5.0}, {"forward_bias": -50.0}])
+def test_an_episode_that_never_moves_raises_as_the_reference(kw):
+    world = small_world(**kw)
+    task = TaskDescriptor(index=4, scene=1, env=0)
+    with pytest.raises(RuntimeError) as want:
+        reference_gen_episode(world, task, 7, 1)
+    with pytest.raises(RuntimeError) as got:
+        gen_episode(world, task, [3, 7], 1)
+    assert str(got.value) == str(want.value) == (
+        "could not draw a moving episode for task 4 (scene 1, env 0) in 64 attempts")
+
+
+def test_episode_keys_read_a_seed_past_32_bits_as_the_reference():
+    world = small_world()
+    world.cfg = dataclasses.replace(world.cfg, seed=2**40 + 3)
+    task = TaskDescriptor(index=0, scene=0, env=1)
+    for i, ep in zip([0, 9], gen_episode(world, task, [0, 9], 0)):
+        _same_episode(ep, reference_gen_episode(world, task, i, 0))
 
 # ---------------------------------------------------------------------------
 # (a) rollout_positions
@@ -43,8 +146,94 @@ def test_rollout_equals_step_by_step_walk(actions, step_length, turn_degrees):
     actions = np.array(actions, dtype=np.int64)
     got = rollout_positions(actions, step_length, turn_degrees)
     want = reference_rollout_positions(actions, step_length, turn_degrees)
-    assert got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
+    assert got.shape == (len(actions) + 1, 2)
+    assert got[:len(want)].tobytes() == want.tobytes()
+    # the walk has ended: the later positions repeat the last one
+    assert (got[len(want):] == want[-1]).all()
+
+
+HORIZON = 16
+# a row of every length from 0 to the horizon, STOP-padded past its length;
+# drawn actions include STOP, so a walk can also end mid-row
+rows = st.lists(st.lists(st.integers(0, 3), min_size=HORIZON, max_size=HORIZON),
+                min_size=HORIZON + 1, max_size=HORIZON + 1)
+
+
+def _padded(drawn, first=None):
+    stack = np.full((len(drawn), HORIZON), STOP)
+    for n, row in enumerate(drawn):
+        stack[n, :n] = row[:n]
+        if first is not None:
+            stack[n, 0] = first
+    return stack
+
+
+@settings(max_examples=60)
+@given(predicted=rows, reference=rows,
+       turn_degrees=st.sampled_from([15.0, 30.0, 7.5]),
+       step_length=st.sampled_from([1.0, 0.25]),
+       epsilon=st.sampled_from([0.5, 1.5, 3.0]), chunk=st.integers(1, 17),
+       literal=st.booleans())
+def test_stacked_rollouts_and_metrics_equal_per_episode_reference(
+        predicted, reference, turn_degrees, step_length, epsilon, chunk, literal):
+    predicted = _padded(predicted)
+    # a reference walk moves: it starts with FORWARD
+    reference = _padded(reference, first=FORWARD)
+    reference[0, 1] = STOP
+    positions = rollout_positions(predicted, step_length, turn_degrees)
+    assert positions.shape == (HORIZON + 1, HORIZON + 1, 2)
+    world = mock.Mock(cfg=WorldConfig(step_length=step_length,
+                                      turn_degrees=turn_degrees))
+    records = [pipeline.episode_record(world, reference[c:c + chunk],
+                                       predicted[c:c + chunk], epsilon)
+               for c in range(0, HORIZON + 1, chunk)]
+    singles = []
+    for j, (pred, ref) in enumerate(zip(predicted, reference)):
+        walk = reference_rollout_positions(pred, step_length, turn_degrees)
+        goal_walk = reference_rollout_positions(ref, step_length, turn_degrees)
+        assert walk_steps(pred) == len(walk) - 1
+        assert positions[j, :len(walk)].tobytes() == walk.tobytes()
+        assert (positions[j, len(walk):] == walk[-1]).all()
+        singles.append(EpisodeRecord(
+            trajectory=walk, goal=goal_walk[-1], epsilon=epsilon,
+            tl_ref=float(np.sum(np.linalg.norm(np.diff(goal_walk, axis=0), axis=1)))))
+    got = {name: np.concatenate([fn(r) for r in records]) for name, fn in [
+        ("sr", success_rate), ("osr", oracle_success),
+        ("spl", lambda r: spl(r, literal=literal)),
+        ("tl", lambda r: r.tl), ("tl_ref", lambda r: r.tl_ref)]}
+    want = {"sr": [reference_success_rate(r) for r in singles],
+            "osr": [reference_oracle_success(r) for r in singles],
+            "spl": [reference_spl(r, literal=literal) for r in singles],
+            "tl": [reference_tl(r) for r in singles],
+            "tl_ref": [r.tl_ref for r in singles]}
+    for name in want:
+        assert got[name].tolist() == want[name], name
+    # one definition: each metric of a single-episode record is the reference's
+    for rec in singles:
+        assert success_rate(rec) == reference_success_rate(rec)
+        assert oracle_success(rec) == reference_oracle_success(rec)
+        assert spl(rec, literal=literal) == reference_spl(rec, literal=literal)
+    score = score_task(3, records, spl_literal=literal)
+    ref_score = reference_score_task(3, singles, spl_literal=literal)
+    assert (score.sr, score.spl, score.osr) == (ref_score.sr, ref_score.spl,
+                                                 ref_score.osr)
+
+
+@pytest.mark.parametrize("turn_degrees,horizon", [(15.0, 16), (15.0, 8)])
+def test_cos_and_sin_agree_on_every_reachable_heading(turn_degrees, horizon):
+    """A heading is a running sum of +-turn and 0.0 steps; the vector cos and
+    sin give each one the bits of a lone call, wherever it sits in a batch."""
+    turn = np.deg2rad(turn_degrees)
+    level, reachable = {0.0}, {0.0}
+    for _ in range(horizon):
+        level = {float(np.float64(h) + t) for h in level for t in (0.0, turn, -turn)}
+        reachable |= level
+    headings = np.array(sorted(reachable))
+    for fn in (np.cos, np.sin):
+        alone = [fn(np.array([h]))[0] for h in headings]
+        for offset in range(8):
+            batch = fn(np.concatenate([np.zeros(offset), headings]))[offset:]
+            assert batch.tolist() == alone
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +341,9 @@ def test_cached_teacher_equals_fresh_sum(world):
         for _ in range(2):
             assert np.array_equal(world.teacher_actions(*key, None, x),
                                   np.argmax(fresh, axis=1))
+        # a stack is labelled slice by slice
+        stacked = world.teacher_actions(*key, None, x.reshape(5, 8, -1))
+        assert np.array_equal(stacked.reshape(-1), np.argmax(fresh, axis=1))
 
 
 def test_delta_provider_computes_each_triple_once():
@@ -216,7 +408,7 @@ def trained():
 
 
 def _evaluate(world, state, task, n_episodes, cfg, oracle_ids):
-    """evaluate_task's score and the records it scored."""
+    """evaluate_task's score and the records it scored, one per episode."""
     seen, real = [], pipeline.score_task
 
     def keep(index, records, **kw):
@@ -228,7 +420,11 @@ def _evaluate(world, state, task, n_episodes, cfg, oracle_ids):
                                        state.store, task, n_episodes, cfg,
                                        oracle_ids=oracle_ids,
                                        pairs=state.lookup_pairs)
-    return score, seen[0]
+    # each chunk's stacked record, cut into its rows' own points
+    return score, [EpisodeRecord(trajectory=rec.trajectory[j, :rec.n_points[j]],
+                                 goal=rec.goal[j], tl_ref=rec.tl_ref[j],
+                                 epsilon=rec.epsilon)
+                   for rec in seen[0] for j in range(len(rec.trajectory))]
 
 
 @settings(max_examples=40)
@@ -254,10 +450,10 @@ def test_grouped_eval_equals_per_episode_reference(trained, kind, stop_bias,
 def test_one_forward_pass_per_pair_and_length_group(trained):
     cfg, world, state, stream = trained("tucker4", STOP_BIAS)
     task, n = stream[0], 70
-    episodes = [gen_episode(world, task, i, split=1) for i in range(n)]
+    episodes = gen_episode(world, task, range(n), split=1)
     groups = {(c, state.store.search(ep.obs[0]), ep.n_steps)
-              for c in range(0, n, pipeline.EVAL_CHUNK)
-              for ep in episodes[c:c + pipeline.EVAL_CHUNK]}
+              for c in range(0, n, EPISODE_CHUNK)
+              for ep in episodes[c:c + EPISODE_CHUNK]}
     # the case this test is for: several lengths and pairs in one chunk
     assert len({g[2] for g in groups if g[0] == 0}) > 1
     assert len({g[1] for g in groups if g[0] == 0}) > 1

@@ -201,6 +201,9 @@ def test_crash_at_any_write_resumes_to_the_uninterrupted_run(
         count_writes(mp, crash_at)
         with pytest.raises(Crash):
             run_training(crash_config(), run_dir)
+    # the file a user passes to --config is never left half written
+    config = run_dir / "config.json"
+    assert not config.exists() or ExperimentConfig.from_file(config) == crash_config()
     run_training(crash_config(), run_dir)
     assert run_dir_contents(run_dir) == contents
     assert not list(run_dir.rglob("*.tmp"))
@@ -436,8 +439,7 @@ def test_oracle_eval_equals_retrieved_when_retrieval_perfect(tmp_path):
     stream = gen_stream(cfg.n_scenes, cfg.n_envs, cfg.n_tasks, cfg.seed)
     # verify retrieval is perfect on these held-out queries, then compare
     for task in stream:
-        for i in range(cfg.test_episodes):
-            ep = gen_episode(world, task, i, split=1)
+        for ep in gen_episode(world, task, range(cfg.test_episodes), split=1):
             assert state.store.search(ep.obs[0]) == (task.scene, task.env)
     retrieved = run_eval(cfg, tmp_path / "r", oracle_ids=False)
     oracle = run_eval(cfg, tmp_path / "r", oracle_ids=True)
@@ -555,7 +557,7 @@ def test_regularizers_reduce_first_task_drift():
         for task in stream:
             train_task(state, world, task)
         first = stream[0]
-        eps = [gen_episode(world, first, i, split=1) for i in range(40)]
+        eps = gen_episode(world, first, range(40), split=1)
         x, y = batch_arrays(eps)
         sel = Selection(scene=first.scene, env=first.env, task=0)
         deltas = [ad.delta(sel) for ad in state.adapters]

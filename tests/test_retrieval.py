@@ -163,13 +163,13 @@ def test_retrieval_accuracy_on_separated_clusters():
     for s in range(5):
         for e in range(4):
             task = TaskDescriptor(index=s * 4 + e, scene=s, env=e)
-            for i in range(20):
-                store.add(s, e, gen_episode(world, task, i, split=0).obs[0])
+            for ep in gen_episode(world, task, range(20), split=0):
+                store.add(s, e, ep.obs[0])
     hits = 0
     n_queries = 1000
     for i in range(n_queries):
         s, e = (i // 4) % 5, i % 4
-        ep = gen_episode(world, TaskDescriptor(index=0, scene=s, env=e),
-                         1000 + i, split=1)
+        [ep] = gen_episode(world, TaskDescriptor(index=0, scene=s, env=e),
+                           [1000 + i], split=1)
         hits += int(store.search(ep.obs[0]) == (s, e))
     assert hits / n_queries >= 0.95

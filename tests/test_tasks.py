@@ -64,8 +64,8 @@ def test_stream_instruction_indices():
 
 def test_episode_deterministic(world):
     task = TaskDescriptor(index=0, scene=1, env=2)
-    a = gen_episode(world, task, 3)
-    b = gen_episode(world, task, 3)
+    [a] = gen_episode(world, task, [3])
+    [b] = gen_episode(world, task, [3])
     assert np.array_equal(a.obs, b.obs)
     assert np.array_equal(a.actions, b.actions)
     assert np.array_equal(a.instr, b.instr)
@@ -73,13 +73,13 @@ def test_episode_deterministic(world):
 
 def test_episode_splits_differ(world):
     task = TaskDescriptor(index=0, scene=1, env=2)
-    assert not np.array_equal(gen_episode(world, task, 0, split=0).obs,
-                              gen_episode(world, task, 0, split=1).obs)
+    assert not np.array_equal(gen_episode(world, task, [0], split=0)[0].obs,
+                              gen_episode(world, task, [0], split=1)[0].obs)
 
 
 def test_episode_always_moves(world):
-    for idx in range(20):
-        ep = gen_episode(world, TaskDescriptor(index=2, scene=0, env=0), idx)
+    for ep in gen_episode(world, TaskDescriptor(index=2, scene=0, env=0),
+                          range(20)):
         assert np.any(ep.actions == FORWARD)
         assert ep.obs.shape == (ep.n_steps, world.cfg.d_f)
 
