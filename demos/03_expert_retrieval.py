@@ -22,8 +22,8 @@ for s in range(cfg.n_scenes):
         task = TaskDescriptor(index=s * cfg.n_envs + e, scene=s, env=e)
         for ep in gen_episode(world, task, range(20), split=0):
             store.add(s, e, ep.obs[0])
-print(f"stored centroids for {len(store.scene_ids)} scenes and "
-      f"{len(store.env_ids)} environments")
+print(f"stored centroids for {len(store.scenes.ids)} scenes and "
+      f"{len(store.envs.ids)} environments")
 
 hits = scene_hits = env_hits = 0
 n = 1000

@@ -124,20 +124,17 @@ class AdapterBase:
     def delta(self, sel: Selection, ops: tuple | None = None) -> np.ndarray:
         raise NotImplementedError
 
-    def delta_backward(self, sel: Selection, g: np.ndarray, out=None,
-                       ops: tuple | None = None) -> dict[str, np.ndarray]:
-        """Gradients of ``sum(g * delta(sel))``.
+    def delta_backward(self, ops: tuple, g: np.ndarray,
+                       out: dict[str, np.ndarray]) -> None:
+        """Write the gradients of ``sum(g * delta(sel, ops))`` into ``out``.
 
-        ``out`` maps each block name to an array of the block's shape. The
-        gradient of every shared block and of the selected row of every
-        expert block is written into it, and no other row is touched.
-        Without ``out`` the blocks are new arrays that are zero elsewhere.
+        ``ops`` is ``operands(sel)`` as the ``delta(sel, ops)`` of the same
+        forward pass left it. ``out`` maps each block name to an array of
+        the block's shape. The gradient of every shared block and of the
+        selected row of every expert block is written into it, and no other
+        row is touched.
         """
         raise NotImplementedError
-
-    def _gradients(self, out) -> dict[str, np.ndarray]:
-        return out if out is not None else {
-            name: np.zeros_like(arr) for name, arr in self.blocks().items()}
 
     # -- persistence --------------------------------------------------------
 
@@ -266,12 +263,8 @@ class TuckerAdapter(AdapterBase):
         np.einsum(self._mid, *core_rows, out=mid)
         return self.up @ mid @ self.down.T
 
-    def delta_backward(self, sel, g, out=None, ops=None):
-        if ops is None:
-            ops = self.operands(sel)
-            np.einsum(self._mid, *ops[1], out=ops[2])
+    def delta_backward(self, ops, g, out):
         index, (_, *rows), mid, row_operands = ops
-        out = self._gradients(out)
         d_mid = self.up.T @ g @ self.down
         np.einsum(self._core_grad, d_mid, *rows, out=out["core"])
         np.matmul(g @ self.down, mid.T, out=out["up"])
@@ -279,7 +272,6 @@ class TuckerAdapter(AdapterBase):
         for subscripts, name, i, operands in zip(
                 self._row_grads, self.expert_axes, index, row_operands):
             np.einsum(subscripts, d_mid, *operands, out=out[name][i])
-        return out
 
 
 @dataclass
@@ -307,11 +299,9 @@ class LoraAdapter(AdapterBase):
     def delta(self, sel: Selection, ops: tuple | None = None) -> np.ndarray:
         return self.up @ self.down
 
-    def delta_backward(self, sel, g, out=None, ops=None):
-        out = self._gradients(out)
+    def delta_backward(self, ops, g, out):
         np.matmul(self.up.T, g, out=out["down"])
         np.matmul(g, self.down.T, out=out["up"])
-        return out
 
 
 @dataclass
@@ -348,12 +338,10 @@ class TaskLoraAdapter(AdapterBase):
         down, up = (ops or self.operands(sel))[1]
         return up @ down
 
-    def delta_backward(self, sel, g, out=None, ops=None):
-        (t, _), (down, up) = ops or self.operands(sel)
-        out = self._gradients(out)
+    def delta_backward(self, ops, g, out):
+        (t, _), (down, up) = ops
         np.matmul(up.T, g, out=out["downs"][t])
         np.matmul(g, down.T, out=out["ups"][t])
-        return out
 
 
 @dataclass
@@ -384,12 +372,10 @@ class SharedAMoeAdapter(AdapterBase):
     def delta(self, sel: Selection, ops: tuple | None = None) -> np.ndarray:
         return np.einsum("kar,rb->ab", self.ups, self.down)
 
-    def delta_backward(self, sel, g, out=None, ops=None):
-        (k,), _ = ops or self.operands(sel)
-        out = self._gradients(out)
+    def delta_backward(self, ops, g, out):
+        (k,), _ = ops
         np.einsum("kar,ab->rb", self.ups, g, out=out["down"])
         np.matmul(g, self.down.T, out=out["ups"][k])
-        return out
 
 
 @dataclass
@@ -427,13 +413,11 @@ class AbcLoraAdapter(AdapterBase):
         mid, top = (ops or self.operands(sel))[1]
         return top @ mid @ self.base
 
-    def delta_backward(self, sel, g, out=None, ops=None):
-        (s, e), (mid, top) = ops or self.operands(sel)
-        out = self._gradients(out)
+    def delta_backward(self, ops, g, out):
+        (s, e), (mid, top) = ops
         np.matmul(top.T @ g, self.base.T, out=out["mids"][s])
         np.matmul(g @ self.base.T, mid.T, out=out["tops"][e])
         np.matmul(mid.T @ top.T, g, out=out["base"])
-        return out
 
 
 ADAPTER_KINDS: dict[str, type] = {

@@ -205,8 +205,10 @@ class ExperimentConfig:
                               f"got {len(self.ranks)}")
         if not 0.0 < self.fisher_fraction <= 1.0:
             raise ConfigError("fisher_fraction: must lie in (0, 1]")
-        if self.d_f < max(self.n_scenes, self.n_envs):
-            raise ConfigError("d_f: needs at least as many dims as expert keys")
+        name = max(("n_scenes", "n_envs", "n_instr"), key=lambda k: getattr(self, k))
+        if self.d_f < getattr(self, name):
+            raise ConfigError(f"{name}: {getattr(self, name)} expert keys need "
+                              f"as many dims, d_f is {self.d_f}")
         return self
 
     # -- derived views -------------------------------------------------------

@@ -32,13 +32,13 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
 from scipy.ndimage import gaussian_filter, uniform_filter
 
-from .config import check_finite
+from .config import check_finite, write_atomic
 
 
 @dataclass
@@ -185,9 +185,17 @@ class PnmError(ValueError):
     """Malformed or truncated PNM file; message carries the byte offset."""
 
 
-def _read_header(data: bytes, magic: bytes, path) -> tuple[int, int, int, int]:
-    if not data.startswith(magic):
-        raise PnmError(f"{path}: expected {magic.decode()} header at byte 0")
+# the maxval, channels and sample dtype of each binary format
+_PNM = {"P6": (255, 3, np.dtype(np.uint8)), "P5": (65535, 1, np.dtype(">u2"))}
+
+
+def _read_pnm(path: str | Path, magic: str) -> np.ndarray:
+    """The (height, width, channels) samples of a binary PNM file of format
+    ``magic``."""
+    expected, channels, dtype = _PNM[magic]
+    data = Path(path).read_bytes()
+    if not data.startswith(magic.encode()):
+        raise PnmError(f"{path}: expected {magic} header at byte 0")
     fields = []
     pos = 2
     while len(fields) < 3:
@@ -210,31 +218,34 @@ def _read_header(data: bytes, magic: bytes, path) -> tuple[int, int, int, int]:
     width, height, maxval = fields
     if width < 1 or height < 1:
         raise PnmError(f"{path}: nonpositive dimensions {width}x{height}")
-    return width, height, maxval, pos
-
-
-def save_image(path: str | Path, img: np.ndarray) -> None:
-    """Write a [0,1] float image as 8-bit binary PPM (round(v * 255))."""
-    img = _check_image(img)
-    data = np.round(np.clip(img, 0.0, 1.0) * 255.0).astype(np.uint8)
-    h, w = img.shape[:2]
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode())
-        fh.write(data.tobytes())
-
-
-def load_image(path: str | Path) -> np.ndarray:
-    data = Path(path).read_bytes()
-    width, height, maxval, pos = _read_header(data, b"P6", path)
-    if maxval != 255:
-        raise PnmError(f"{path}: unsupported maxval {maxval} (only 255)")
-    need = width * height * 3
+    if maxval != expected:
+        raise PnmError(f"{path}: unsupported maxval {maxval} (only {expected})")
+    need = width * height * channels * dtype.itemsize
     payload = data[pos:pos + need]
     if len(payload) < need:
         raise PnmError(f"{path}: truncated payload at byte {pos + len(payload)} "
                        f"(need {pos + need} bytes)")
-    arr = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
-    return arr.astype(np.float64) / 255.0
+    return np.frombuffer(payload, dtype=dtype).reshape(height, width, channels)
+
+
+def _write_pnm(path: str | Path, magic: str, samples: np.ndarray) -> None:
+    """Write (height, width[, channels]) float samples in [0, maxval] of
+    format ``magic``, each rounded, in place, to the nearest integer."""
+    maxval, _, dtype = _PNM[magic]
+    data = np.round(samples, out=samples).astype(dtype)
+    h, w = samples.shape[:2]
+    with open(path, "wb") as fh:
+        fh.write(f"{magic}\n{w} {h}\n{maxval}\n".encode())
+        fh.write(data.tobytes())
+
+
+def save_image(path: str | Path, img: np.ndarray) -> None:
+    """Write a [0,1] float image as 8-bit binary PPM (round(v * 255))."""
+    _write_pnm(path, "P6", np.clip(_check_image(img), 0.0, 1.0) * 255.0)
+
+
+def load_image(path: str | Path) -> np.ndarray:
+    return _read_pnm(path, "P6").astype(np.float64) / 255.0
 
 
 def save_depth(path: str | Path, depth: np.ndarray) -> None:
@@ -244,25 +255,11 @@ def save_depth(path: str | Path, depth: np.ndarray) -> None:
         raise ValueError(f"depth must be 2-D, got shape {depth.shape}")
     if np.any(~np.isfinite(depth)) or np.any(depth < 0):
         raise ValueError("depth must be finite and non-negative")
-    mm = np.round(np.clip(depth * 1000.0, 0, 65535)).astype(">u2")
-    h, w = depth.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n65535\n".encode())
-        fh.write(mm.tobytes())
+    _write_pnm(path, "P5", np.clip(depth * 1000.0, 0, 65535))
 
 
 def load_depth(path: str | Path) -> np.ndarray:
-    data = Path(path).read_bytes()
-    width, height, maxval, pos = _read_header(data, b"P5", path)
-    if maxval != 65535:
-        raise PnmError(f"{path}: unsupported maxval {maxval} (only 65535)")
-    need = width * height * 2
-    payload = data[pos:pos + need]
-    if len(payload) < need:
-        raise PnmError(f"{path}: truncated payload at byte {pos + len(payload)} "
-                       f"(need {pos + need} bytes)")
-    mm = np.frombuffer(payload, dtype=">u2").reshape(height, width)
-    return mm.astype(np.float64) / 1000.0
+    return _read_pnm(path, "P5")[..., 0].astype(np.float64) / 1000.0
 
 
 # ---------------------------------------------------------------------------
@@ -309,17 +306,14 @@ def degrade_directory(mode: str, input_dir: str | Path, output_dir: str | Path,
         dst = output_dir / src.name
         save_image(dst, out)
         record = {"input": str(src), "output": str(dst), "mode": mode,
-                  "params": _jsonable(asdict(params))}
+                  "params": asdict(params)}
         entries.append(record)
     manifest = {"mode": mode, "seed": seed, "count": len(entries),
                 "images": entries}
-    (output_dir / "manifest.json").write_text(json.dumps(manifest, indent=2))
+    write_atomic(output_dir / "manifest.json", json.dumps(manifest, indent=2))
     return manifest
 
 
 def _image_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
 
-
-def _jsonable(d: dict) -> dict:
-    return {k: list(v) if isinstance(v, tuple) else v for k, v in d.items()}

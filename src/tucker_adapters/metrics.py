@@ -17,8 +17,11 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
+
+from .config import write_atomic
 
 DEFAULT_SUCCESS_RADIUS = 3.0
 
@@ -172,13 +175,12 @@ def render_table(scores: list[TaskScore]) -> str:
 
 def write_reports(directory, scores: list[TaskScore], extra_manifest: dict | None = None):
     """Emit scores.csv / scores.json / report.txt (+ manifest) into a directory."""
-    from pathlib import Path
-
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    (directory / "scores.csv").write_text(render_csv(scores))
-    (directory / "scores.json").write_text(render_json(scores))
-    (directory / "report.txt").write_text(render_table(scores))
+    write_atomic(directory / "scores.csv", render_csv(scores))
+    write_atomic(directory / "scores.json", render_json(scores))
+    write_atomic(directory / "report.txt", render_table(scores))
     if extra_manifest is not None:
-        (directory / "manifest.json").write_text(json.dumps(extra_manifest, indent=2))
+        write_atomic(directory / "manifest.json",
+                     json.dumps(extra_manifest, indent=2))
     return directory

@@ -73,19 +73,21 @@ class LifelongState:
     # every parameter as the last task left it
     fisher: np.ndarray | None = None
     snapshot: np.ndarray | None = None
-    seen_scenes: set[int] = field(default_factory=set)
-    seen_envs: set[int] = field(default_factory=set)
-    seen_instr: set[int] = field(default_factory=set)
-    seen_pairs: set[tuple[int, int]] = field(default_factory=set)
+    # the trained-task record: the task index of each trained (scene, env)
+    # pair, and the instruction types trained so far
     pair_to_task: dict[tuple[int, int], int] = field(default_factory=dict)
-    task_count: int = 0
+    seen_instr: set[int] = field(default_factory=set)
+
+    @property
+    def task_count(self) -> int:
+        return len(self.pair_to_task)
 
     @property
     def lookup_pairs(self) -> set[tuple[int, int]] | None:
         """The scenarios retrieval may return: only trained pairs when each
         scenario's expert is its own task's, all of them (None) when expert
         rows combine freely."""
-        return self.seen_pairs if self.adapters[0].pairs_only else None
+        return set(self.pair_to_task) if self.adapters[0].pairs_only else None
 
 
 def init_state(cfg: ExperimentConfig, world: World) -> LifelongState:
@@ -104,7 +106,7 @@ def train_task(state: LifelongState, world: World,
     """
     cfg = state.cfg
     pair = (task.scene, task.env)
-    if pair in state.seen_pairs:
+    if pair in state.pair_to_task:
         raise ValueError(f"scenario {pair} was already trained; task streams "
                          "must not repeat (scene, env) pairs")
     if not (0 <= task.scene < cfg.n_scenes and 0 <= task.env < cfg.n_envs):
@@ -120,8 +122,8 @@ def train_task(state: LifelongState, world: World,
         state.fisher = new_fisher  # first task: nothing to average with
     else:
         state.fisher = fisher_ema(state.fisher, new_fisher, cfg.omega)
-    flags = {"scene": int(task.scene in state.seen_scenes),
-             "env": int(task.env in state.seen_envs),
+    flags = {"scene": int(any(s == task.scene for s, _ in state.pair_to_task)),
+             "env": int(any(e == task.env for _, e in state.pair_to_task)),
              "instr": int(task.instr in state.seen_instr),
              "task": 0}
     plan = build_plan(adapters, sel, state.snapshot, state.fisher, flags, cfg)
@@ -158,15 +160,11 @@ def train_task(state: LifelongState, world: World,
 
     # the snapshot for the next task's consolidation terms
     state.snapshot = plan.theta.copy()
-    state.seen_scenes.add(task.scene)
-    state.seen_envs.add(task.env)
     if task.instr is not None:
         state.seen_instr.add(task.instr)
-    state.seen_pairs.add(pair)
-    state.pair_to_task[pair] = state.task_count
     for ep in episodes:
         state.store.add(task.scene, task.env, ep.obs[0])
-    state.task_count += 1
+    state.pair_to_task[pair] = state.task_count
     return logs
 
 
@@ -261,14 +259,14 @@ def save_state(state: LifelongState, directory: str | Path) -> None:
     np.savez(directory / "fisher.npz", **layout.views(state.fisher))
     np.savez(directory / "snapshot.npz", **layout.views(state.snapshot))
     state.store.save(directory / "store.npz")
+    pairs = sorted(state.pair_to_task)
     meta = {
         "task_count": state.task_count,
-        "seen_scenes": sorted(state.seen_scenes),
-        "seen_envs": sorted(state.seen_envs),
+        "seen_scenes": sorted({s for s, _ in pairs}),
+        "seen_envs": sorted({e for _, e in pairs}),
         "seen_instr": sorted(state.seen_instr),
-        "seen_pairs": sorted(list(p) for p in state.seen_pairs),
-        "pair_to_task": [[s, e, t] for (s, e), t in
-                         sorted(state.pair_to_task.items())],
+        "seen_pairs": [list(p) for p in pairs],
+        "pair_to_task": [[s, e, state.pair_to_task[s, e]] for s, e in pairs],
         "kind": state.cfg.adapter_kind,
         "seed": state.cfg.seed,
         "rng_scheme": "default_rng([seed, tag, task, ...]) per draw site",
@@ -290,12 +288,8 @@ def load_state(cfg: ExperimentConfig, directory: str | Path,
                              f"adapter, the config asks for {cfg.adapter_kind!r}")
     state = LifelongState(cfg=cfg, adapters=adapters,
                           store=FeatureStore.load(directory / "store.npz"))
-    state.task_count = meta["task_count"]
-    state.seen_scenes = set(meta["seen_scenes"])
-    state.seen_envs = set(meta["seen_envs"])
-    state.seen_instr = set(meta["seen_instr"])
-    state.seen_pairs = {tuple(p) for p in meta["seen_pairs"]}
     state.pair_to_task = {(s, e): t for s, e, t in meta["pair_to_task"]}
+    state.seen_instr = set(meta["seen_instr"])
     layout = FlatLayout.of(adapters)
     with np.load(directory / "fisher.npz") as data:
         state.fisher = layout.flatten(data, shared_only=True)
@@ -320,6 +314,34 @@ def task_dir(run_dir: str | Path, t: int) -> Path:
     return Path(run_dir) / f"task_{t:03d}"
 
 
+def open_run(cfg: ExperimentConfig, run_dir: str | Path,
+             train: bool = False) -> tuple[World, list[TaskDescriptor]]:
+    """Validate ``cfg`` and return its world and task stream, refusing a
+    ``run_dir`` whose manifest names another config or that holds task
+    checkpoints without a manifest. With ``train`` a directory with neither
+    is created and its manifest written before any task is sealed there."""
+    cfg.validate()
+    layout = run_dir_layout(run_dir)
+    world = World(cfg.world_config())
+    stream = gen_stream(cfg.n_scenes, cfg.n_envs, cfg.n_tasks, cfg.seed,
+                        n_instr=cfg.n_instr)
+    if layout["manifest"].exists():
+        manifest = json.loads(layout["manifest"].read_text())
+        if manifest.get("config_hash") != cfg.config_hash():
+            raise ValueError(
+                f"run directory {run_dir} belongs to a different config "
+                f"(hash {manifest.get('config_hash')} != {cfg.config_hash()})")
+    elif any(layout["root"].glob("task_*")):
+        raise ValueError(f"run directory {run_dir} holds task checkpoints but "
+                         "no manifest.json, so no config can resume it")
+    elif train:
+        layout["root"].mkdir(parents=True, exist_ok=True)
+        write_atomic(layout["manifest"], json.dumps(
+            {"config_hash": cfg.config_hash(),
+             "stream": [[t.scene, t.env] for t in stream]}, indent=2))
+    return world, stream
+
+
 def run_training(cfg: ExperimentConfig, run_dir: str | Path,
                  eval_each: bool = True, progress=None) -> dict:
     """Train the full stream sequentially, checkpointing after each task.
@@ -330,28 +352,8 @@ def run_training(cfg: ExperimentConfig, run_dir: str | Path,
     immediately, which by sequential determinism equals the prefix-run
     reference value.
     """
-    cfg.validate()
+    world, stream = open_run(cfg, run_dir, train=True)
     layout = run_dir_layout(run_dir)
-    world = World(cfg.world_config())
-    stream = gen_stream(cfg.n_scenes, cfg.n_envs, cfg.n_tasks, cfg.seed,
-                        n_instr=cfg.n_instr)
-
-    layout["root"].mkdir(parents=True, exist_ok=True)
-    if layout["manifest"].exists():
-        manifest = json.loads(layout["manifest"].read_text())
-        if manifest.get("config_hash") != cfg.config_hash():
-            raise ValueError(
-                f"run directory {run_dir} belongs to a different config "
-                f"(hash {manifest.get('config_hash')} != {cfg.config_hash()})")
-    elif any(layout["root"].glob("task_*")):
-        raise ValueError(f"run directory {run_dir} holds task checkpoints but "
-                         "no manifest.json, so no config can resume it")
-    else:
-        # written before any checkpoint, so that no task is sealed in a
-        # directory that does not name its config
-        write_atomic(layout["manifest"], json.dumps(
-            {"config_hash": cfg.config_hash(),
-             "stream": [[t.scene, t.env] for t in stream]}, indent=2))
     cfg.to_file(layout["config"])
 
     completed = 0
@@ -430,15 +432,16 @@ def _load_reference(path: Path) -> dict:
         return {}
 
 
-def final_state(cfg: ExperimentConfig, run_dir: str | Path) -> tuple[World, LifelongState]:
-    world = World(cfg.world_config())
-    n_layers = len(world.backbone.layer_dims)
+def final_state(cfg: ExperimentConfig, run_dir: str | Path
+                ) -> tuple[World, list[TaskDescriptor], LifelongState]:
+    """The world, the task stream and the last checkpoint of a finished run."""
+    world, stream = open_run(cfg, run_dir)
     last = task_dir(run_dir, cfg.n_tasks - 1)
     if not (last / "complete.marker").exists():
         raise FileNotFoundError(
             f"no complete checkpoint for task {cfg.n_tasks - 1} under {run_dir}; "
             "run training first")
-    return world, load_state(cfg, last, n_layers)
+    return world, stream, load_state(cfg, last, len(world.backbone.layer_dims))
 
 
 def run_eval(cfg: ExperimentConfig, run_dir: str | Path,
@@ -448,12 +451,8 @@ def run_eval(cfg: ExperimentConfig, run_dir: str | Path,
     Reference values cached by training (or `run_reference`) are attached so
     forgetting rates can be reported.
     """
-    cfg.validate()
-    layout = run_dir_layout(run_dir)
-    world, state = final_state(cfg, run_dir)
-    stream = gen_stream(cfg.n_scenes, cfg.n_envs, cfg.n_tasks, cfg.seed,
-                        n_instr=cfg.n_instr)
-    reference = _load_reference(layout["reference"])
+    world, stream, state = final_state(cfg, run_dir)
+    reference = _load_reference(run_dir_layout(run_dir)["reference"])
     provider = delta_provider(state)
     scores = []
     for task in stream:
@@ -478,17 +477,14 @@ def run_reference(cfg: ExperimentConfig, run_dir: str | Path,
     ``reference.json``, because it was trained without evaluation or the
     file was corrupted, is scored from its own checkpoint.
     """
-    cfg.validate()
     layout = run_dir_layout(run_dir)
     run_training(cfg, run_dir, eval_each=True, progress=progress)
     values = _load_reference(layout["reference"])
     missing = [t for t in range(cfg.n_tasks) if str(t) not in values]
     if not missing:
         return values
-    world = World(cfg.world_config())
+    world, stream = open_run(cfg, run_dir)
     n_layers = len(world.backbone.layer_dims)
-    stream = gen_stream(cfg.n_scenes, cfg.n_envs, cfg.n_tasks, cfg.seed,
-                        n_instr=cfg.n_instr)
     for t in missing:
         state = load_state(cfg, task_dir(run_dir, t), n_layers)
         values[str(t)] = _reference_entry(stream[t], evaluate_task(

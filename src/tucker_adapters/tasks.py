@@ -121,12 +121,8 @@ class SyntheticEpisode:
     actions: np.ndarray       # (n_steps,) teacher labels, ends at STOP or horizon
     scene: int
     env: int
+    inputs: np.ndarray        # (n_steps, 2 d_f): (obs, instr) per step
     instr_type: int | None = None
-    inputs: np.ndarray | None = None  # (n_steps, 2 d_f): (obs, instr) per step
-
-    def __post_init__(self):
-        if self.inputs is None:
-            self.inputs = np.hstack([self.obs, np.tile(self.instr, (self.n_steps, 1))])
 
     @property
     def n_steps(self) -> int:

@@ -124,7 +124,7 @@ def _network_pass(backbone: ToyBackbone, kernel: Kernel, sel: Selection,
     g *= scale / n if mean_reduce else scale
     for l in range(last, -1, -1):
         ad, ops, out = kernel[l]
-        ad.delta_backward(sel, g.T @ acts[l], out=out, ops=ops)
+        ad.delta_backward(ops, g.T @ acts[l], out)
         if l > 0:
             g = (g @ weights[l]) * (1.0 - acts[l] ** 2)
     return nll

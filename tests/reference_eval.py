@@ -121,13 +121,14 @@ def _argmax_key(query, centroids):
 
 
 def reference_search(store, query, pairs=None):
-    if not store.scene_ids or not store.env_ids:
+    if not store.scenes.ids or not store.envs.ids:
         raise ValueError("cannot search an empty feature store")
-    scene = _argmax_key(query, {k: store.scene_centroid(k) for k in store.scene_ids})
-    env_ids = [k for k in store.env_ids if pairs is None or (scene, k) in pairs]
+    scene = _argmax_key(query, {k: store.scenes.centroid(k)
+                                for k in store.scenes.ids})
+    env_ids = [k for k in store.envs.ids if pairs is None or (scene, k) in pairs]
     if not env_ids:
         raise ValueError(f"no environment is paired with scene {scene}")
-    env = _argmax_key(query, {k: store.env_centroid(k) for k in env_ids})
+    env = _argmax_key(query, {k: store.envs.centroid(k) for k in env_ids})
     return scene, env
 
 

@@ -1,8 +1,8 @@
 """The per-block training objective and Adam that the flat step replaced.
 
 Kept only as the reference ``test_training.py`` compares the flat step with:
-gradients are per-layer dicts of block arrays that ``delta_backward``
-returns, every constant is rebuilt on each call, softmax and NLL each take
+gradients are per-layer dicts of new block arrays that ``delta_backward``
+fills, every constant is rebuilt on each call, softmax and NLL each take
 their own ``exp``, EWC walks the blocks of each layer, the Gram penalty and
 its row gradient each compute the Gram error, and Adam keeps one moment
 array per ``L{l}:{name}`` key.
@@ -54,6 +54,16 @@ def ewc_loss(current, snapshot, fisher, lam1, names):
     return lam1 * total
 
 
+def block_gradients(adapter, sel, g):
+    """Gradients of ``sum(g * adapter.delta(sel))`` as new block arrays that
+    are zero outside the shared blocks and the selected expert rows."""
+    ops = adapter.operands(sel)
+    adapter.delta(sel, ops)   # leaves in ``ops`` what delta_backward reads
+    out = {name: np.zeros_like(arr) for name, arr in adapter.blocks().items()}
+    adapter.delta_backward(ops, g, out)
+    return out
+
+
 def network_pass(backbone, adapters, sel, x, y, scale, mean_reduce):
     """NLL (optionally mean-reduced) and per-layer dicts of the gradients
     of ``scale * nll``."""
@@ -74,7 +84,7 @@ def network_pass(backbone, adapters, sel, x, y, scale, mean_reduce):
     g *= scale / n if mean_reduce else scale
     grads = [None] * n_layers
     for l in range(n_layers - 1, -1, -1):
-        grads[l] = adapters[l].delta_backward(sel, g.T @ acts[l])
+        grads[l] = block_gradients(adapters[l], sel, g.T @ acts[l])
         if l > 0:
             g = (g @ (backbone.weights[l] + deltas[l])) * (1.0 - acts[l] ** 2)
     return nll, grads

@@ -280,7 +280,7 @@ def test_c7_retrieval(tmp_path):
     # equality with oracle ids when retrieval is verifiably 100% correct
     cfg = tiny_config(feature_noise=0.05, test_episodes=10)
     run_training(cfg, tmp_path / "run")
-    world, state = final_state(cfg, tmp_path / "run")
+    world, _, state = final_state(cfg, tmp_path / "run")
     stream = gen_stream(cfg.n_scenes, cfg.n_envs, cfg.n_tasks, cfg.seed)
     for task in stream:
         for ep in gen_episode(world, task, range(cfg.test_episodes), split=1):

@@ -57,6 +57,18 @@ def test_reference_command(out_root, capsys):
     assert (run_dir / "reference.json").exists()
 
 
+@pytest.mark.parametrize("command", ["eval", "reference"])
+def test_run_directory_of_another_config_is_refused(out_root, capsys, command):
+    run_dir = out_root / "exp"
+    tiny = [*TINY[:-2], "--run-dir", str(run_dir)]   # TINY less its seed
+    assert main(["train", *tiny, "--seed", "0"]) == 0
+    before = {p: p.stat().st_mtime_ns for p in run_dir.rglob("*")}
+    assert main([command, *tiny, "--seed", "5"]) == 2
+    assert "belongs to a different config" in capsys.readouterr().err
+    assert not (run_dir / "eval").exists()
+    assert {p: p.stat().st_mtime_ns for p in run_dir.rglob("*")} == before
+
+
 def test_invalid_config_exit_code_1(out_root, capsys):
     code = main(["train", "--set", "lam1=0.9", "--set", "lam2=0.2"])
     assert code == 1
@@ -212,6 +224,7 @@ SMALL = ["--set", "n_tasks=1", "--set", "epochs=1", "--set", "train_episodes=4",
     (["degrade", "--mode", "scattering", "--set", "beta=nan"], "beta"),
     (["degrade", "--mode", "lowlight", "--set", "gain=nan"], "gain"),
     (["degrade", "--mode", "lowlight", "--set", "gamma=inf"], "gamma"),
+    (["train", "--set", "n_instr=65"], "n_instr"),
 ])
 def test_non_finite_or_degenerate_value_exit_code_1(out_root, tmp_path, capsys,
                                                     argv, field):

@@ -2,6 +2,8 @@
 
 import csv
 import io
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -204,6 +206,29 @@ def test_write_reports(tmp_path):
     assert (out / "scores.json").exists()
     assert (out / "report.txt").exists()
     assert (out / "manifest.json").exists()
+
+
+def test_interrupted_report_write_keeps_the_previous_scores(tmp_path):
+    out = write_reports(tmp_path / "rep", sample_scores()[:1])
+    old, new = (json.loads(render_json(s)) for s in (sample_scores()[:1],
+                                                    sample_scores()))
+    write_text = Path.write_text
+    for cut in range(4):   # cut short the write of each report file in turn
+        calls = []
+
+        def cut_short(path, data, *args, **kwargs):
+            calls.append(path)
+            if len(calls) == cut + 1:
+                write_text(path, data[:len(data) // 2], *args, **kwargs)
+                raise OSError(f"cut short: {path.name}")
+            return write_text(path, data, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Path, "write_text", cut_short)
+            with pytest.raises(OSError, match="cut short"):
+                write_reports(out, sample_scores(), {"config_hash": "x"})
+        assert json.loads((out / "scores.json").read_text()) == (
+            old if cut < 2 else new)
 
 
 def test_score_task_requires_records():

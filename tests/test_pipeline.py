@@ -255,6 +255,32 @@ def test_run_directory_holds_only_what_is_read(tmp_path):
     assert not list((tmp_path / "r").rglob("*.tmp"))
 
 
+def test_state_and_store_files_record_the_trained_stream(tmp_path):
+    cfg = tiny_config(n_instr=2)
+    run_training(cfg, tmp_path / "r", eval_each=False)
+    stream = json.loads((tmp_path / "r" / "manifest.json").read_text())["stream"]
+    instr = [t.instr for t in gen_stream(cfg.n_scenes, cfg.n_envs, cfg.n_tasks,
+                                         cfg.seed, n_instr=cfg.n_instr)]
+    scenes, envs = sorted({s for s, _ in stream}), sorted({e for _, e in stream})
+    state = json.loads((task_dir(tmp_path / "r", 2) / "state.json").read_text())
+    assert {key: state[key] for key in ("task_count", "seen_scenes", "seen_envs",
+                                        "seen_instr", "seen_pairs",
+                                        "pair_to_task")} == {
+        "task_count": 3, "seen_scenes": scenes, "seen_envs": envs,
+        "seen_instr": sorted(set(instr)), "seen_pairs": sorted(stream),
+        "pair_to_task": sorted([s, e, t] for t, (s, e) in enumerate(stream))}
+    with np.load(task_dir(tmp_path / "r", 2) / "store.npz") as data:
+        assert sorted(data.files) == ["env_sums", "meta", "scene_sums"]
+        meta = json.loads(str(data["meta"]))
+        shapes = data["scene_sums"].shape, data["env_sums"].shape
+    n = cfg.train_episodes
+    assert meta == {
+        "dim": cfg.d_f, "scene_ids": scenes, "env_ids": envs,
+        "scene_counts": [n * sum(s == k for s, _ in stream) for k in scenes],
+        "env_counts": [n * sum(e == k for _, e in stream) for k in envs]}
+    assert shapes == ((len(scenes), cfg.d_f), (len(envs), cfg.d_f))
+
+
 @pytest.mark.parametrize("kind", ["tucker4", "lora_per_task"])
 def test_fisher_and_snapshot_files_are_per_block(tmp_path, kind):
     """fisher.npz and snapshot.npz hold one array per block under its
@@ -435,8 +461,7 @@ def test_consistency_limits_revisit_drift():
 def test_oracle_eval_equals_retrieved_when_retrieval_perfect(tmp_path):
     cfg = tiny_config(feature_noise=0.05, test_episodes=10)
     run_training(cfg, tmp_path / "r")
-    world, state = final_state(cfg, tmp_path / "r")
-    stream = gen_stream(cfg.n_scenes, cfg.n_envs, cfg.n_tasks, cfg.seed)
+    world, stream, state = final_state(cfg, tmp_path / "r")
     # verify retrieval is perfect on these held-out queries, then compare
     for task in stream:
         for ep in gen_episode(world, task, range(cfg.test_episodes), split=1):
@@ -511,13 +536,14 @@ def test_task_experts_draw_from_their_own_task_keys():
 
 
 def test_checkpoint_of_another_kind_is_refused(tmp_path):
-    # a lora_per_task run directory with 'lora' adapters in adapter_L*.npz
+    # 'lora' adapters in adapter_L*.npz, loaded for a lora_per_task config
     run_training(tiny_config(adapter_kind="lora", n_tasks=1), tmp_path / "r")
     per_task = tiny_config(adapter_kind="lora_per_task", n_tasks=1)
+    n_layers = len(World(per_task.world_config()).backbone.layer_dims)
     with pytest.raises(ValueError, match=r"adapter_L0\.npz holds a 'lora' "
                                          r"adapter, the config asks for "
                                          r"'lora_per_task'"):
-        run_eval(per_task, tmp_path / "r")
+        pipeline.load_state(per_task, task_dir(tmp_path / "r", 0), n_layers)
 
 
 def test_gradcheck_on_default_toy_config():

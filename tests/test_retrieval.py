@@ -15,15 +15,15 @@ def test_single_insertion_centroid():
     store = FeatureStore(3)
     v = np.array([1.0, 2.0, 3.0])
     store.add(0, 1, v)
-    assert np.array_equal(store.scene_centroid(0), v)
-    assert np.array_equal(store.env_centroid(1), v)
+    assert np.array_equal(store.scenes.centroid(0), v)
+    assert np.array_equal(store.envs.centroid(1), v)
 
 
 def test_two_insertions_mean():
     store = FeatureStore(2)
     store.add(0, 0, np.array([2.0, 0.0]))
     store.add(0, 0, np.array([0.0, 2.0]))
-    np.testing.assert_allclose(store.scene_centroid(0), [1.0, 1.0])
+    np.testing.assert_allclose(store.scenes.centroid(0), [1.0, 1.0])
 
 
 def test_insertion_order_free():
@@ -34,7 +34,7 @@ def test_insertion_order_free():
         a.add(0, 0, f)
     for f in feats[::-1]:
         b.add(0, 0, f)
-    np.testing.assert_allclose(a.scene_centroid(0), b.scene_centroid(0),
+    np.testing.assert_allclose(a.scenes.centroid(0), b.scenes.centroid(0),
                                atol=1e-12)
 
 
@@ -44,7 +44,7 @@ def test_centroid_equals_arithmetic_mean():
     store = FeatureStore(6)
     for f in feats:
         store.add(2, 1, f)
-    np.testing.assert_allclose(store.scene_centroid(2), feats.mean(axis=0),
+    np.testing.assert_allclose(store.scenes.centroid(2), feats.mean(axis=0),
                                atol=1e-12)
 
 
@@ -62,7 +62,7 @@ def test_search_self_match():
         for e in range(2):
             f = rng.standard_normal(8)
             store.add(s, e, f)
-    q = store.scene_centroid(1) + 1e-9
+    q = store.scenes.centroid(1) + 1e-9
     s, _ = store.search(q)
     assert s == 1
 
@@ -142,10 +142,10 @@ def test_store_roundtrip(tmp_path):
     store.save(path)
     back = FeatureStore.load(path)
     assert back.dim == 5
-    assert back.scene_ids == store.scene_ids
-    assert back.env_ids == store.env_ids
-    for s in store.scene_ids:
-        assert np.array_equal(back.scene_centroid(s), store.scene_centroid(s))
+    assert back.scenes.ids == store.scenes.ids
+    assert back.envs.ids == store.envs.ids
+    for s in store.scenes.ids:
+        assert np.array_equal(back.scenes.centroid(s), store.scenes.centroid(s))
     q = rng.standard_normal(5)
     assert back.search(q) == store.search(q)
 

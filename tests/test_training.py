@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_objective import (
     ReferenceAdam,
+    block_gradients,
     flat_state,
     gram_penalty_row_grad,
     reference_step,
@@ -255,7 +256,8 @@ def test_fisher_single_sample_matches_hand_logistic():
         env_experts=np.array([[1.0]]),
     )
     ep = SyntheticEpisode(obs=np.array([[x0]]), instr=np.array([x1]),
-                          actions=np.array([y]), scene=0, env=0)
+                          actions=np.array([y]), scene=0, env=0,
+                          inputs=np.array([[x0, x1]]))
     fisher = fisher_estimate(backbone, [ad], Selection(scene=0, env=0), [ep], 1.0)
     p0 = math.exp(g * x0) / (math.exp(g * x0) + 3.0)
     expected = (x0 * (1.0 - p0)) ** 2
@@ -480,28 +482,27 @@ def test_flat_steps_equal_per_block_reference(kind, scene, env, instr, task,
 @settings(max_examples=60)
 @given(kind=st.sampled_from(sorted(ADAPTER_KINDS)), layer=st.integers(0, 1),
        scene=st.integers(0, 2), env=st.integers(0, 1), instr=st.integers(0, 1),
-       task=st.integers(0, 3), with_ops=st.booleans(), seed=st.integers(0, 2**16))
+       task=st.integers(0, 3), seed=st.integers(0, 2**16))
 def test_in_place_delta_backward_equals_dict_form(kind, layer, scene, env, instr,
-                                                  task, with_ops, seed):
-    """``delta_backward(out=...)`` writes the shared blocks and the selected
-    rows bitwise as the dict form returns them, and leaves every other row
-    of ``out`` as it was."""
+                                                  task, seed):
+    """``delta_backward`` into views of a filled vector writes the shared
+    blocks and the selected rows bitwise as into zero-filled blocks, and
+    leaves every other row of ``out`` as it was."""
     _, adapters, *_ = build_check_setup(kind)
     ad = adapters[layer]
     sel = Selection(scene=scene, env=env, instr=instr, task=task)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal(ad.delta(sel).shape)
-    expected = ad.delta_backward(sel, g)
+    expected = block_gradients(ad, sel, g)
 
     layout = FlatLayout.of([ad])
     vector = rng.standard_normal(layout.size)
     before = vector.copy()
     views, old = layout.views(vector), layout.views(before)
     out = {name: views[block_key(0, name)] for name in ad.blocks()}
-    ops = ad.operands(sel) if with_ops else None
-    if with_ops:
-        ad.delta(sel, ops)   # the forward pass the step runs first
-    assert ad.delta_backward(sel, g, out=out, ops=ops) is out
+    ops = ad.operands(sel)
+    ad.delta(sel, ops)   # the forward pass the step runs first
+    ad.delta_backward(ops, g, out)
     for name, grad in expected.items():
         if name not in ad.expert_axes:
             assert out[name].tobytes() == grad.tobytes(), name
