@@ -117,10 +117,7 @@ def cmd_degrade(args) -> int:
     overrides = _set_pairs(args, params)
     if "seed" in overrides:
         raise ConfigError("seed: set the degradation seed with --seed")
-    try:
-        params(**overrides).validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    params(**overrides).validate()
     manifest = degrade_directory(args.mode, args.input, args.output,
                                  depth_dir=args.depth_dir, seed=args.seed,
                                  overrides=overrides)
@@ -138,7 +135,16 @@ def cmd_report(args) -> int:
         print(f"no scores.json under {args.dir} (run `eval` first)",
               file=sys.stderr)
         return 2
-    rows = json.loads(scores_file.read_text())
+    try:
+        rows = json.loads(scores_file.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{scores_file}: invalid JSON ({exc})") from exc
+    if not (isinstance(rows, list) and all(isinstance(r, dict) for r in rows)):
+        raise ValueError(f"{scores_file}: expected a list of score objects")
+    for i, row in enumerate(rows):
+        missing = [k for k in ("task", "sr", "spl", "osr") if k not in row]
+        if missing:
+            raise ValueError(f"{scores_file}: row {i} has no {', '.join(missing)}")
     scores = [TaskScore(task=r["task"], sr=r["sr"], spl=r["spl"], osr=r["osr"],
                         m_sr=r.get("m_sr"), m_spl=r.get("m_spl"),
                         m_osr=r.get("m_osr"))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
+import numbers
 import os
 import typing
 from dataclasses import dataclass
@@ -77,14 +77,18 @@ def coerce_field(cls, key: str, raw: str):
                           f"({exc})") from exc
 
 
-def check_finite(obj) -> None:
+def check_ranges(obj, ranges: dict[str, str]) -> None:
     """Raise ConfigError naming the first field of the dataclass ``obj``
-    that holds a float, or a tuple with a float, that is not finite."""
+    with a number, or a tuple item, outside its interval in ``ranges``,
+    written like ``"[0, inf)"`` or ``"(0, 1]"``; by default ``(-inf, inf)``."""
     for f in dataclasses.fields(obj):
-        value = getattr(obj, f.name)
-        items = value if isinstance(value, tuple) else (value,)
-        if not all(math.isfinite(v) for v in items if isinstance(v, float)):
-            raise ConfigError(f"{f.name}: must be finite, got {value!r}")
+        value, text = getattr(obj, f.name), ranges.get(f.name, "(-inf, inf)")
+        lo, hi = map(float, text[1:-1].split(","))
+        for v in value if isinstance(value, tuple) else (value,):
+            if isinstance(v, numbers.Real) and not (
+                    (lo <= v if text[0] == "[" else lo < v)
+                    and (v <= hi if text[-1] == "]" else v < hi)):
+                raise ConfigError(f"{f.name}: must lie in {text}, got {value!r}")
 
 
 def _fits(kind, value) -> bool:
@@ -120,15 +124,20 @@ def check_field(cls, key: str, value):
     raise ConfigError(f"{key}: expected {_type_name(kind)}, got {value!r}")
 
 
-# the least value of each field that counts or sizes something
-_MINIMA = {**dict.fromkeys(
-    ("lora_rank", "moe_rank", "abc_rank_base", "abc_rank_mid", "n_scenes",
-     "n_envs", "n_tasks", "train_episodes", "test_episodes", "epochs",
-     "batch_size", "d_f", "hidden", "horizon"), 1), "n_instr": 0, "seed": 0}
-
-
 @dataclass
 class ExperimentConfig:
+    # the interval of each field (see check_ranges); an unlisted float
+    # must be finite. feature_noise > 0: a redrawn episode gets more noise,
+    # so that a teacher that stands still at the cluster center moves
+    RANGES = {**dict.fromkeys(
+        ("ranks", "lora_rank", "moe_rank", "abc_rank_base", "abc_rank_mid",
+         "n_scenes", "n_envs", "n_tasks", "train_episodes", "test_episodes",
+         "epochs", "batch_size", "d_f", "hidden", "horizon"), "[1, inf)"),
+        "n_instr": "[0, inf)", "seed": "[0, inf)", "lam1": "[0, 1)",
+        "lam2": "[0, 1)", "lam3": "[0, 1)", "omega": "[0, 1]",
+        "fisher_fraction": "(0, 1]", "lr": "(0, inf)",
+        "feature_noise": "(0, inf)", "epsilon": "(0, inf)"}
+
     # adapter selection (one code path, many adapters)
     adapter_kind: str = "tucker4"
     ranks: tuple[int, ...] = (4, 4, 8, 8)   # tucker cores; first 3 / all 5 as needed
@@ -172,27 +181,12 @@ class ExperimentConfig:
     seed: int = 0
 
     def validate(self) -> "ExperimentConfig":
-        check_finite(self)
         if self.adapter_kind not in VALID_KINDS:
             raise ConfigError(
                 f"adapter_kind: {self.adapter_kind!r} is not one of {VALID_KINDS}")
-        for name, least in _MINIMA.items():
-            if getattr(self, name) < least:
-                raise ConfigError(f"{name}: must be >= {least}, "
-                                  f"got {getattr(self, name)}")
-        if not all(r >= 1 for r in self.ranks):
-            raise ConfigError(f"ranks: must all be >= 1, got {list(self.ranks)}")
+        check_ranges(self, self.RANGES)
         if self.lam1 + self.lam2 + self.lam3 >= 1.0:
             raise ConfigError("lam1+lam2+lam3: must sum to < 1")
-        if min(self.lam1, self.lam2, self.lam3) < 0:
-            raise ConfigError("lam1/lam2/lam3: must be >= 0")
-        if not 0.0 <= self.omega <= 1.0:
-            raise ConfigError("omega: must lie in [0, 1]")
-        # feature_noise: a redrawn episode gets more noise, so that a teacher
-        # that stands still at the cluster center moves eventually
-        for name in ("lr", "feature_noise", "epsilon"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name}: must be > 0, got {getattr(self, name)}")
         if self.n_tasks > self.n_scenes * self.n_envs:
             raise ConfigError(
                 f"n_tasks: {self.n_tasks} exceeds scenario capacity "
@@ -203,8 +197,6 @@ class ExperimentConfig:
         if len(self.ranks) < order:
             raise ConfigError(f"ranks: {self.adapter_kind} needs {order} ranks, "
                               f"got {len(self.ranks)}")
-        if not 0.0 < self.fisher_fraction <= 1.0:
-            raise ConfigError("fisher_fraction: must lie in (0, 1]")
         name = max(("n_scenes", "n_envs", "n_instr"), key=lambda k: getattr(self, k))
         if self.d_f < getattr(self, name):
             raise ConfigError(f"{name}: {getattr(self, name)} expert keys need "

@@ -38,27 +38,36 @@ from pathlib import Path
 import numpy as np
 from scipy.ndimage import gaussian_filter, uniform_filter
 
-from .config import check_finite, write_atomic
+from .config import check_ranges, write_atomic
+
+
+class _Params:
+    """A parameter set whose ``RANGES`` table holds each field's interval."""
+
+    def validate(self):
+        check_ranges(self, self.RANGES)
+        return self
 
 
 @dataclass
-class ScatterParams:
+class ScatterParams(_Params):
+    RANGES = {"beta": "[0, inf)", "atmospheric_light": "[0, 1]",
+              "d_max": "[0, inf)"}
+
     beta: float = 0.01                 # scattering coefficient [1/m]
     atmospheric_light: tuple[float, float, float] = (0.95, 0.95, 1.0)
     d_max: float = 200.0               # depth clamp [m]
     particle_size: float = 0.1        # recorded for provenance; not in the model
 
-    def validate(self):
-        check_finite(self)
-        if self.beta < 0 or self.d_max < 0:
-            raise ValueError("beta and d_max must be >= 0")
-        if not all(0.0 <= a <= 1.0 for a in self.atmospheric_light):
-            raise ValueError("atmospheric light components must lie in [0, 1]")
-        return self
-
 
 @dataclass
-class LowLightParams:
+class LowLightParams(_Params):
+    # the finite caps keep the signal and its noise from overflowing
+    RANGES = {"brightness": "[0, 1e6]", "exposure_time": "(0, 1e6]",
+              "gain": "(0, 1e6]", "shot_noise": "[0, 1e6]",
+              "read_noise": "[0, 1e6]", "gamma": "(0, inf)",
+              "denoise_strength": "[0, 1]", "detail_preservation": "[0, 1]"}
+
     brightness: float = 0.15           # B: irradiance attenuation
     exposure_time: float = 0.15        # T
     gain: float = 8.0                  # G
@@ -70,21 +79,15 @@ class LowLightParams:
     crf_inverse: bool = False          # use i**(1/gamma) instead of i**gamma
     seed: int = 0
 
-    def validate(self):
-        check_finite(self)
-        if self.exposure_time <= 0 or self.gain <= 0 or self.gamma <= 0:
-            raise ValueError("exposure_time, gain, gamma must be > 0")
-        if self.read_noise < 0 or self.shot_noise < 0 or self.brightness < 0:
-            raise ValueError("brightness and noise levels must be >= 0")
-        if not (0.0 <= self.denoise_strength <= 1.0
-                and 0.0 <= self.detail_preservation <= 1.0):
-            raise ValueError("denoise_strength and detail_preservation must "
-                             "lie in [0, 1]")
-        return self
-
 
 @dataclass
-class OverexposeParams:
+class OverexposeParams(_Params):
+    # the finite caps keep the signal and its noise from overflowing
+    RANGES = {"exposure_multiplier": "(0, 1e6]", "gain": "(0, 1e6]",
+              "saturation": "(0, 1]", "read_noise": "[0, 1e6]",
+              "gamma": "(0, inf)", "bloom_strength": "[0, inf)",
+              "color_shift": "[0, inf)"}
+
     exposure_multiplier: float = 2.5   # T_e
     gain: float = 1.5                  # G
     saturation: float = 0.9            # S_sat: full-well clip level
@@ -94,17 +97,6 @@ class OverexposeParams:
     color_shift: tuple[float, float, float] = (1.0, 0.96, 0.92)
     crf_inverse: bool = False
     seed: int = 0
-
-    def validate(self):
-        check_finite(self)
-        if not 0.0 < self.saturation <= 1.0:
-            raise ValueError("saturation must lie in (0, 1]")
-        if self.exposure_multiplier <= 0 or self.gain <= 0 or self.gamma <= 0:
-            raise ValueError("exposure_multiplier, gain, gamma must be > 0")
-        if self.read_noise < 0 or self.bloom_strength < 0 or min(self.color_shift) < 0:
-            raise ValueError("read_noise, bloom_strength and color_shift "
-                             "must be >= 0")
-        return self
 
 
 def _check_image(img: np.ndarray) -> np.ndarray:

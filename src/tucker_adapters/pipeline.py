@@ -5,8 +5,9 @@ Per task the trainer (i) inherits shared blocks and any previously learned
 expert slices by construction (the same adapters persist across tasks),
 (ii) estimates Fisher weights on the leading fraction of the task's data and
 folds them into a running average, (iii) runs the epoch/minibatch loop over
-the combined objective with non-current experts frozen, and (iv) snapshots
-parameters and stores retrieval features for inference.
+the combined objective with non-current experts frozen, anchored to the
+adapters as the previous task left them, and (iv) stores retrieval features
+for inference.
 
 Every random draw is keyed by (config seed, fixed tag, task index, ...), so
 an interrupted run resumed from its last complete task checkpoint is
@@ -69,10 +70,8 @@ class LifelongState:
     cfg: ExperimentConfig
     adapters: list[AdapterBase]
     store: FeatureStore
-    # vectors in FlatLayout.of(adapters): Fisher over the shared slots, and
-    # every parameter as the last task left it
+    # Fisher over the shared slots of FlatLayout.of(adapters)
     fisher: np.ndarray | None = None
-    snapshot: np.ndarray | None = None
     # the trained-task record: the task index of each trained (scene, env)
     # pair, and the instruction types trained so far
     pair_to_task: dict[tuple[int, int], int] = field(default_factory=dict)
@@ -126,7 +125,10 @@ def train_task(state: LifelongState, world: World,
              "env": int(any(e == task.env for _, e in state.pair_to_task)),
              "instr": int(task.instr in state.seen_instr),
              "task": 0}
-    plan = build_plan(adapters, sel, state.snapshot, state.fisher, flags, cfg)
+    # the consolidation anchor: every parameter as the last task left it
+    snapshot = (FlatLayout.of(adapters).bind(adapters) if state.task_count
+                else None)
+    plan = build_plan(adapters, sel, snapshot, state.fisher, flags, cfg)
     opt = AdamState(lr=cfg.lr)
     logs = []
     for epoch in range(cfg.epochs):
@@ -158,8 +160,6 @@ def train_task(state: LifelongState, world: World,
                      "env": task.env, "epoch": epoch, **means,
                      "wall_time": time.perf_counter() - t0})
 
-    # the snapshot for the next task's consolidation terms
-    state.snapshot = plan.theta.copy()
     if task.instr is not None:
         state.seen_instr.add(task.instr)
     for ep in episodes:
@@ -255,9 +255,8 @@ def save_state(state: LifelongState, directory: str | Path) -> None:
     provenance = {"seed": state.cfg.seed, "ranks": list(state.cfg.ranks)}
     for l, ad in enumerate(state.adapters):
         ad.save(directory / f"adapter_L{l}.npz", provenance)
-    layout = FlatLayout.of(state.adapters)
-    np.savez(directory / "fisher.npz", **layout.views(state.fisher))
-    np.savez(directory / "snapshot.npz", **layout.views(state.snapshot))
+    np.savez(directory / "fisher.npz",
+             **FlatLayout.of(state.adapters).views(state.fisher))
     state.store.save(directory / "store.npz")
     pairs = sorted(state.pair_to_task)
     meta = {
@@ -290,11 +289,8 @@ def load_state(cfg: ExperimentConfig, directory: str | Path,
                           store=FeatureStore.load(directory / "store.npz"))
     state.pair_to_task = {(s, e): t for s, e, t in meta["pair_to_task"]}
     state.seen_instr = set(meta["seen_instr"])
-    layout = FlatLayout.of(adapters)
     with np.load(directory / "fisher.npz") as data:
-        state.fisher = layout.flatten(data, shared_only=True)
-    with np.load(directory / "snapshot.npz") as data:
-        state.snapshot = layout.flatten(data)
+        state.fisher = FlatLayout.of(adapters).flatten(data, shared_only=True)
     return state
 
 

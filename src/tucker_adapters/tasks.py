@@ -117,12 +117,8 @@ def forward_logits(backbone: ToyBackbone, deltas: list[np.ndarray] | None,
 @dataclass
 class SyntheticEpisode:
     obs: np.ndarray           # (n_steps, d_f)
-    instr: np.ndarray         # (d_f,)
     actions: np.ndarray       # (n_steps,) teacher labels, ends at STOP or horizon
-    scene: int
-    env: int
     inputs: np.ndarray        # (n_steps, 2 d_f): (obs, instr) per step
-    instr_type: int | None = None
 
     @property
     def n_steps(self) -> int:
@@ -258,13 +254,12 @@ def gen_episode(world: World, task: TaskDescriptor, indices: list[int] | range,
         moved = [i for i, m in zip(pending, moving) if m]
         pending = [i for i, m in zip(pending, moving) if not m]
         if pending:   # the moved rows alone outlive this attempt
-            inputs, instr, actions, n_steps = (
-                a[moving] for a in (inputs, instr, actions, n_steps))
+            inputs, actions, n_steps = (
+                a[moving] for a in (inputs, actions, n_steps))
         for j, (i, n) in enumerate(zip(moved, n_steps)):
-            episodes[i] = SyntheticEpisode(
-                obs=inputs[j, :n, :d], instr=instr[j], actions=actions[j, :n],
-                scene=task.scene, env=task.env, instr_type=task.instr,
-                inputs=inputs[j, :n])
+            episodes[i] = SyntheticEpisode(obs=inputs[j, :n, :d],
+                                           actions=actions[j, :n],
+                                           inputs=inputs[j, :n])
         if not pending:
             return [episodes[i] for i in indices]
     raise RuntimeError(

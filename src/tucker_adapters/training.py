@@ -306,15 +306,15 @@ def total_loss_and_grads(backbone, plan: StepPlan, x, y):
 # Adam
 # ---------------------------------------------------------------------------
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     """Bias-corrected first/second moment vectors, laid out like the
     parameter vector (allocated by the first step)."""
 
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
@@ -331,13 +331,13 @@ def adam_step(state: AdamState, theta: np.ndarray, grad: np.ndarray) -> None:
         state.m, state.v = np.zeros_like(theta), np.zeros_like(theta)
     # theta -= lr m_hat / (sqrt(v_hat) + eps), in place and in this order
     m, v = state.m, state.v
-    m *= state.beta1
-    m += (1 - state.beta1) * grad
-    v *= state.beta2
-    v += (1 - state.beta2) * grad * grad
-    update = m / (1 - state.beta1 ** t)
+    m *= ADAM_BETA1
+    m += (1 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1 - ADAM_BETA2) * grad * grad
+    update = m / (1 - ADAM_BETA1 ** t)
     update *= state.lr
-    update /= np.sqrt(v / (1 - state.beta2 ** t)) + state.eps
+    update /= np.sqrt(v / (1 - ADAM_BETA2 ** t)) + ADAM_EPS
     theta -= update
 
 

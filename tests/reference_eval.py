@@ -54,10 +54,8 @@ def reference_gen_episode(world, task, episode_idx, split=0):
         stops = np.flatnonzero(actions == STOP)
         n_steps = int(stops[0]) + 1 if stops.size else cfg.horizon
         if np.any(actions[:n_steps] == FORWARD):
-            return SyntheticEpisode(obs=inputs[:n_steps, :cfg.d_f], instr=instr,
+            return SyntheticEpisode(obs=inputs[:n_steps, :cfg.d_f],
                                     actions=actions[:n_steps],
-                                    scene=task.scene, env=task.env,
-                                    instr_type=task.instr,
                                     inputs=inputs[:n_steps])
     raise RuntimeError(
         f"could not draw a moving episode for task {task.index} "

@@ -1,13 +1,20 @@
 """Command-line interface: subcommands, exit codes, output layout."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from tucker_adapters.cli import build_parser, load_config, main
-from tucker_adapters.config import ExperimentConfig
-from tucker_adapters.degrade import load_image, save_image
+from tucker_adapters.config import ConfigError, ExperimentConfig, check_ranges
+from tucker_adapters.degrade import (
+    LowLightParams,
+    OverexposeParams,
+    ScatterParams,
+    load_image,
+    save_image,
+)
 
 TINY = ["--set", "n_scenes=3", "--set", "n_envs=2", "--set", "n_tasks=2",
         "--set", "d_f=16", "--set", "hidden=12", "--set", "horizon=8",
@@ -144,6 +151,18 @@ def test_report_missing_scores_exit_code_2(out_root, tmp_path, capsys):
     assert "scores.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("payload,what", [
+    ('{"task": 0, "sr": 1.0}', "expected a list of score objects"),
+    ('[{"task": 0, "spl": 1.0, "osr": 1.0}]', "row 0 has no sr"),
+    ('[{"task": 0, "sr"', "invalid JSON"),
+])
+def test_report_malformed_scores_exit_code_2(tmp_path, capsys, payload, what):
+    (tmp_path / "scores.json").write_text(payload)
+    assert main(["report", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert str(tmp_path / "scores.json") in err and what in err
+
+
 def _one_image_dir(tmp_path):
     src = tmp_path / "in"
     src.mkdir()
@@ -225,6 +244,12 @@ SMALL = ["--set", "n_tasks=1", "--set", "epochs=1", "--set", "train_episodes=4",
     (["degrade", "--mode", "lowlight", "--set", "gain=nan"], "gain"),
     (["degrade", "--mode", "lowlight", "--set", "gamma=inf"], "gamma"),
     (["train", "--set", "n_instr=65"], "n_instr"),
+    (["degrade", "--mode", "lowlight", "--set", "read_noise=-1"], "read_noise"),
+    (["degrade", "--mode", "scattering", "--set", "atmospheric_light=2,0,0"],
+     "atmospheric_light"),
+    (["degrade", "--mode", "overexposure", "--set", "color_shift=-1,1,1"],
+     "color_shift"),
+    (["degrade", "--mode", "overexposure", "--set", "gain=1e308"], "gain"),
 ])
 def test_non_finite_or_degenerate_value_exit_code_1(out_root, tmp_path, capsys,
                                                     argv, field):
@@ -237,6 +262,34 @@ def test_non_finite_or_degenerate_value_exit_code_1(out_root, tmp_path, capsys,
     assert f"{field}:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
     assert not list((out_root / "runs").glob("*"))
+
+
+@pytest.mark.parametrize("cls,name,text", [
+    (cls, name, text)
+    for cls in (ExperimentConfig, ScatterParams, LowLightParams, OverexposeParams)
+    for name, text in cls.RANGES.items()])
+def test_range_table_bounds(cls, name, text):
+    """A closed bound passes and the float just outside it fails; an open
+    bound fails and the float just inside it passes. A tuple field is
+    checked through its first item."""
+    default = cls()
+
+    def check(v):
+        old = getattr(default, name)
+        value = (v,) + old[1:] if isinstance(old, tuple) else v
+        check_ranges(dataclasses.replace(default, **{name: value}), cls.RANGES)
+
+    lo, hi = (float(b) for b in text[1:-1].split(","))
+    for bound, closed, outward in ((lo, text[0] == "[", -np.inf),
+                                   (hi, text[-1] == "]", np.inf)):
+        if closed:
+            check(bound)
+            with pytest.raises(ConfigError, match=f"^{name}: must lie in"):
+                check(float(np.nextafter(bound, outward)))
+        else:
+            check(float(np.nextafter(bound, -outward)))
+            with pytest.raises(ConfigError, match=f"^{name}: must lie in"):
+                check(bound)
 
 
 def test_divergence_exit_code_2(out_root, capsys):

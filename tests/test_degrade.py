@@ -234,12 +234,28 @@ def test_operators_stay_finite_in_unit_range(img, depth_scale, seed,
         assert out.min() >= 0.0 and out.max() <= 1.0
 
 
+def test_operators_stay_finite_with_capped_fields_at_their_bounds(img, depth):
+    """No accepted parameter set overflows: with every field that has a
+    finite upper bound set to it, each operator still maps into [0, 1]."""
+    for cls, op in ((ScatterParams, lambda p: scatter(img, depth, p)),
+                    (LowLightParams, lambda p: low_light(img, p)),
+                    (OverexposeParams, lambda p: overexpose(img, p))):
+        caps = {}
+        for name, text in cls.RANGES.items():
+            if text.endswith("]"):
+                hi, old = float(text[1:-1].split(",")[1]), getattr(cls(), name)
+                caps[name] = (hi,) * len(old) if isinstance(old, tuple) else hi
+        out = op(cls(**caps))
+        assert np.all(np.isfinite(out))
+        assert out.min() >= 0.0 and out.max() <= 1.0
+
+
 def test_param_validation_errors(img):
     with pytest.raises(ValueError, match="saturation"):
         overexpose(img, OverexposeParams(saturation=0.0))
     with pytest.raises(ValueError, match="beta"):
         scatter(img, None, ScatterParams(beta=-1.0))
-    with pytest.raises(ValueError, match="gamma|> 0"):
+    with pytest.raises(ValueError, match="gamma:"):
         low_light(img, LowLightParams(gamma=0.0))
 
 

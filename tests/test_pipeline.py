@@ -246,7 +246,7 @@ def test_checkpoints_without_a_manifest_are_refused(tmp_path):
 def test_run_directory_holds_only_what_is_read(tmp_path):
     run_training(tiny_config(), tmp_path / "r")
     checkpoint = ("adapter_L0.npz", "adapter_L1.npz", "fisher.npz",
-                  "snapshot.npz", "store.npz", "state.json", "complete.marker")
+                  "store.npz", "state.json", "complete.marker")
     files = {p.relative_to(tmp_path / "r").as_posix()
              for p in (tmp_path / "r").rglob("*") if p.is_file()}
     assert files == {"config.json", "manifest.json", "train_log.jsonl",
@@ -282,20 +282,16 @@ def test_state_and_store_files_record_the_trained_stream(tmp_path):
 
 
 @pytest.mark.parametrize("kind", ["tucker4", "lora_per_task"])
-def test_fisher_and_snapshot_files_are_per_block(tmp_path, kind):
-    """fisher.npz and snapshot.npz hold one array per block under its
-    ``L{l}:{name}`` key, layer by layer; the snapshot is the trained adapters."""
+def test_fisher_file_is_per_block(tmp_path, kind):
+    """fisher.npz holds one array per shared block under its ``L{l}:{name}``
+    key, layer by layer."""
     run_training(tiny_config(adapter_kind=kind, n_tasks=2, epochs=1), tmp_path / "r")
     last = task_dir(tmp_path / "r", 1)
     adapters = [AdapterBase.load(last / f"adapter_L{l}.npz") for l in range(2)]
-    with np.load(last / "snapshot.npz") as data:
-        snapshot = {k: data[k] for k in data.files}
     with np.load(last / "fisher.npz") as data:
         fisher = {k: data[k] for k in data.files}
     blocks = {f"L{l}:{name}": arr for l, ad in enumerate(adapters)
               for name, arr in ad.blocks().items()}
-    assert list(snapshot) == list(blocks)
-    assert all(snapshot[k].tobytes() == blocks[k].tobytes() for k in blocks)
     assert list(fisher) == [f"L{l}:{name}" for l, ad in enumerate(adapters)
                             for name in ad.shared_names]
     assert all(fisher[k].shape == blocks[k].shape for k in fisher)

@@ -68,7 +68,7 @@ def test_episode_deterministic(world):
     [b] = gen_episode(world, task, [3])
     assert np.array_equal(a.obs, b.obs)
     assert np.array_equal(a.actions, b.actions)
-    assert np.array_equal(a.instr, b.instr)
+    assert np.array_equal(a.inputs, b.inputs)
 
 
 def test_episode_splits_differ(world):

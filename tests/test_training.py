@@ -255,8 +255,7 @@ def test_fisher_single_sample_matches_hand_logistic():
         scene_experts=np.array([[1.0]]),
         env_experts=np.array([[1.0]]),
     )
-    ep = SyntheticEpisode(obs=np.array([[x0]]), instr=np.array([x1]),
-                          actions=np.array([y]), scene=0, env=0,
+    ep = SyntheticEpisode(obs=np.array([[x0]]), actions=np.array([y]),
                           inputs=np.array([[x0, x1]]))
     fisher = fisher_estimate(backbone, [ad], Selection(scene=0, env=0), [ep], 1.0)
     p0 = math.exp(g * x0) / (math.exp(g * x0) + 3.0)
