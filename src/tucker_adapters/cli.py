@@ -15,7 +15,7 @@ import os
 import sys
 from pathlib import Path
 
-from .config import ConfigError, ExperimentConfig, coerce_field
+from .config import ConfigError, ExperimentConfig, check_field, coerce_field
 from .degrade import MODE_DEFAULTS, degrade_directory
 from .metrics import TaskScore, render_table, write_reports
 from .pipeline import run_eval, run_gradcheck, run_reference, run_training
@@ -113,14 +113,9 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_degrade(args) -> int:
-    params = MODE_DEFAULTS[args.mode]
-    overrides = _set_pairs(args, params)
-    if "seed" in overrides:
-        raise ConfigError("seed: set the degradation seed with --seed")
-    params(**overrides).validate()
     manifest = degrade_directory(args.mode, args.input, args.output,
                                  depth_dir=args.depth_dir, seed=args.seed,
-                                 overrides=overrides)
+                                 overrides=_set_pairs(args, MODE_DEFAULTS[args.mode]))
     print(f"degraded {manifest['count']} image(s) -> {args.output} "
           f"(manifest.json written)")
     return 0
@@ -145,6 +140,11 @@ def cmd_report(args) -> int:
         missing = [k for k in ("task", "sr", "spl", "osr") if k not in row]
         if missing:
             raise ValueError(f"{scores_file}: row {i} has no {', '.join(missing)}")
+        for key in ("task", "sr", "spl", "osr") if row["task"] != "avg" else ():
+            try:
+                check_field(TaskScore, key, row[key])
+            except ConfigError as exc:
+                raise ValueError(f"{scores_file}: row {i}: {exc}") from None
     scores = [TaskScore(task=r["task"], sr=r["sr"], spl=r["spl"], osr=r["osr"],
                         m_sr=r.get("m_sr"), m_spl=r.get("m_spl"),
                         m_osr=r.get("m_osr"))

@@ -25,20 +25,25 @@ and a per-channel color shift.
 
 All operators are deterministic per seed and map [0,1] images into [0,1].
 Images are float64 arrays of shape (H, W, 3); depth maps are float64 (H, W)
-in meters.
+in meters. ``degrade_directory`` runs a directory's images concurrently, one
+per CPU available to the process, and writes the bytes and manifest a serial
+run would; a failing image skips those not yet begun and writes no manifest.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import threading
 import warnings
-from dataclasses import dataclass, asdict
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 from scipy.ndimage import gaussian_filter, uniform_filter
 
-from .config import check_ranges, write_atomic
+from .config import ConfigError, check_ranges, write_atomic
 
 
 class _Params:
@@ -107,7 +112,8 @@ def _check_image(img: np.ndarray) -> np.ndarray:
 
 
 def _crf(x: np.ndarray, gamma: float, inverse: bool) -> np.ndarray:
-    return x ** (1.0 / gamma) if inverse else x ** gamma
+    """Apply the camera response to ``x`` in place; returns ``x``."""
+    return np.power(x, 1.0 / gamma if inverse else gamma, out=x)
 
 
 def scatter(img: np.ndarray, depth: np.ndarray | None,
@@ -122,9 +128,11 @@ def scatter(img: np.ndarray, depth: np.ndarray | None,
     if depth.shape != img.shape[:2]:
         raise ValueError(
             f"depth shape {depth.shape} does not match image {img.shape[:2]}")
-    t = np.exp(-params.beta * np.minimum(depth, params.d_max))[..., None]
-    a = np.asarray(params.atmospheric_light)[None, None, :]
-    return np.clip(img * t + a * (1.0 - t), 0.0, 1.0)
+    t = np.minimum(depth, params.d_max)
+    t = np.exp(np.multiply(-params.beta, t, out=t), out=t)[..., None]
+    out = np.multiply(img, t)
+    out += np.multiply(params.atmospheric_light, np.subtract(1.0, t, out=t))
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def low_light(img: np.ndarray,
@@ -133,18 +141,22 @@ def low_light(img: np.ndarray,
     img = _check_image(img)
     params.validate()
     rng = np.random.default_rng(params.seed)
-    signal = params.gain * params.exposure_time * params.brightness * img
-    shot = rng.standard_normal(img.shape) * np.sqrt(params.shot_noise * signal)
-    read = rng.standard_normal(img.shape) * (params.read_noise / 255.0)
-    noisy = _crf(np.clip(signal + shot + read, 0.0, 1.0), params.gamma,
-                 params.crf_inverse)
+    # C-ordered, so standard_normal(out=) fills them as standard_normal(shape)
+    noisy, draw, term = (np.empty(img.shape) for _ in range(3))
+    np.multiply(params.gain * params.exposure_time * params.brightness, img, out=noisy)
+    np.sqrt(np.multiply(params.shot_noise, noisy, out=term), out=term)
+    noisy += np.multiply(rng.standard_normal(out=draw), term, out=term)
+    noisy += np.multiply(rng.standard_normal(out=draw),
+                         params.read_noise / 255.0, out=draw)
+    _crf(np.clip(noisy, 0.0, 1.0, out=noisy), params.gamma, params.crf_inverse)
     if params.denoise_strength > 0.0:
-        smoothed = uniform_filter(noisy, size=(3, 3, 1), mode="nearest")
-        blended = (params.detail_preservation * noisy
-                   + (1.0 - params.detail_preservation) * smoothed)
-        noisy = ((1.0 - params.denoise_strength) * noisy
-                 + params.denoise_strength * blended)
-    return np.clip(noisy, 0.0, 1.0)
+        keep, strength = params.detail_preservation, params.denoise_strength
+        smoothed = uniform_filter(noisy, (3, 3, 1), mode="nearest", output=term)
+        blended = np.multiply(keep, noisy, out=draw)
+        blended += np.multiply(1.0 - keep, smoothed, out=smoothed)
+        noisy *= 1.0 - strength
+        noisy += np.multiply(strength, blended, out=blended)
+    return np.clip(noisy, 0.0, 1.0, out=noisy)
 
 
 def overexpose(img: np.ndarray,
@@ -153,20 +165,22 @@ def overexpose(img: np.ndarray,
     img = _check_image(img)
     params.validate()
     rng = np.random.default_rng(params.seed)
-    signal = params.gain * params.exposure_multiplier * img
+    s, draw, term = (np.empty(img.shape) for _ in range(3))
+    np.multiply(params.gain * params.exposure_multiplier, img, out=s)
     # the overexposure block parameterizes only sigma_read; the
     # signal-proportional shot term reuses it as the variance coefficient
-    shot = rng.standard_normal(img.shape) * np.sqrt(params.read_noise * signal)
-    read = rng.standard_normal(img.shape) * params.read_noise
-    s = np.clip(signal + shot + read, 0.0, params.saturation)
+    np.sqrt(np.multiply(params.read_noise, s, out=term), out=term)
+    s += np.multiply(rng.standard_normal(out=draw), term, out=term)
+    s += np.multiply(rng.standard_normal(out=draw), params.read_noise, out=draw)
+    np.clip(s, 0.0, params.saturation, out=s)
     if params.bloom_strength > 0.0:
-        mask = (s >= params.saturation).astype(np.float64)
+        mask = np.greater_equal(s, params.saturation, out=draw)
         glow = gaussian_filter(mask, sigma=(2.0, 2.0, 0.0), truncate=2.5,
-                               mode="nearest")
-        s = s + params.bloom_strength * glow
-    s = s * np.asarray(params.color_shift)[None, None, :]
-    return np.clip(_crf(np.clip(s, 0.0, 1.0), params.gamma,
-                        params.crf_inverse), 0.0, 1.0)
+                               mode="nearest", output=term)
+        s += np.multiply(params.bloom_strength, glow, out=glow)
+    s *= np.asarray(params.color_shift)[None, None, :]
+    _crf(np.clip(s, 0.0, 1.0, out=s), params.gamma, params.crf_inverse)
+    return np.clip(s, 0.0, 1.0, out=s)
 
 
 # ---------------------------------------------------------------------------
@@ -272,34 +286,48 @@ def degrade_directory(mode: str, input_dir: str | Path, output_dir: str | Path,
     """
     if mode not in MODE_DEFAULTS:
         raise ValueError(f"mode must be one of {sorted(MODE_DEFAULTS)}")
+    if seed < 0:
+        raise ConfigError(f"seed: must lie in [0, inf), got {seed!r}")
+    if "seed" in (overrides or {}):
+        raise ConfigError("seed: each image's seed derives from the directory seed")
+    params = MODE_DEFAULTS[mode](**(overrides or {})).validate()
     input_dir, output_dir = Path(input_dir), Path(output_dir)
     images = sorted(input_dir.glob("*.ppm"))
     if not images:
         raise FileNotFoundError(f"no .ppm images under {input_dir}")
     output_dir.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for idx, src in enumerate(images):
-        img = load_image(src)
-        kwargs = dict(overrides or {})
-        if mode == "scattering":
-            params = ScatterParams(**kwargs)
-            depth = None
-            if depth_dir is not None:
-                candidate = Path(depth_dir) / (src.stem + ".pgm")
-                if candidate.exists():
-                    depth = load_depth(candidate)
-            out = scatter(img, depth, params)
-        elif mode == "lowlight":
-            params = LowLightParams(**kwargs, seed=_image_seed(seed, idx))
-            out = low_light(img, params)
-        else:
-            params = OverexposeParams(**kwargs, seed=_image_seed(seed, idx))
-            out = overexpose(img, params)
-        dst = output_dir / src.name
-        save_image(dst, out)
-        record = {"input": str(src), "output": str(dst), "mode": mode,
-                  "params": asdict(params)}
-        entries.append(record)
+    stop = threading.Event()
+
+    # calls IO and operators by their module-global names: wrappers see them
+    def degrade_one(idx: int, src: Path) -> dict | None:
+        if stop.is_set():
+            return None
+        try:
+            img = load_image(src)
+            if mode == "scattering":
+                pgm = None if depth_dir is None else Path(depth_dir) / f"{src.stem}.pgm"
+                depth = load_depth(pgm) if pgm and pgm.exists() else None
+                out, image_params = scatter(img, depth, params), params
+            else:
+                image_params = replace(params, seed=_image_seed(seed, idx))
+                out = (low_light(img, image_params) if mode == "lowlight"
+                       else overexpose(img, image_params))
+            save_image(output_dir / src.name, out)
+        except BaseException:
+            stop.set()
+            raise
+        return {"input": str(src), "output": str(output_dir / src.name),
+                "mode": mode, "params": asdict(image_params)}
+
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    with ThreadPoolExecutor(min(len(images), cpus)) as pool:
+        futures = [pool.submit(degrade_one, i, src) for i, src in enumerate(images)]
+        try:
+            # a failed image began before any skipped one (None): its error is first
+            entries = [future.result() for future in futures]
+        finally:
+            stop.set()
     manifest = {"mode": mode, "seed": seed, "count": len(entries),
                 "images": entries}
     write_atomic(output_dir / "manifest.json", json.dumps(manifest, indent=2))

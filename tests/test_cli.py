@@ -155,6 +155,10 @@ def test_report_missing_scores_exit_code_2(out_root, tmp_path, capsys):
     ('{"task": 0, "sr": 1.0}', "expected a list of score objects"),
     ('[{"task": 0, "spl": 1.0, "osr": 1.0}]', "row 0 has no sr"),
     ('[{"task": 0, "sr"', "invalid JSON"),
+    ('[{"task": 0, "sr": "x", "spl": 1, "osr": 1}]', "row 0: sr: expected float"),
+    ('[{"task": 0, "sr": 1, "spl": true, "osr": 1}]', "row 0: spl: expected float"),
+    ('[{"task": "avg", "sr": 1, "spl": 1, "osr": 1}, {"task": 1.5, "sr": 1, '
+     '"spl": 1, "osr": 1}]', "row 1: task: expected int"),
 ])
 def test_report_malformed_scores_exit_code_2(tmp_path, capsys, payload, what):
     (tmp_path / "scores.json").write_text(payload)
@@ -250,6 +254,7 @@ SMALL = ["--set", "n_tasks=1", "--set", "epochs=1", "--set", "train_episodes=4",
     (["degrade", "--mode", "overexposure", "--set", "color_shift=-1,1,1"],
      "color_shift"),
     (["degrade", "--mode", "overexposure", "--set", "gain=1e308"], "gain"),
+    (["degrade", "--mode", "lowlight", "--seed", "-1"], "seed"),
 ])
 def test_non_finite_or_degenerate_value_exit_code_1(out_root, tmp_path, capsys,
                                                     argv, field):

@@ -1,14 +1,22 @@
-"""Degradation operators: identities, bounds, determinism, and PNM IO."""
+"""Degradation operators: identities, bounds, determinism, byte equality
+with the out-of-place reference, PNM IO and the concurrent batch."""
 
+import dataclasses
+import json
 import math
+import os
+import re
+import warnings
 
 import numpy as np
 import pytest
+import reference_degrade as reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tucker_adapters.degrade import (
+    MODE_DEFAULTS,
     LowLightParams,
     OverexposeParams,
     PnmError,
@@ -250,6 +258,94 @@ def test_operators_stay_finite_with_capped_fields_at_their_bounds(img, depth):
         assert out.min() >= 0.0 and out.max() <= 1.0
 
 
+def in_range(cls, name, cap):
+    """Floats inside field ``name``'s ``RANGES`` interval of ``cls`` and at
+    most ``cap``, closed finite ends drawn on purpose."""
+    text = cls.RANGES.get(name, "(-inf, inf)")
+    lo, hi = map(float, text[1:-1].split(","))
+    open_hi = text[-1] == ")" and hi <= cap
+    hi = min(hi, cap)
+    ends = [v for v, closed in ((lo, text[0] == "["), (hi, not open_hi))
+            if closed and math.isfinite(v)]
+    inside = st.floats(lo if math.isfinite(lo) else None,
+                       hi if math.isfinite(hi) else None,
+                       exclude_min=math.isfinite(lo) and text[0] == "(",
+                       exclude_max=math.isfinite(hi) and open_hi,
+                       allow_nan=False, allow_infinity=False)
+    return st.one_of(st.sampled_from(ends), inside) if ends else inside
+
+
+def params_in_ranges(cls, cap=math.inf):
+    """Parameter sets of ``cls`` with every field inside its interval and
+    every float at most ``cap``."""
+    fields = {}
+    for f in dataclasses.fields(cls):
+        default = getattr(cls(), f.name)
+        if isinstance(default, bool):
+            fields[f.name] = st.booleans()
+        elif f.name == "seed":
+            fields[f.name] = st.integers(0, 2**32 - 1)
+        elif isinstance(default, tuple):
+            fields[f.name] = st.tuples(*[in_range(cls, f.name, cap)] * len(default))
+        else:
+            fields[f.name] = in_range(cls, f.name, cap)
+    return st.builds(cls, **fields)
+
+
+def assert_reference_bytes(op, *args):
+    """``op`` returns the bytes its out-of-place reference returns and
+    leaves its arguments as they were."""
+    before = [a.copy() if isinstance(a, np.ndarray) else a for a in args]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = getattr(reference, op.__name__)(*args)
+        want = op(*args)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes(), op.__name__
+    for a, b in zip(args, before):
+        if isinstance(a, np.ndarray):
+            assert a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=80)
+@given(img=images(), depth=st.none() | st.floats(0.0, 500.0),
+       cap=st.sampled_from([1.0, 4.0, math.inf]), data=st.data())
+def test_operators_return_the_reference_bytes(img, depth, cap, data):
+    """Two thirds of the examples keep every float at most 1 or 4, where
+    few pixels clip; the others range over whole intervals, extremes
+    included."""
+    if depth is not None:
+        depth = np.random.default_rng(0).uniform(0.0, depth, size=img.shape[:2])
+    assert_reference_bytes(scatter, img, depth,
+                           data.draw(params_in_ranges(ScatterParams, cap)))
+    assert_reference_bytes(low_light, img,
+                           data.draw(params_in_ranges(LowLightParams, cap)))
+    assert_reference_bytes(overexpose, img,
+                           data.draw(params_in_ranges(OverexposeParams, cap)))
+
+
+@pytest.mark.parametrize("crf_inverse", [False, True])
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0, 2.2])
+def test_operator_edge_settings_return_the_reference_bytes(img, depth,
+                                                           crf_inverse, gamma):
+    """The branches a random draw may miss: no denoise, no bloom, full-well
+    saturation at 1, and exponents numpy may special-case."""
+    for low in (LowLightParams(seed=3, gamma=gamma, crf_inverse=crf_inverse),
+                LowLightParams(seed=3, gamma=gamma, crf_inverse=crf_inverse,
+                               denoise_strength=0.0)):
+        assert_reference_bytes(low_light, img, low)
+    for over in (OverexposeParams(seed=4, gamma=gamma, crf_inverse=crf_inverse),
+                 OverexposeParams(seed=4, gamma=gamma, crf_inverse=crf_inverse,
+                                  bloom_strength=0.0, saturation=1.0),
+                 OverexposeParams(seed=4, gamma=gamma, crf_inverse=crf_inverse,
+                                  saturation=1.0, exposure_multiplier=50.0)):
+        assert_reference_bytes(overexpose, img, over)
+    assert_reference_bytes(scatter, img, depth, ScatterParams(beta=0.02))
+    assert_reference_bytes(scatter, img.transpose(1, 0, 2), depth.T,
+                           ScatterParams(beta=0.02))
+    assert_reference_bytes(low_light, img.transpose(1, 0, 2), LowLightParams())
+
+
 def test_param_validation_errors(img):
     with pytest.raises(ValueError, match="saturation"):
         overexpose(img, OverexposeParams(saturation=0.0))
@@ -365,3 +461,71 @@ def test_degrade_directory_empty_error(tmp_path):
     (tmp_path / "empty").mkdir()
     with pytest.raises(FileNotFoundError):
         degrade_directory("lowlight", tmp_path / "empty", tmp_path / "out")
+
+
+def six_image_directory(tmp_path):
+    """Six images, four with depth maps; the last two have none."""
+    src, dep = tmp_path / "in", tmp_path / "depth"
+    src.mkdir(), dep.mkdir()
+    rng = np.random.default_rng(11)
+    for i in range(6):
+        save_image(src / f"view{i}.ppm", rng.uniform(0.0, 1.0, size=(9, 14, 3)))
+        if i < 4:
+            save_depth(dep / f"view{i}.pgm", rng.uniform(1.0, 60.0, size=(9, 14)))
+    return src, dep
+
+
+def written(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("cpus", [None, {0}, set(range(8)), "no affinity call"])
+@pytest.mark.parametrize("mode", sorted(MODE_DEFAULTS))
+def test_degrade_directory_writes_the_serial_loop_bytes(tmp_path, monkeypatch,
+                                                        mode, cpus):
+    """Files and manifest equal the serial reference loop's, with the CPUs
+    the process may use left as they are, cut to one, raised above the
+    image count, or unknown to the platform."""
+    if cpus == "no affinity call":
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    elif cpus is not None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    src, dep = six_image_directory(tmp_path)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the two images without depth maps
+        want_manifest = reference.degrade_directory(mode, src, out, dep, seed=7)
+        want = written(out)
+        for path in out.iterdir():
+            path.unlink()
+        manifest = degrade_directory(mode, src, out, dep, seed=7)
+    assert manifest == want_manifest
+    assert written(out) == want
+    assert json.loads(want["manifest.json"])["count"] == 6
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+def test_degrade_directory_stops_at_a_truncated_image(tmp_path, monkeypatch,
+                                                      cpus):
+    """A truncated third image raises its PnmError, whether or not another
+    image is in flight, and no manifest is written. With one CPU, as in the
+    serial loop, no image after it is written."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    src, _ = six_image_directory(tmp_path)
+    bad = src / "view2.ppm"
+    bad.write_bytes(bad.read_bytes()[:-10])
+    out = tmp_path / "out"
+    with pytest.raises(PnmError, match=re.escape(str(bad))):
+        degrade_directory("lowlight", src, out, seed=1)
+    assert not (out / "manifest.json").exists()
+    names = {p.name for p in out.iterdir()}
+    assert {"view0.ppm", "view1.ppm"} <= names and "view2.ppm" not in names
+    if len(cpus) == 1:
+        assert names == {"view0.ppm", "view1.ppm"}
+
+
+def test_degrade_directory_checks_seed_before_writing(tmp_path):
+    src, _ = six_image_directory(tmp_path)
+    with pytest.raises(ValueError, match="seed: must lie in"):
+        degrade_directory("overexposure", src, tmp_path / "out", seed=-1)
+    assert not (tmp_path / "out").exists()
