@@ -61,7 +61,7 @@ def _check_index(name: str, idx: int | None, bound: int) -> int:
 
 
 class AdapterBase:
-    """Shared plumbing: block access, masks, parameter counts, checkpoints."""
+    """Shared plumbing: blocks, trained rows, parameter counts, checkpoints."""
 
     kind: str = ""
     # parameter blocks updated on every task and consolidated by EWC
@@ -100,24 +100,17 @@ class AdapterBase:
         bound = getattr(self, name).shape[0]
         return _check_index(axis, getattr(self.resolve(sel), axis), bound)
 
-    def trainable_mask(self, sel: Selection) -> dict[str, np.ndarray]:
-        """1.0 on shared blocks and the selected expert slices, 0.0 elsewhere."""
-        masks = {}
-        for name, arr in self.blocks().items():
-            if name in self.expert_axes:
-                m = np.zeros_like(arr)
-                m[self.expert_index(name, sel)] = 1.0
-                masks[name] = m
-            else:
-                masks[name] = np.ones_like(arr)
-        return masks
+    def trainable_mask(self, sel: Selection) -> tuple[int, ...]:
+        """The row of each expert block (``expert_axes`` order) that ``sel``
+        trains; every shared block trains whole and no other row trains."""
+        return tuple(self.expert_index(name, sel) for name in self.expert_axes)
 
     def operands(self, sel: Selection) -> tuple:
-        """The selected row of each expert block (``expert_axes`` order) and
-        a view of it, checked once. The views follow the blocks until they
-        are rebound, so a step takes them once per task and passes them
-        back as ``ops``, and ``sel`` is then not looked at."""
-        index = tuple(self.expert_index(name, sel) for name in self.expert_axes)
+        """``trainable_mask(sel)`` and a view of each of those rows. The
+        views follow the blocks until they are rebound, so a step takes them
+        once per task and passes them back as ``ops``, and ``sel`` is then
+        not looked at."""
+        index = self.trainable_mask(sel)
         return index, tuple(getattr(self, name)[i]
                             for name, i in zip(self.expert_axes, index))
 

@@ -140,9 +140,9 @@ def cmd_report(args) -> int:
         missing = [k for k in ("task", "sr", "spl", "osr") if k not in row]
         if missing:
             raise ValueError(f"{scores_file}: row {i} has no {', '.join(missing)}")
-        for key in ("task", "sr", "spl", "osr") if row["task"] != "avg" else ():
+        for key in TaskScore.__dataclass_fields__ if row["task"] != "avg" else ():
             try:
-                check_field(TaskScore, key, row[key])
+                check_field(TaskScore, key, row.get(key))
             except ConfigError as exc:
                 raise ValueError(f"{scores_file}: row {i}: {exc}") from None
     scores = [TaskScore(task=r["task"], sr=r["sr"], spl=r["spl"], osr=r["osr"],

@@ -12,6 +12,7 @@ import hashlib
 import json
 import numbers
 import os
+import types
 import typing
 from dataclasses import dataclass
 from pathlib import Path
@@ -111,8 +112,13 @@ def check_field(cls, key: str, value):
     """``value``, as read from JSON, if it has the type of field ``key`` of
     the dataclass ``cls``: an int field takes an int but not a bool, a float
     field also takes an int (returned as a float, so that ``0`` and ``0.0``
-    hash alike), and a tuple field a list (returned as a tuple)."""
+    hash alike), a tuple field a list (returned as a tuple), and a ``T |
+    None`` field null or what a ``T`` field takes."""
     kind = _field_type(cls, key)
+    if isinstance(kind, types.UnionType):   # T | None
+        if value is None:
+            return None
+        kind = typing.get_args(kind)[0]
     if typing.get_origin(kind) is not tuple:
         if _fits(kind, value):
             return float(value) if kind is float else value

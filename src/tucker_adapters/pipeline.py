@@ -123,8 +123,7 @@ def train_task(state: LifelongState, world: World,
         state.fisher = fisher_ema(state.fisher, new_fisher, cfg.omega)
     flags = {"scene": int(any(s == task.scene for s, _ in state.pair_to_task)),
              "env": int(any(e == task.env for _, e in state.pair_to_task)),
-             "instr": int(task.instr in state.seen_instr),
-             "task": 0}
+             "instr": int(task.instr in state.seen_instr)}
     # the consolidation anchor: every parameter as the last task left it
     snapshot = (FlatLayout.of(adapters).bind(adapters) if state.task_count
                 else None)
@@ -521,7 +520,7 @@ def run_gradcheck(cfg: ExperimentConfig, n_episodes: int = 3) -> dict[str, float
                 for l, ad in enumerate(adapters) for k, v in ad.blocks().items()}
     fisher = {block_key(l, k): rng.uniform(0.1, 1.5, size=getattr(ad, k).shape)
               for l, ad in enumerate(adapters) for k in ad.shared_names}
-    flags = {"scene": 1, "env": 0, "instr": 0, "task": 0}
+    flags = {"scene": 1, "env": 0, "instr": 0}
     layout = FlatLayout.of(adapters)
     plan = build_plan(adapters, sel, layout.flatten(snapshot),
                       layout.flatten(fisher, shared_only=True), flags, cfg)
@@ -530,6 +529,8 @@ def run_gradcheck(cfg: ExperimentConfig, n_episodes: int = 3) -> dict[str, float
     def loss_fn():
         return total_loss_and_grads(world.backbone, plan, x, y)[0]["total"]
 
-    views = plan.layout.views
-    return finite_difference_check(loss_fn, views(plan.theta), views(grad),
-                                   mask=views(plan.mask))
+    mask = np.zeros(layout.size)
+    for slots in plan.trained:
+        mask[slots] = 1.0
+    return finite_difference_check(loss_fn, layout.views(plan.theta),
+                                   layout.views(grad), mask=layout.views(mask))

@@ -174,8 +174,8 @@ class LayerTerms:
 
     ewc: list[slice] | None = None   # its shared blocks, when EWC is on
     consistency: list[slice] = field(default_factory=list)  # revisited rows
-    # (coefficient, live (rows, k) view of the block, current row, row slots)
-    orthogonality: list[tuple[float, np.ndarray, int, slice]] = field(
+    # (live (rows, k) view of a novel block, current row, row slots)
+    orthogonality: list[tuple[np.ndarray, int, slice]] = field(
         default_factory=list)
 
 
@@ -186,9 +186,10 @@ class StepPlan:
     ``theta`` holds every block of ``adapters`` (the blocks are views of it).
     ``kernel`` fixes each layer's selected rows and einsum operands and the
     views of ``grad`` the network pass writes; other experts' rows are never
-    written. ``mask`` is 1.0 on the slots the task trains. ``snapshot`` is
-    the previous task's parameters; ``fisher`` and ``ewc_weight`` =
-    ``(2 lam1 F) F`` cover the leading ``layout.n_shared`` (shared) slots.
+    written. ``trained`` is every slot the task trains: the shared span, then
+    the kernel's selected expert rows. ``snapshot`` is the previous task's
+    parameters; ``fisher`` and ``ewc_weight`` = ``(2 lam1 F) F`` cover the
+    leading ``layout.n_shared`` (shared) slots.
     """
 
     adapters: list[AdapterBase]
@@ -196,7 +197,7 @@ class StepPlan:
     theta: np.ndarray
     sel: Selection
     cfg: ExperimentConfig
-    mask: np.ndarray
+    trained: list[slice]
     snapshot: np.ndarray | None
     fisher: np.ndarray | None
     ewc_weight: np.ndarray | None
@@ -212,40 +213,35 @@ def build_plan(adapters: list[AdapterBase], sel: Selection,
 
     ``snapshot`` is a vector in ``FlatLayout.of(adapters)`` and ``fisher``
     one over its shared slots. ``flags`` maps expert axis name ('scene',
-    'env', ...) to 1 when that expert was learned by a previous task.
+    'env', ...) to 1 when that expert was learned by a previous task (its
+    row takes the consistency term) and leaves it out or maps it to 0.
     Afterwards every block of ``adapters`` is a view of ``plan.theta``.
     """
     layout = FlatLayout.of(adapters)
     theta = layout.bind(adapters)
-    mask = layout.flatten({block_key(l, name): m for l, ad in enumerate(adapters)
-                           for name, m in ad.trainable_mask(sel).items()})
-    ewc = snapshot is not None and fisher is not None and cfg.lam1 != 0.0
     grad = np.zeros(layout.size)
-    layer_terms = []
-    for l, ad in enumerate(adapters):
+    kernel = layer_kernels(adapters, sel, layout, grad)
+    ewc = snapshot is not None and fisher is not None and cfg.lam1 != 0.0
+    trained, layer_terms = [slice(0, layout.n_shared)], []
+    for l, (ad, ops, _) in enumerate(kernel):
         terms = LayerTerms()
         if ewc:
             terms.ewc = [layout.slots[l, name].span for name in ad.shared_names]
-        if snapshot is not None and cfg.lam2 != 0.0:
-            for name, axis in ad.expert_axes.items():
-                if flags.get(axis, 0):
-                    row = ad.expert_index(name, sel)
-                    terms.consistency.append(layout.slots[l, name].row(row))
-        if cfg.lam3 != 0.0:
-            for name in ad.ortho_names:
-                coeff = cfg.lam3 * (1 - flags.get(ad.expert_axes[name], 0))
-                if coeff == 0.0:
-                    continue
+        for (name, axis), row in zip(ad.expert_axes.items(), ops[0]):
+            slots = layout.slots[l, name].row(row)
+            trained.append(slots)
+            if flags.get(axis, 0):
+                if snapshot is not None and cfg.lam2 != 0.0:
+                    terms.consistency.append(slots)
+            elif cfg.lam3 != 0.0 and name in ad.ortho_names:
                 block = getattr(ad, name)
-                row = ad.expert_index(name, sel)
                 terms.orthogonality.append(
-                    (coeff, block.reshape(block.shape[0], -1), row,
-                     layout.slots[l, name].row(row)))
+                    (block.reshape(block.shape[0], -1), row, slots))
         layer_terms.append(terms)
-    return StepPlan(adapters, layout, theta, sel, cfg, mask, snapshot,
+    return StepPlan(adapters, layout, theta, sel, cfg, trained, snapshot,
                     fisher if ewc else None,
                     2.0 * cfg.lam1 * fisher * fisher if ewc else None,
-                    layer_terms, grad, layer_kernels(adapters, sel, layout, grad))
+                    layer_terms, grad, kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +256,8 @@ def regularizer_terms(plan: StepPlan) -> tuple[dict[str, float], np.ndarray]:
     orthogonality, and each loss per layer, so that the arithmetic is that of
     the per-block objective.
     """
-    theta, lam1, lam2 = plan.theta, plan.cfg.lam1, plan.cfg.lam2
+    theta, cfg = plan.theta, plan.cfg
+    lam1, lam2, lam3 = cfg.lam1, cfg.lam2, cfg.lam3
     grad = np.zeros_like(theta)
     ewc = consistency = orthogonality = 0.0
     if plan.ewc_weight is not None:
@@ -276,10 +273,10 @@ def regularizer_terms(plan: StepPlan) -> tuple[dict[str, float], np.ndarray]:
             diff = theta[slots] - plan.snapshot[slots]
             layer_consistency += lam2 * float(np.add.reduce(diff * diff))
             grad[slots] += 2.0 * lam2 * diff
-        for coeff, mat, row, slots in terms.orthogonality:
+        for mat, row, slots in terms.orthogonality:
             loss, row_grad = gram_penalty_and_row_grad(mat, row)
-            layer_orthogonality += coeff * loss
-            grad[slots] += coeff * row_grad
+            layer_orthogonality += lam3 * loss
+            grad[slots] += lam3 * row_grad
         ewc += layer_ewc
         consistency += layer_consistency
         orthogonality += layer_orthogonality

@@ -196,7 +196,12 @@ def reference_total_loss_and_grads(backbone, adapters, sel, x, y,
             ad, sel, snap, fish, flags, cfg)
         for k in ("ewc", "consistency", "orthogonality"):
             terms[k] += reg_losses[k]
-        mask = ad.trainable_mask(sel)
+        # 1.0 on shared blocks and the trained rows, 0.0 elsewhere; the
+        # products below keep the signed zeros of the per-block step
+        mask = {name: np.ones_like(arr) for name, arr in ad.blocks().items()}
+        for name, row in zip(ad.expert_axes, ad.trainable_mask(sel)):
+            mask[name] = np.zeros_like(mask[name])
+            mask[name][row] = 1.0
         merged = {}
         for name in reg_grads:
             merged[name] = (net_grads[l].get(name, 0.0) + reg_grads[name]) * mask[name]

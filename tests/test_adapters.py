@@ -1,4 +1,5 @@
-"""Adapter zoo: deltas vs reconstruction oracles, parameter counts, masks, IO."""
+"""Adapter zoo: deltas vs reconstruction oracles, parameter counts, trained
+rows, IO."""
 
 import json
 
@@ -60,16 +61,26 @@ def test_param_count_abc():
     assert abc.param_count() == 257_280
 
 
+def trained_slots(ad, sel):
+    """Per block, how many times ``sel`` trains each of its entries: every
+    entry of a shared block once, the rows of ``trainable_mask(sel)`` once."""
+    counts = {n: np.ones(ad.blocks()[n].shape, dtype=int) for n in ad.shared_names}
+    for n, row in zip(ad.expert_axes, ad.trainable_mask(sel)):
+        counts[n] = np.zeros(ad.blocks()[n].shape, dtype=int)
+        counts[n][row] = 1
+    return counts
+
+
 def test_param_count_matches_mask_enumeration():
     ad = small_tucker()
     shared = sum(ad.blocks()[n].size for n in ad.shared_names)
-    per_pair = {}
-    expert_union = {n: np.zeros_like(ad.blocks()[n]) for n in ad.expert_axes}
+    expert_union = {n: np.zeros(ad.blocks()[n].shape, dtype=int)
+                    for n in ad.expert_axes}
     for s in range(ad.scene_experts.shape[0]):
         for e in range(ad.env_experts.shape[0]):
-            masks = ad.trainable_mask(Selection(scene=s, env=e))
+            counts = trained_slots(ad, Selection(scene=s, env=e))
             for n in ad.expert_axes:
-                expert_union[n] += masks[n]
+                expert_union[n] += counts[n]
     # every expert row is touched by some task selection, none twice per axis
     touched = sum(int(np.count_nonzero(v)) for v in expert_union.values())
     assert shared + touched == ad.param_count()
@@ -212,21 +223,23 @@ def test_initial_delta_is_near_zero():
 
 
 # ---------------------------------------------------------------------------
-# Masks and persistence
+# Trained rows and persistence
 # ---------------------------------------------------------------------------
 
 def test_mask_all_ones_when_single_expert():
     ad = TuckerAdapter.init(a=3, b=3, ranks=(2, 2, 2, 2), n_scenes=1, n_envs=1,
                             rng=np.random.default_rng(0))
-    masks = ad.trainable_mask(Selection(scene=0, env=0))
-    assert all(np.all(m == 1.0) for m in masks.values())
+    assert ad.trainable_mask(Selection(scene=0, env=0)) == (0, 0)
+    counts = trained_slots(ad, Selection(scene=0, env=0))
+    assert all(np.all(c == 1) for c in counts.values())
 
 
 def test_mask_frozen_row_count():
     ad = TuckerAdapter.init(a=8, b=8, ranks=(2, 2, 3, 5), n_scenes=7, n_envs=4,
                             rng=np.random.default_rng(0))
-    masks = ad.trainable_mask(Selection(scene=2, env=1))
-    zeros = sum(int(np.sum(m == 0.0)) for m in masks.values())
+    assert ad.trainable_mask(Selection(scene=2, env=1)) == (2, 1)
+    counts = trained_slots(ad, Selection(scene=2, env=1))
+    zeros = sum(int(np.sum(c == 0)) for c in counts.values())
     assert zeros == 3 * 6 + 5 * 3  # r3 * (M-1) + r4 * (N-1)
 
 

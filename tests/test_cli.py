@@ -159,12 +159,23 @@ def test_report_missing_scores_exit_code_2(out_root, tmp_path, capsys):
     ('[{"task": 0, "sr": 1, "spl": true, "osr": 1}]', "row 0: spl: expected float"),
     ('[{"task": "avg", "sr": 1, "spl": 1, "osr": 1}, {"task": 1.5, "sr": 1, '
      '"spl": 1, "osr": 1}]', "row 1: task: expected int"),
+    ('[{"task": 0, "sr": 1, "spl": 1, "osr": 1, "m_sr": "x"}]',
+     "row 0: m_sr: expected float"),
 ])
 def test_report_malformed_scores_exit_code_2(tmp_path, capsys, payload, what):
     (tmp_path / "scores.json").write_text(payload)
     assert main(["report", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert str(tmp_path / "scores.json") in err and what in err
+
+
+@pytest.mark.parametrize("extra", ['', ', "m_sr": null', ', "m_sr": 1',
+                                   ', "m_sr": 1, "m_spl": 0.5, "m_osr": 0'])
+def test_report_accepts_reference_columns(tmp_path, capsys, extra):
+    (tmp_path / "scores.json").write_text(
+        f'[{{"task": 0, "sr": 1, "spl": 1, "osr": 1{extra}}}]')
+    assert main(["report", str(tmp_path)]) == 0
+    assert capsys.readouterr().out
 
 
 def _one_image_dir(tmp_path):

@@ -360,9 +360,12 @@ def test_gradients_match_finite_differences(kind):
         t, _ = total_loss_and_grads(world.backbone, plan, x, y)
         return t["total"]
 
+    mask = np.zeros(plan.layout.size)
+    for slots in plan.trained:
+        mask[slots] = 1.0
     views = plan.layout.views
     errs = finite_difference_check(loss_fn, views(plan.theta), views(grad),
-                                   mask=views(plan.mask))
+                                   mask=views(mask))
     assert len(errs) == sum(len(ad.blocks()) for ad in plan.adapters)
     for name, err in errs.items():
         assert err < 1e-4, f"{kind} block {name}: rel err {err}"
@@ -430,6 +433,48 @@ def test_masked_params_unchanged_by_adam():
         mask[idx] = False
         assert np.array_equal(after[mask], before[name][mask])
         assert not np.array_equal(after[idx], before[name][idx])
+
+
+# the check setup's capacity: 3 scenes, 2 envs, 2 instruction types, 4 tasks
+SELECTIONS = st.builds(Selection, scene=st.integers(0, 2), env=st.integers(0, 1),
+                       instr=st.integers(0, 1), task=st.integers(0, 3))
+FLAGS = st.fixed_dictionaries({axis: st.integers(0, 1)
+                               for axis in ("scene", "env", "instr", "task")})
+
+
+@settings(max_examples=30)
+@given(kind=st.sampled_from(KINDS), sel=SELECTIONS, flags=FLAGS,
+       first_task=st.booleans())
+def test_trained_record_bounds_every_update(kind, sel, flags, first_task):
+    """``plan.trained`` is the shared span then one row per expert block, and
+    a step leaves every slot outside it at +0.0 gradient and unchanged."""
+    world, adapters, _, x, y, snaps, fishers, _ = build_check_setup(kind)
+    if first_task:
+        snaps, flags = None, {}
+    plan = build_plan(adapters, sel, *flat_state(adapters, snaps, fishers),
+                      flags, HYPER)
+    layout = plan.layout
+    assert plan.trained[0] == slice(0, layout.n_shared)
+    inside = np.zeros(layout.size, dtype=int)
+    for slots in plan.trained:
+        assert 0 <= slots.start <= slots.stop <= layout.size and slots.step is None
+        inside[slots] += 1
+    assert inside.max(initial=0) <= 1   # disjoint
+    rows = [(l, name, row) for l, ad in enumerate(adapters)
+            for name, row in zip(ad.expert_axes, ad.trainable_mask(sel))]
+    assert len(plan.trained) == 1 + len(rows)
+    widths = sum(getattr(adapters[l], name)[0].size for l, name, _ in rows)
+    assert int(inside.sum()) == layout.n_shared + widths
+
+    before = plan.theta.copy()
+    _, grad = total_loss_and_grads(world.backbone, plan, x, y)
+    adam_step(AdamState(lr=1e-2), plan.theta, grad)
+    outside = inside == 0
+    assert not np.any(grad[outside]) and not np.any(np.signbit(grad[outside]))
+    assert plan.theta[outside].tobytes() == before[outside].tobytes()
+    for l, name, row in rows:   # each selected row moves
+        span = layout.slots[l, name].row(row)
+        assert plan.theta[span].tobytes() != before[span].tobytes(), (l, name)
 
 
 def test_rebound_block_is_rejected():
