@@ -454,7 +454,9 @@ class FlatLayout:
 
     The shared blocks of every layer come first and fill the leading
     ``n_shared`` slots; the expert blocks follow. Checkpoints keep their
-    per-block files, so the order is free to choose.
+    per-block files, so the order is free to choose. ``views`` is the one
+    mapping between a vector in this layout and block arrays keyed as in a
+    checkpoint: reading the views saves a vector, filling them loads one.
     """
 
     slots: dict[tuple[int, str], Slot]   # (layer, block name), in vector order
@@ -491,15 +493,6 @@ class FlatLayout:
                 if arr.base is not theta:
                     raise RuntimeError(f"block {block_key(l, name)} is not a "
                                        "view of the flat parameter vector")
-
-    def flatten(self, blocks, shared_only: bool = False) -> np.ndarray:
-        """One vector in this layout from block arrays keyed by
-        ``block_key``, as a checkpoint holds them; with ``shared_only``, of
-        the leading ``n_shared`` slots alone."""
-        parts = [np.ravel(blocks[block_key(l, name)])
-                 for (l, name), s in self.slots.items()
-                 if s.shared or not shared_only]
-        return np.concatenate(parts) if parts else np.empty(0)
 
     def views(self, vector: np.ndarray) -> dict[str, np.ndarray]:
         """Block-shaped views of a vector in this layout, keyed by

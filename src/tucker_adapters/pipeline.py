@@ -24,8 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .adapters import ADAPTER_KINDS, AdapterBase, FlatLayout, Selection, block_key
-from .config import ExperimentConfig, write_atomic
+from .adapters import ADAPTER_KINDS, AdapterBase, FlatLayout, Selection
+from .config import ExperimentConfig, check_field, write_atomic
 from .metrics import EpisodeRecord, TaskScore, path_length, score_task
 from .retrieval import FeatureStore
 from .tasks import (
@@ -288,8 +288,11 @@ def load_state(cfg: ExperimentConfig, directory: str | Path,
                           store=FeatureStore.load(directory / "store.npz"))
     state.pair_to_task = {(s, e): t for s, e, t in meta["pair_to_task"]}
     state.seen_instr = set(meta["seen_instr"])
+    layout = FlatLayout.of(adapters)
+    state.fisher = np.empty(layout.n_shared)
     with np.load(directory / "fisher.npz") as data:
-        state.fisher = FlatLayout.of(adapters).flatten(data, shared_only=True)
+        for key, view in layout.views(state.fisher).items():
+            view[...] = data[key]
     return state
 
 
@@ -416,12 +419,23 @@ def _trim_log(path: Path, completed: int) -> None:
 
 
 def _load_reference(path: Path) -> dict:
+    """The task entries cached in ``path``: {} when it does not exist, and
+    {} with a warning when it is not ``{"values": {task: {"sr", "spl",
+    "osr": numbers, ...}}}``."""
     if not path.exists():
         return {}
     try:
         payload = json.loads(path.read_text())
-        return payload["values"]
-    except (json.JSONDecodeError, KeyError) as exc:
+        values = payload.get("values") if isinstance(payload, dict) else None
+        if not isinstance(values, dict):
+            raise ValueError('expected a "values" object')
+        for task, entry in values.items():
+            if not isinstance(entry, dict):
+                raise ValueError(f"task {task}: expected an object, got {entry!r}")
+            for metric in ("sr", "spl", "osr"):
+                check_field(TaskScore, metric, entry.get(metric))
+        return values
+    except ValueError as exc:   # a JSONDecodeError or ConfigError too
         warnings.warn(f"reference cache {path} is corrupted ({exc}); "
                       "recomputing from scratch")
         return {}
@@ -516,21 +530,15 @@ def run_gradcheck(cfg: ExperimentConfig, n_episodes: int = 3) -> dict[str, float
     episodes = gen_task_data(world, task, n_episodes)
     x, y = batch_arrays(episodes)
     sel = Selection(scene=task.scene, env=task.env, instr=task.instr, task=0)
-    snapshot = {block_key(l, k): v + 0.02 * rng.standard_normal(v.shape)
-                for l, ad in enumerate(adapters) for k, v in ad.blocks().items()}
-    fisher = {block_key(l, k): rng.uniform(0.1, 1.5, size=getattr(ad, k).shape)
-              for l, ad in enumerate(adapters) for k in ad.shared_names}
-    flags = {"scene": 1, "env": 0, "instr": 0}
     layout = FlatLayout.of(adapters)
-    plan = build_plan(adapters, sel, layout.flatten(snapshot),
-                      layout.flatten(fisher, shared_only=True), flags, cfg)
+    theta = layout.bind(adapters)
+    snapshot = theta + 0.02 * rng.standard_normal(layout.size)
+    fisher = rng.uniform(0.1, 1.5, size=layout.n_shared)
+    flags = {"scene": 1, "env": 0, "instr": 0}
+    plan = build_plan(adapters, sel, snapshot, fisher, flags, cfg)
     _, grad = total_loss_and_grads(world.backbone, plan, x, y)
 
     def loss_fn():
         return total_loss_and_grads(world.backbone, plan, x, y)[0]["total"]
 
-    mask = np.zeros(layout.size)
-    for slots in plan.trained:
-        mask[slots] = 1.0
-    return finite_difference_check(loss_fn, layout.views(plan.theta),
-                                   layout.views(grad), mask=layout.views(mask))
+    return finite_difference_check(loss_fn, plan, grad)

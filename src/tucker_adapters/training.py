@@ -105,11 +105,10 @@ def layer_kernels(adapters: list[AdapterBase], sel: Selection,
 
 
 def _network_pass(backbone: ToyBackbone, kernel: Kernel, sel: Selection,
-                  x: np.ndarray, y: np.ndarray, scale: float,
-                  mean_reduce: bool) -> float:
-    """NLL (optionally mean-reduced) of the actions ``y``. The gradient of
-    ``scale * nll`` overwrites the shared blocks and selected expert rows
-    in the gradient views of ``kernel``; the backbone is frozen."""
+                  x: np.ndarray, y: np.ndarray, scale: float) -> float:
+    """Mean NLL of the actions ``y``. The gradient of ``scale`` times it
+    overwrites the shared blocks and selected expert rows in the gradient
+    views of ``kernel``; the backbone is frozen."""
     acts, weights = [x], []
     last = len(kernel) - 1
     for l, (ad, ops, _) in enumerate(kernel):
@@ -118,10 +117,8 @@ def _network_pass(backbone: ToyBackbone, kernel: Kernel, sel: Selection,
         acts.append(np.tanh(z) if l < last else z)
     n = len(y)
     nll, g = softmax_nll(acts[-1], y)
-    if not mean_reduce:
-        nll *= n
     g[np.arange(n), y] -= 1.0
-    g *= scale / n if mean_reduce else scale
+    g *= scale / n
     for l in range(last, -1, -1):
         ad, ops, out = kernel[l]
         ad.delta_backward(ops, g.T @ acts[l], out)
@@ -130,10 +127,12 @@ def _network_pass(backbone: ToyBackbone, kernel: Kernel, sel: Selection,
     return nll
 
 
-def task_loss_and_grads(backbone, plan: "StepPlan", x, y, lam_task: float) -> float:
-    """lambda-scaled mean action NLL; its gradient goes to ``plan.grad``."""
+def task_loss_and_grads(backbone, plan: "StepPlan", x, y) -> float:
+    """lambda-scaled mean action NLL, lambda = ``plan.cfg.lam_task``; its
+    gradient goes to ``plan.grad``."""
+    lam_task = plan.cfg.lam_task
     return lam_task * _network_pass(backbone, plan.kernel, plan.sel, x, y,
-                                    scale=lam_task, mean_reduce=True)
+                                    scale=lam_task)
 
 
 def fisher_estimate(backbone, adapters, sel: Selection,
@@ -156,9 +155,10 @@ def fisher_estimate(backbone, adapters, sel: Selection,
     kernel = layer_kernels(adapters, sel, layout, grad)
     fisher = np.zeros(layout.n_shared)
     for ep in subset:
-        # d(log p)/d theta = -d(summed NLL)/d theta
+        # d(log p)/d theta = -d(summed NLL)/d theta = -n d(mean NLL)/d theta;
+        # the pass scales by -n / n, exactly -1.0
         _network_pass(backbone, kernel, sel, ep.inputs, ep.actions,
-                      scale=-1.0, mean_reduce=False)
+                      scale=-float(len(ep.actions)))
         fisher += grad[:layout.n_shared] ** 2
     fisher /= len(subset)
     return fisher
@@ -291,7 +291,7 @@ def total_loss_and_grads(backbone, plan: StepPlan, x, y):
     zero on the slots the task does not train).
     """
     plan.layout.check_bound(plan.adapters, plan.theta)
-    task = task_loss_and_grads(backbone, plan, x, y, plan.cfg.lam_task)
+    task = task_loss_and_grads(backbone, plan, x, y)
     reg_losses, grad = regularizer_terms(plan)
     terms = {"task": task, **reg_losses}
     terms["total"] = sum(terms.values())
@@ -342,34 +342,30 @@ def adam_step(state: AdamState, theta: np.ndarray, grad: np.ndarray) -> None:
 # Finite-difference gradient checker
 # ---------------------------------------------------------------------------
 
-def finite_difference_check(loss_fn, arrays: dict[str, np.ndarray],
-                            analytic: dict[str, np.ndarray],
-                            mask: dict[str, np.ndarray] | None = None,
-                            h: float = 1e-5, floor: float = 1e-8) -> dict[str, float]:
-    """Max relative error per block between analytic and central differences.
+def finite_difference_check(loss_fn, plan: StepPlan, analytic: np.ndarray,
+                            h: float = 1e-4, floor: float = 1e-8) -> dict[str, float]:
+    """Worst relative error per block of ``plan.layout`` between the flat
+    gradient ``analytic`` and the fourth-order central difference
+    ``(8 (f(x+h) - f(x-h)) - (f(x+2h) - f(x-2h))) / 12h`` of ``loss_fn``.
 
-    Entries where both gradients are below ``floor`` are skipped, as are
-    entries outside the trainable ``mask``. ``loss_fn`` must read the live
-    arrays so in-place perturbations take effect.
+    Only the slots of ``plan.trained`` are perturbed, in place on
+    ``plan.theta``, so ``loss_fn`` must read the plan's live blocks. Slots
+    where both gradients are below ``floor`` are skipped; a block with no
+    checked slot reports 0.0.
     """
-    errors = {}
-    for name, arr in arrays.items():
-        worst = 0.0
-        flat = arr.reshape(-1)
-        ana = analytic[name].reshape(-1)
-        m = None if mask is None else mask[name].reshape(-1)
-        for i in range(flat.size):
-            if m is not None and m[i] == 0.0:
+    theta = plan.theta
+    errors = np.zeros(plan.layout.size)
+    for slots in plan.trained:
+        for i in range(slots.start, slots.stop):
+            orig = theta[i]
+            f = []
+            for step in (h, -h, 2.0 * h, -2.0 * h):
+                theta[i] = orig + step
+                f.append(loss_fn())
+            theta[i] = orig
+            num = (8.0 * (f[0] - f[1]) - (f[2] - f[3])) / (12.0 * h)
+            if abs(num) < floor and abs(analytic[i]) < floor:
                 continue
-            orig = flat[i]
-            flat[i] = orig + h
-            up = loss_fn()
-            flat[i] = orig - h
-            down = loss_fn()
-            flat[i] = orig
-            num = (up - down) / (2.0 * h)
-            if abs(num) < floor and abs(ana[i]) < floor:
-                continue
-            worst = max(worst, abs(num - ana[i]) / max(abs(num), abs(ana[i])))
-        errors[name] = worst
-    return errors
+            errors[i] = abs(num - analytic[i]) / max(abs(num), abs(analytic[i]))
+    return {key: float(np.max(block, initial=0.0))
+            for key, block in plan.layout.views(errors).items()}

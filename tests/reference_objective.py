@@ -21,13 +21,16 @@ def flat_state(adapters, snapshots, fishers):
     takes, in the layout of ``adapters``; None stays None."""
     layout = FlatLayout.of(adapters)
 
-    def packed(layers):
-        return {block_key(l, name): arr for l, layer in enumerate(layers)
-                for name, arr in layer.items()}
+    def filled(size, layers):
+        vector = np.empty(size)
+        views = layout.views(vector)
+        for l, layer in enumerate(layers):
+            for name, arr in layer.items():
+                views[block_key(l, name)][...] = arr
+        return vector
 
-    return (None if snapshots is None else layout.flatten(packed(snapshots)),
-            None if fishers is None
-            else layout.flatten(packed(fishers), shared_only=True))
+    return (None if snapshots is None else filled(layout.size, snapshots),
+            None if fishers is None else filled(layout.n_shared, fishers))
 
 
 def softmax(logits):

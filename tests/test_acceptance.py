@@ -173,11 +173,12 @@ def _consolidation_losses(rng, u3, u4, shift3, shift4, seen):
     fisher = {k: rng.uniform(0.5, 2.0, size=snapshot[k].shape)
               for k in ad.shared_names}
     layout = FlatLayout.of([ad])
-    plan = build_plan([ad], Selection(scene=0, env=0),
-                      layout.flatten({block_key(0, k): v
-                                      for k, v in snapshot.items()}),
-                      layout.flatten({block_key(0, k): v for k, v in fisher.items()},
-                                     shared_only=True),
+    vectors = np.empty(layout.size), np.empty(layout.n_shared)
+    for vector, blocks in zip(vectors, (snapshot, fisher)):
+        views = layout.views(vector)
+        for k, v in blocks.items():
+            views[block_key(0, k)][...] = v
+    plan = build_plan([ad], Selection(scene=0, env=0), *vectors,
                       {"scene": seen, "env": seen},
                       ExperimentConfig(lam1=0.2, lam2=0.2, lam3=0.1))
     return regularizer_terms(plan)[0]

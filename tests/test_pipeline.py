@@ -340,10 +340,16 @@ def test_reference_cache_hit_and_corruption(tmp_path):
     values2 = run_reference(tiny_config(), tmp_path / "r")  # cache hit
     assert values2 == values
     assert marker.stat().st_mtime_ns == stamp  # nothing retrained
-    (tmp_path / "r" / "reference.json").write_text("{broken")
-    with pytest.warns(UserWarning, match="corrupt"):
-        values3 = run_reference(tiny_config(), tmp_path / "r")
-    assert {k: v for k, v in values3.items()} == values
+    # unparsable, or JSON of the wrong shape: eval reports without
+    # reference values and reference rebuilds them, each with a warning
+    for text in ("{broken", "[]", '{"values": 5}', '{"values": []}',
+                 '{"values": {"0": 1}}'):
+        (tmp_path / "r" / "reference.json").write_text(text)
+        with pytest.warns(UserWarning, match=r"reference\.json is corrupted"):
+            scores = run_eval(tiny_config(), tmp_path / "r")
+        assert all(s.m_sr is None for s in scores), text
+        with pytest.warns(UserWarning, match=r"reference\.json is corrupted"):
+            assert run_reference(tiny_config(), tmp_path / "r") == values, text
 
 
 def test_eval_attaches_reference_and_rates(tmp_path):

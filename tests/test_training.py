@@ -1,6 +1,7 @@
 """Loss terms, Fisher, Adam, analytic gradients vs finite differences, and
 the flat training step vs the per-block reference."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -360,15 +361,35 @@ def test_gradients_match_finite_differences(kind):
         t, _ = total_loss_and_grads(world.backbone, plan, x, y)
         return t["total"]
 
-    mask = np.zeros(plan.layout.size)
-    for slots in plan.trained:
-        mask[slots] = 1.0
-    views = plan.layout.views
-    errs = finite_difference_check(loss_fn, views(plan.theta), views(grad),
-                                   mask=views(mask))
+    errs = finite_difference_check(loss_fn, plan, grad)
     assert len(errs) == sum(len(ad.blocks()) for ad in plan.adapters)
     for name, err in errs.items():
         assert err < 1e-4, f"{kind} block {name}: rel err {err}"
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_finite_difference_check_catches_a_planted_error(kind):
+    """A gradient 0.1 % off at one trained slot reads >= 1e-4 in its block,
+    at the trained slot of smallest |g| above the floor and at a random one;
+    the true gradient at the same slot reads below it."""
+    world, plan, x, y = check_plan(kind)
+    _, grad = total_loss_and_grads(world.backbone, plan, x, y)
+
+    def loss_fn():
+        return total_loss_and_grads(world.backbone, plan, x, y)[0]["total"]
+
+    trained = np.concatenate([np.arange(s.start, s.stop) for s in plan.trained])
+    checked = trained[np.abs(grad[trained]) >= 1e-8]
+    smallest = checked[np.argmin(np.abs(grad[checked]))]
+    for i in (smallest, np.random.default_rng(13).choice(checked)):
+        key = next(block_key(l, name) for (l, name), s in plan.layout.slots.items()
+                   if s.span.start <= i < s.span.stop)
+        one_slot = dataclasses.replace(plan, trained=[slice(i, i + 1)])
+        assert finite_difference_check(loss_fn, one_slot, grad)[key] < 1e-4
+        planted = grad.copy()
+        planted[i] *= 1.001
+        err = finite_difference_check(loss_fn, one_slot, planted)[key]
+        assert err >= 1e-4, f"{kind} slot {i} ({key}, |g| {abs(grad[i]):.1e}): {err}"
 
 
 def test_total_loss_terms_sum_and_first_task_branch():
@@ -390,7 +411,7 @@ def test_total_loss_pure_task_when_lambdas_zero():
     world, plan, x, y = check_plan(hyper=ExperimentConfig(lam1=0.0, lam2=0.0, lam3=0.0))
     terms, _ = total_loss_and_grads(world.backbone, plan, x, y)
     assert terms["total"] == pytest.approx(terms["task"])
-    task_only = task_loss_and_grads(world.backbone, plan, x, y, 1.0)
+    task_only = task_loss_and_grads(world.backbone, plan, x, y)
     assert terms["task"] == pytest.approx(task_only)
 
 
