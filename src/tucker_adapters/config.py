@@ -134,7 +134,9 @@ def check_field(cls, key: str, value):
 class ExperimentConfig:
     # the interval of each field (see check_ranges); an unlisted float
     # must be finite. feature_noise > 0: a redrawn episode gets more noise,
-    # so that a teacher that stands still at the cluster center moves
+    # so that a teacher that stands still at the cluster center moves. The
+    # world floats are capped at 1e6 in magnitude, so that feature norms
+    # and the retrieval store's centroid sums stay finite
     RANGES = {**dict.fromkeys(
         ("ranks", "lora_rank", "moe_rank", "abc_rank_base", "abc_rank_mid",
          "n_scenes", "n_envs", "n_tasks", "train_episodes", "test_episodes",
@@ -142,7 +144,9 @@ class ExperimentConfig:
         "n_instr": "[0, inf)", "seed": "[0, inf)", "lam1": "[0, 1)",
         "lam2": "[0, 1)", "lam3": "[0, 1)", "omega": "[0, 1]",
         "fisher_fraction": "(0, 1]", "lr": "(0, inf)",
-        "feature_noise": "(0, inf)", "epsilon": "(0, inf)"}
+        "feature_noise": "(0, 1e6]", "epsilon": "(0, inf)",
+        **dict.fromkeys(("scene_scale", "env_scale", "instr_scale"),
+                        "[-1e6, 1e6]")}
 
     # adapter selection (one code path, many adapters)
     adapter_kind: str = "tucker4"

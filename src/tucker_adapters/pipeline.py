@@ -214,12 +214,13 @@ def evaluate_task(world: World, provider, store: FeatureStore,
     """Score one task's held-out episodes with task-agnostic expert lookup.
 
     ``pairs`` restricts retrieval to those (scene, env) pairs. Episodes are
-    drawn ``EPISODE_CHUNK`` at a time; in each chunk, the episodes that
-    retrieved the same (scene, env) and have the same length share one
-    forward pass. Groups are never padded to a common length, since the
-    products of a padded stack round differently. All episodes are then
-    scored as one stack, so every score is bitwise that of scoring the
-    episodes one by one.
+    drawn ``EPISODE_CHUNK`` at a time, and one ``FeatureStore.search`` of
+    the chunk's stacked first observations retrieves every episode's
+    (scene, env); in each chunk, the episodes that retrieved the same pair
+    and have the same length share one forward pass. Groups are never
+    padded to a common length, since the products of a padded stack round
+    differently. All episodes are then scored as one stack, so every score
+    is bitwise that of scoring the episodes one by one.
     """
     if n_episodes < 1:
         raise ValueError("evaluation needs at least one episode")
@@ -229,11 +230,12 @@ def evaluate_task(world: World, provider, store: FeatureStore,
     for start in range(0, n_episodes, EPISODE_CHUNK):
         episodes = gen_episode(world, task, range(
             start, min(start + EPISODE_CHUNK, n_episodes)), split=1)
+        retrieved = ([(task.scene, task.env)] * len(episodes) if oracle_ids
+                     else store.search(np.stack([ep.obs[0] for ep in episodes]),
+                                       pairs))
         groups: dict[tuple, list[int]] = {}
-        for j, ep in enumerate(episodes, start):
+        for j, (ep, pair) in enumerate(zip(episodes, retrieved), start):
             reference[j, :ep.n_steps] = ep.actions
-            pair = ((task.scene, task.env) if oracle_ids
-                    else store.search(ep.obs[0], pairs))
             groups.setdefault((pair, ep.n_steps), []).append(j)
         for ((scene, env), n_steps), members in groups.items():
             deltas = provider(scene, env, task.instr)

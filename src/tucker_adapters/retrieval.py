@@ -12,6 +12,19 @@ import numpy as np
 from .tensor_ops import EPS_NORM
 
 
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """The norm of each row of a C-contiguous float64 stack, bitwise
+    ``np.linalg.norm`` of the row alone: ``sqrt`` of its ``ddot`` with
+    itself."""
+    return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
+
+
+def _check_norms(norms: np.ndarray) -> None:
+    if not ((EPS_NORM <= norms) & (norms < np.inf)).all():
+        raise ValueError("cosine similarity is undefined for zero or "
+                         "non-finite vectors")
+
+
 class CentroidTable:
     """Feature sums and counts per id of one key kind: scenes or
     environments.
@@ -34,36 +47,47 @@ class CentroidTable:
         return self.sums[key] / self.counts[key]
 
     @functools.cached_property
-    def _keys(self) -> tuple[list, list, list]:
-        """The sorted ids with their centroids and centroid norms, kept
-        until the next ``add``."""
+    def _keys(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The sorted ids, their stacked (len(ids), dim) centroids and the
+        centroid norms, kept until the next ``add``."""
         ids = sorted(self.sums)
-        centroids = [self.centroid(k) for k in ids]
-        return ids, centroids, [np.linalg.norm(c) for c in centroids]
+        centroids = np.reshape([self.centroid(k) for k in ids], (-1, self.dim))
+        return np.array(ids, dtype=np.int64), centroids, _norms(centroids)
 
     @property
     def ids(self) -> list[int]:
-        return self._keys[0]
+        return self._keys[0].tolist()
 
     def stacked_sums(self) -> np.ndarray:
         """The sums as one (len(ids), dim) array, in id order."""
         return np.reshape([self.sums[k] for k in self.ids], (-1, self.dim))
 
-    def argmax(self, query: np.ndarray, norm: float,
-               allowed: set[int] | None = None) -> int:
-        """The id of highest cosine similarity to ``query`` (of norm
-        ``norm``) among ``allowed`` (all ids when None), the lowest id on a
-        tie."""
-        best_key, best_sim = None, -np.inf
-        for key, centroid, c_norm in zip(*self._keys):
-            if allowed is not None and key not in allowed:
-                continue
-            if c_norm < EPS_NORM:
-                raise ValueError("cosine similarity is undefined for zero vectors")
-            sim = float(query @ centroid / (norm * c_norm))
-            if sim > best_sim:
-                best_key, best_sim = key, sim
-        return best_key
+    def similarities(self, queries: np.ndarray, norms: np.ndarray) -> np.ndarray:
+        """The (k, len(ids)) cosine similarities of the C-contiguous (k, dim)
+        stack ``queries`` (of row norms ``norms``) to the centroids.
+
+        Each entry is the 1 x dim by dim x 1 product of one query and one
+        centroid, which numpy computes with ``ddot`` as it does ``query @
+        centroid`` alone; ``queries @ centroids.T`` would be a gemm, which
+        rounds differently."""
+        _, centroids, c_norms = self._keys
+        # a zero centroid norm gives inf or NaN; ``match`` never reads it
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dots = (queries[:, None, None, :] @ centroids[None, :, :, None])[..., 0, 0]
+            return dots / (norms[:, None] * c_norms[None, :])
+
+    def match(self, queries: np.ndarray, norms: np.ndarray,
+              allowed: np.ndarray | None = None) -> np.ndarray:
+        """The id of highest similarity to each query among the ids that
+        its row of the (k, len(ids)) mask ``allowed`` marks (all ids when
+        None); the lowest id on a tie. A zero or non-finite centroid that
+        some query may match raises ValueError."""
+        ids, _, c_norms = self._keys
+        _check_norms(c_norms if allowed is None else c_norms[allowed.any(axis=0)])
+        sims = self.similarities(queries, norms)
+        if allowed is not None:
+            sims[~allowed] = -np.inf
+        return ids[np.argmax(sims, axis=1)]
 
 
 class FeatureStore:
@@ -80,39 +104,50 @@ class FeatureStore:
         if feature.shape != (self.dim,):
             raise ValueError(
                 f"feature has shape {feature.shape}, store expects ({self.dim},)")
+        if not np.isfinite(feature).all():
+            raise ValueError("feature has a non-finite value")
         self.scenes.add(scene_id, feature)
         self.envs.add(env_id, feature)
 
-    def search(self, query: np.ndarray,
-               pairs: set[tuple[int, int]] | None = None) -> tuple[int, int]:
-        """Two-step match: argmax cosine over scene centroids, then over
-        environment centroids. With ``pairs``, the second step considers only
-        environments paired with the matched scene there. Ties break toward
-        the lowest id.
+    def search(self, queries: np.ndarray,
+               pairs: set[tuple[int, int]] | None = None
+               ) -> tuple[int, int] | list[tuple[int, int]]:
+        """Two-step match of one ``(dim,)`` query, returning its (scene,
+        env), or of a ``(k, dim)`` stack, returning a list of k such pairs:
+        argmax cosine over scene centroids, then over environment centroids.
+        With ``pairs``, the second step considers only environments paired
+        with the matched scene there. Ties break toward the lowest id.
 
         Each similarity is, to the bit, that of the one-pair reference
         ``cosine_sim(query, centroid)`` in ``tests/reference_eval.py``: the
         centroids and their norms are kept from one search to the next until
-        ``add`` changes them, and each key still gets its own dot product (a
-        single matrix product would round differently).
+        ``add`` changes them, and each (query, centroid) entry gets its own
+        dot product (see ``CentroidTable.similarities``). A zero or non-finite
+        query, or considered centroid, raises ValueError.
         """
         if not self.scenes.sums or not self.envs.sums:
             raise ValueError("cannot search an empty feature store")
-        query = np.asarray(query, dtype=np.float64)
-        if query.shape != (self.dim,):
-            raise ValueError(f"query has shape {query.shape}, store expects "
-                             f"({self.dim},)")
-        norm = np.linalg.norm(query)
-        if not EPS_NORM <= norm < np.inf:
-            raise ValueError("cosine similarity is undefined for zero or "
-                             "non-finite vectors")
-        scene = self.scenes.argmax(query, norm)
+        queries = np.asarray(queries, dtype=np.float64)
+        if queries.ndim not in (1, 2) or queries.shape[-1] != self.dim:
+            raise ValueError(f"query has shape {queries.shape}, store expects "
+                             f"({self.dim},) or (k, {self.dim})")
+        stack = np.ascontiguousarray(queries.reshape(-1, self.dim))
+        norms = _norms(stack)
+        _check_norms(norms)
+        scenes = self.scenes.match(stack, norms).tolist()
         allowed = None
         if pairs is not None:
-            allowed = {k for k in self.envs.ids if (scene, k) in pairs}
-            if not allowed:
-                raise ValueError(f"no environment is paired with scene {scene}")
-        return scene, self.envs.argmax(query, norm, allowed)
+            env_ids = self.envs.ids
+            masks = {s: [(s, e) in pairs for e in env_ids]
+                     for s in dict.fromkeys(scenes)}
+            for s, mask in masks.items():
+                if not any(mask):
+                    raise ValueError(f"no environment is paired with scene {s}")
+            allowed = np.array([masks[s] for s in scenes],
+                               dtype=bool).reshape(-1, len(env_ids))
+        envs = self.envs.match(stack, norms, allowed).tolist()
+        found = list(zip(scenes, envs))
+        return found if queries.ndim == 2 else found[0]
 
     # -- persistence ---------------------------------------------------------
 

@@ -269,6 +269,7 @@ SMALL = ["--set", "n_tasks=1", "--set", "epochs=1", "--set", "train_episodes=4",
      "color_shift"),
     (["degrade", "--mode", "overexposure", "--set", "gain=1e308"], "gain"),
     (["degrade", "--mode", "lowlight", "--seed", "-1"], "seed"),
+    (["train", "--set", "scene_scale=1e300"], "scene_scale"),
 ])
 def test_non_finite_or_degenerate_value_exit_code_1(out_root, tmp_path, capsys,
                                                     argv, field):
@@ -281,6 +282,20 @@ def test_non_finite_or_degenerate_value_exit_code_1(out_root, tmp_path, capsys,
     assert f"{field}:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
     assert not list((out_root / "runs").glob("*"))
+
+
+def test_train_and_eval_at_the_world_float_caps(out_root):
+    """The largest world floats validation accepts train and evaluate
+    without a non-finite feature, centroid or similarity."""
+    run_dir = str(out_root / "exp")
+    argv = ["--set", "n_tasks=3", "--set", "train_episodes=8",
+            "--set", "test_episodes=5", "--set", "epochs=1", "--set", "d_f=16",
+            "--set", "hidden=8", "--set", "horizon=8",
+            "--set", "scene_scale=1e6", "--set", "env_scale=1e6",
+            "--set", "instr_scale=1e6", "--set", "feature_noise=1e6",
+            "--run-dir", run_dir]
+    assert main(["train", *argv]) == 0
+    assert main(["eval", *argv]) == 0
 
 
 @pytest.mark.parametrize("cls,name,text", [

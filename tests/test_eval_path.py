@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_eval import (
+    cosine_sim,
     reference_evaluate_task,
     reference_gen_episode,
     reference_oracle_success,
@@ -24,7 +25,7 @@ from reference_eval import (
     reference_tl,
 )
 
-from tucker_adapters import pipeline
+from tucker_adapters import pipeline, retrieval
 from tucker_adapters.config import ExperimentConfig
 from tucker_adapters.metrics import (
     EpisodeRecord,
@@ -259,6 +260,20 @@ def _same_search(store, query, pairs):
     assert all(type(x) is int for x in got)
 
 
+def _same_stacked_search(store, queries, pairs):
+    """A search of the stacked queries returns the reference's pair of each
+    row, or raises ValueError when the reference raises for any row."""
+    try:
+        want = [reference_search(store, q, pairs) for q in queries]
+    except ValueError:
+        with pytest.raises(ValueError):
+            store.search(np.stack(queries), pairs)
+        return
+    got = store.search(np.stack(queries), pairs)
+    assert got == want
+    assert all(type(x) is int for pair in got for x in pair)
+
+
 @settings(max_examples=150)
 @given(data=entries, extra=entries, queries=st.lists(features, min_size=1, max_size=6),
        restrict=st.booleans(), order=st.randoms(use_true_random=False))
@@ -286,12 +301,14 @@ def test_cached_search_equals_reference(data, extra, queries, restrict, order):
         except ValueError:
             continue
         assert other.search(q, pairs) == want
+    _same_stacked_search(other, queries, pairs)
 
     # add after a search invalidates the cached centroids
     for scene, env, f in extra:
         store.add(scene, env, np.array(f, dtype=float))
         for q in queries:
             _same_search(store, q, pairs)
+        _same_stacked_search(store, queries, pairs)
 
     # save/load round trip
     with tempfile.TemporaryDirectory() as tmp:
@@ -300,6 +317,26 @@ def test_cached_search_equals_reference(data, extra, queries, restrict, order):
         back = FeatureStore.load(path)
     for q in queries:
         _same_search(back, q, pairs)
+    _same_stacked_search(back, queries, pairs)
+
+
+@settings(max_examples=60)
+@given(dim=st.integers(2, 69), k=st.integers(1, 33), n_keys=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_similarities_equal_reference_bits(dim, k, n_keys, seed):
+    """Every similarity of a stacked search has the bits of the one-pair
+    reference, not only the argmax: a gemm rounds differently, but seldom
+    enough to move a match."""
+    rng = np.random.default_rng(seed)
+    store = FeatureStore(dim)
+    for key in range(n_keys):
+        for _ in range(3):
+            store.add(key, 0, rng.standard_normal(dim))
+    queries = rng.standard_normal((k, dim))
+    got = store.scenes.similarities(queries, retrieval._norms(queries))
+    want = [[cosine_sim(q, store.scenes.centroid(key)) for key in range(n_keys)]
+            for q in queries]
+    assert got.tobytes() == np.array(want).tobytes()
 
 
 def test_duplicate_centroids_pick_the_lowest_id():
@@ -308,6 +345,9 @@ def test_duplicate_centroids_pick_the_lowest_id():
         store.add(scene, 5 - scene, np.array([1.0, 1.0]))
     assert store.search(np.array([1.0, 2.0])) == (1, 2)
     assert store.search(np.array([1.0, 2.0]), {(1, 4)}) == (1, 4)
+    queries = np.array([[1.0, 2.0], [-1.0, 0.5], [3.0, 3.0]])
+    assert store.search(queries) == [(1, 2)] * 3
+    assert store.search(queries, {(1, 4), (1, 3)}) == [(1, 3)] * 3
 
 
 # ---------------------------------------------------------------------------

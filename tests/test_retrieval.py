@@ -106,6 +106,64 @@ def test_search_rejects_undefined_query(query, message):
         store.search(query)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_add_rejects_a_non_finite_feature(bad):
+    """A NaN feature used to make every similarity NaN, so that search
+    returned (None, None); an infinite one dropped its key from the match."""
+    store = FeatureStore(2)
+    store.add(0, 0, np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="non-finite"):
+        store.add(1, 1, np.array([bad, 1.0]))
+    assert store.scenes.ids == [0] and store.envs.ids == [0]
+    assert store.search(np.array([1.0, 1.0])) == (0, 0)
+
+
+def test_search_rejects_a_centroid_whose_norm_overflows():
+    """Such a key used to get similarity 0, or NaN, which dropped it from
+    the match."""
+    store = FeatureStore(2)
+    store.add(0, 0, np.array([0.0, 1.0]))
+    # environment 1's norm overflows; scene 1's centroid is (0, 5e153)
+    store.add(1, 1, np.array([1e154, 1e154]))
+    store.add(1, 2, np.array([-1e154, 0.0]))
+    with pytest.raises(ValueError, match="undefined"):
+        store.search(np.array([1.0, 0.0]))
+    # an environment counts only where it is paired with the matched scene
+    assert store.search(np.array([0.0, 1.0]), {(0, 0)}) == (0, 0)
+    with pytest.raises(ValueError, match="undefined"):
+        store.search(np.array([0.0, 1.0]), {(0, 0), (0, 1)})
+    # a sum that overflows; every scene counts
+    with np.errstate(over="ignore"):
+        for _ in range(2):
+            store.add(3, 0, np.array([-1e308, 0.0]))
+    assert not np.isfinite(store.scenes.sums[3]).all()
+    with pytest.raises(ValueError, match="undefined"):
+        store.search(np.array([0.0, 1.0]), {(0, 0)})
+
+
+def test_search_a_stack_row_by_row():
+    rng = np.random.default_rng(5)
+    store = FeatureStore(6)
+    for s in range(4):
+        for e in range(3):
+            store.add(s, e, rng.standard_normal(6))
+    queries = rng.standard_normal((9, 6))
+    pairs = {(s, (s + 1) % 3) for s in range(4)}
+    for restrict in (None, pairs):
+        assert store.search(queries, restrict) == [store.search(q, restrict)
+                                                   for q in queries]
+    assert store.search(queries[:0]) == []
+    # one undefined row fails the whole stack, as does one whose matched
+    # scene has no paired environment
+    queries[4] = 0.0
+    with pytest.raises(ValueError, match="undefined"):
+        store.search(queries)
+    with pytest.raises(ValueError, match="no environment is paired"):
+        store.search(queries[:4], {(0, 0)})
+    with pytest.raises(ValueError, match="shape"):
+        store.search(queries[None])
+
+
 def test_search_scale_invariant():
     rng = np.random.default_rng(3)
     store = FeatureStore(6)
