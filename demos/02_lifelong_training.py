@@ -3,7 +3,7 @@
 Trains the tensor adapter with the full consolidation objective over a short
 stream of (scene, environment) scenarios, then trains a single sequential
 low-rank baseline on the same stream, and compares final success and
-forgetting. Runs in about a minute.
+forgetting. Runs in about ten seconds.
 """
 
 import tempfile

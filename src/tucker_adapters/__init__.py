@@ -42,7 +42,6 @@ from .tasks import (
 from .tensor_ops import (
     contract_adapter,
     mode_n_product,
-    row_normalize,
     tucker_reconstruct,
 )
 from .training import AdamState, adam_step, fisher_ema, fisher_estimate

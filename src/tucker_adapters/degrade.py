@@ -28,6 +28,14 @@ Images are float64 arrays of shape (H, W, 3); depth maps are float64 (H, W)
 in meters. ``degrade_directory`` runs a directory's images concurrently, one
 per CPU available to the process, and writes the bytes and manifest a serial
 run would; a failing image skips those not yet begun and writes no manifest.
+
+Memory: an image in flight holds its input, its output and at most one
+full-size filter buffer (the denoise ``uniform_filter`` output, or the bloom
+``gaussian_filter`` output of a bool mask). Every stage that needs a
+temporary per pixel runs over blocks of whole rows of about ``_BLOCK_BYTES``;
+each element goes through the same operations in the same order as in the
+whole-image form, and the noise is drawn in its order, so the bytes do not
+depend on the block size.
 """
 
 from __future__ import annotations
@@ -116,6 +124,45 @@ def _crf(x: np.ndarray, gamma: float, inverse: bool) -> np.ndarray:
     return np.power(x, 1.0 / gamma if inverse else gamma, out=x)
 
 
+# Bytes of one (rows, W, 3) float64 scratch block: a stage that needs a
+# temporary per pixel runs over blocks of whole rows of about this size.
+_BLOCK_BYTES = 256 * 1024
+
+
+def _row_blocks(shape: tuple[int, ...]) -> tuple[int, list[slice]]:
+    """The row count of a block of an (H, W, 3) image, and the slices of
+    whole rows, in order, that cover it; the last may be shorter."""
+    step = max(1, _BLOCK_BYTES // max(1, 8 * shape[1] * shape[2]))
+    return step, [slice(r, min(r + step, shape[0]))
+                  for r in range(0, shape[0], step)]
+
+
+def _sensor(img: np.ndarray, scale: float, shot: float, read: float,
+            high: float, seed: int) -> np.ndarray:
+    """clip(S + N_shot + N_read, 0, high) for S = scale * img, with N_shot
+    of variance shot * S and N_read of deviation read.
+
+    Every shot-noise draw of the seed's stream precedes every read-noise
+    draw, each in row order: the draws of two whole-image
+    ``standard_normal`` calls.
+    """
+    rng = np.random.default_rng(seed)
+    out = np.empty(img.shape)
+    step, blocks = _row_blocks(img.shape)
+    # C-ordered, so standard_normal(out=) fills them in row order
+    draw, term = np.empty((2, step) + img.shape[1:])
+    for rows in blocks:
+        s, n = out[rows], rows.stop - rows.start
+        np.multiply(scale, img[rows], out=s)
+        t = np.sqrt(np.multiply(shot, s, out=term[:n]), out=term[:n])
+        s += np.multiply(rng.standard_normal(out=draw[:n]), t, out=t)
+    for rows in blocks:
+        s, d = out[rows], draw[:rows.stop - rows.start]
+        s += np.multiply(rng.standard_normal(out=d), read, out=d)
+        np.clip(s, 0.0, high, out=s)
+    return out
+
+
 def scatter(img: np.ndarray, depth: np.ndarray | None,
             params: ScatterParams = ScatterParams()) -> np.ndarray:
     """Blend toward atmospheric light by per-pixel transmission."""
@@ -123,16 +170,24 @@ def scatter(img: np.ndarray, depth: np.ndarray | None,
     params.validate()
     if depth is None:
         warnings.warn("no depth map; assuming constant depth d_max / 2")
-        depth = np.full(img.shape[:2], params.d_max / 2.0)
+        depth = np.broadcast_to(params.d_max / 2.0, img.shape[:2])
     depth = np.asarray(depth, dtype=np.float64)
     if depth.shape != img.shape[:2]:
         raise ValueError(
             f"depth shape {depth.shape} does not match image {img.shape[:2]}")
-    t = np.minimum(depth, params.d_max)
-    t = np.exp(np.multiply(-params.beta, t, out=t), out=t)[..., None]
-    out = np.multiply(img, t)
-    out += np.multiply(params.atmospheric_light, np.subtract(1.0, t, out=t))
-    return np.clip(out, 0.0, 1.0, out=out)
+    out = np.empty(img.shape)
+    step, blocks = _row_blocks(img.shape)
+    trans = np.empty((step, img.shape[1], 1))
+    haze = np.empty((step,) + img.shape[1:])
+    for rows in blocks:
+        n = rows.stop - rows.start
+        t = np.minimum(depth[rows, :, None], params.d_max, out=trans[:n])
+        np.exp(np.multiply(-params.beta, t, out=t), out=t)
+        o = np.multiply(img[rows], t, out=out[rows])
+        o += np.multiply(params.atmospheric_light, np.subtract(1.0, t, out=t),
+                         out=haze[:n])
+        np.clip(o, 0.0, 1.0, out=o)
+    return out
 
 
 def low_light(img: np.ndarray,
@@ -140,22 +195,21 @@ def low_light(img: np.ndarray,
     """Darken through the sensor chain with signal-dependent noise."""
     img = _check_image(img)
     params.validate()
-    rng = np.random.default_rng(params.seed)
-    # C-ordered, so standard_normal(out=) fills them as standard_normal(shape)
-    noisy, draw, term = (np.empty(img.shape) for _ in range(3))
-    np.multiply(params.gain * params.exposure_time * params.brightness, img, out=noisy)
-    np.sqrt(np.multiply(params.shot_noise, noisy, out=term), out=term)
-    noisy += np.multiply(rng.standard_normal(out=draw), term, out=term)
-    noisy += np.multiply(rng.standard_normal(out=draw),
-                         params.read_noise / 255.0, out=draw)
-    _crf(np.clip(noisy, 0.0, 1.0, out=noisy), params.gamma, params.crf_inverse)
+    noisy = _sensor(img, params.gain * params.exposure_time * params.brightness,
+                    params.shot_noise, params.read_noise / 255.0, 1.0,
+                    params.seed)
+    _crf(noisy, params.gamma, params.crf_inverse)
     if params.denoise_strength > 0.0:
         keep, strength = params.detail_preservation, params.denoise_strength
-        smoothed = uniform_filter(noisy, (3, 3, 1), mode="nearest", output=term)
-        blended = np.multiply(keep, noisy, out=draw)
-        blended += np.multiply(1.0 - keep, smoothed, out=smoothed)
-        noisy *= 1.0 - strength
-        noisy += np.multiply(strength, blended, out=blended)
+        smoothed = uniform_filter(noisy, (3, 3, 1), mode="nearest")
+        step, blocks = _row_blocks(img.shape)
+        scratch = np.empty((step,) + img.shape[1:])
+        for rows in blocks:
+            x, sm = noisy[rows], smoothed[rows]
+            blended = np.multiply(keep, x, out=scratch[:rows.stop - rows.start])
+            blended += np.multiply(1.0 - keep, sm, out=sm)
+            x *= 1.0 - strength
+            x += np.multiply(strength, blended, out=blended)
     return np.clip(noisy, 0.0, 1.0, out=noisy)
 
 
@@ -164,19 +218,15 @@ def overexpose(img: np.ndarray,
     """Saturate the sensor, then add bloom and a warm color shift."""
     img = _check_image(img)
     params.validate()
-    rng = np.random.default_rng(params.seed)
-    s, draw, term = (np.empty(img.shape) for _ in range(3))
-    np.multiply(params.gain * params.exposure_multiplier, img, out=s)
     # the overexposure block parameterizes only sigma_read; the
     # signal-proportional shot term reuses it as the variance coefficient
-    np.sqrt(np.multiply(params.read_noise, s, out=term), out=term)
-    s += np.multiply(rng.standard_normal(out=draw), term, out=term)
-    s += np.multiply(rng.standard_normal(out=draw), params.read_noise, out=draw)
-    np.clip(s, 0.0, params.saturation, out=s)
+    s = _sensor(img, params.gain * params.exposure_multiplier,
+                params.read_noise, params.read_noise, params.saturation,
+                params.seed)
     if params.bloom_strength > 0.0:
-        mask = np.greater_equal(s, params.saturation, out=draw)
-        glow = gaussian_filter(mask, sigma=(2.0, 2.0, 0.0), truncate=2.5,
-                               mode="nearest", output=term)
+        glow = gaussian_filter(np.greater_equal(s, params.saturation),
+                               sigma=(2.0, 2.0, 0.0), truncate=2.5,
+                               mode="nearest", output=np.float64)
         s += np.multiply(params.bloom_strength, glow, out=glow)
     s *= np.asarray(params.color_shift)[None, None, :]
     _crf(np.clip(s, 0.0, 1.0, out=s), params.gamma, params.crf_inverse)
@@ -226,12 +276,13 @@ def _read_pnm(path: str | Path, magic: str) -> np.ndarray:
         raise PnmError(f"{path}: nonpositive dimensions {width}x{height}")
     if maxval != expected:
         raise PnmError(f"{path}: unsupported maxval {maxval} (only {expected})")
-    need = width * height * channels * dtype.itemsize
-    payload = data[pos:pos + need]
-    if len(payload) < need:
-        raise PnmError(f"{path}: truncated payload at byte {pos + len(payload)} "
+    count = width * height * channels
+    need = count * dtype.itemsize
+    if len(data) < pos + need:
+        raise PnmError(f"{path}: truncated payload at byte {max(pos, len(data))} "
                        f"(need {pos + need} bytes)")
-    return np.frombuffer(payload, dtype=dtype).reshape(height, width, channels)
+    return np.frombuffer(data, dtype=dtype, count=count,
+                         offset=pos).reshape(height, width, channels)
 
 
 def _write_pnm(path: str | Path, magic: str, samples: np.ndarray) -> None:
@@ -242,16 +293,20 @@ def _write_pnm(path: str | Path, magic: str, samples: np.ndarray) -> None:
     h, w = samples.shape[:2]
     with open(path, "wb") as fh:
         fh.write(f"{magic}\n{w} {h}\n{maxval}\n".encode())
-        fh.write(data.tobytes())
+        fh.write(data)
 
 
 def save_image(path: str | Path, img: np.ndarray) -> None:
     """Write a [0,1] float image as 8-bit binary PPM (round(v * 255))."""
-    _write_pnm(path, "P6", np.clip(_check_image(img), 0.0, 1.0) * 255.0)
+    samples = np.clip(_check_image(img), 0.0, 1.0)
+    samples *= 255.0
+    _write_pnm(path, "P6", samples)
 
 
 def load_image(path: str | Path) -> np.ndarray:
-    return _read_pnm(path, "P6").astype(np.float64) / 255.0
+    img = _read_pnm(path, "P6").astype(np.float64)
+    img /= 255.0
+    return img
 
 
 def save_depth(path: str | Path, depth: np.ndarray) -> None:
@@ -265,7 +320,9 @@ def save_depth(path: str | Path, depth: np.ndarray) -> None:
 
 
 def load_depth(path: str | Path) -> np.ndarray:
-    return _read_pnm(path, "P5")[..., 0].astype(np.float64) / 1000.0
+    depth = _read_pnm(path, "P5")[..., 0].astype(np.float64)
+    depth /= 1000.0
+    return depth
 
 
 # ---------------------------------------------------------------------------
@@ -306,12 +363,14 @@ def degrade_directory(mode: str, input_dir: str | Path, output_dir: str | Path,
             img = load_image(src)
             if mode == "scattering":
                 pgm = None if depth_dir is None else Path(depth_dir) / f"{src.stem}.pgm"
-                depth = load_depth(pgm) if pgm and pgm.exists() else None
-                out, image_params = scatter(img, depth, params), params
+                out = scatter(img, load_depth(pgm) if pgm and pgm.exists() else None,
+                              params)
+                image_params = params
             else:
                 image_params = replace(params, seed=_image_seed(seed, idx))
                 out = (low_light(img, image_params) if mode == "lowlight"
                        else overexpose(img, image_params))
+            del img  # save_image's buffer takes the input's place
             save_image(output_dir / src.name, out)
         except BaseException:
             stop.set()

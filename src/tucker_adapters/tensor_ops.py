@@ -14,8 +14,8 @@ import string
 
 import numpy as np
 
-# Rows with Euclidean norm below this are left untouched by row_normalize
-# and excluded from orthogonality Gram products.
+# Rows with Euclidean norm below this are excluded from orthogonality Gram
+# products, and retrieval rejects features and centroids with such a norm.
 EPS_NORM = 1e-12
 
 
@@ -103,13 +103,3 @@ def contract_adapter(core: np.ndarray, u1: np.ndarray, u2: np.ndarray,
                              f"{mode} is {r}")
     mid = np.einsum(tucker_subscripts(len(rows))[0], core, *rows)
     return u1 @ mid @ u2.T
-
-
-def row_normalize(m: np.ndarray, eps: float = EPS_NORM) -> np.ndarray:
-    """Scale each row to unit Euclidean norm; rows with norm < eps pass through."""
-    m = _as_f64(m)
-    if m.ndim != 2:
-        raise ValueError(f"row_normalize expects a matrix, got {m.ndim}-D")
-    norms = np.linalg.norm(m, axis=1, keepdims=True)
-    safe = np.where(norms < eps, 1.0, norms)
-    return np.where(norms < eps, m, m / safe)

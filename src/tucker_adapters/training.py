@@ -11,7 +11,7 @@ with
                      (the Fisher weighting sits inside the squared norm)
     consistency    = lam2 * sum over revisited expert slices of ||e - e'||^2
     orthogonality  = lam3 * sum over novel expert hierarchies of
-                     ||row_normalize(U) row_normalize(U)^T - I||_F^2
+                     ||U_hat U_hat^T - I||_F^2, U_hat = U with unit rows
                      (rows under the norm guard are excluded from the Gram)
 
 All gradients are analytic and exact; the finite-difference checker below is

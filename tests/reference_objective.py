@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from tucker_adapters.adapters import FlatLayout, block_key
-from tucker_adapters.tensor_ops import EPS_NORM, row_normalize
+from tucker_adapters.tensor_ops import EPS_NORM
 
 
 def flat_state(adapters, snapshots, fishers):
@@ -114,6 +114,16 @@ def fisher_estimate(backbone, adapters, sel, episodes):
         for name in acc:
             acc[name] /= len(episodes)
     return fisher
+
+
+def row_normalize(m, eps=EPS_NORM):
+    """Scale each row to unit Euclidean norm; rows with norm < eps pass through."""
+    m = np.ascontiguousarray(np.asarray(m, dtype=np.float64))
+    if m.ndim != 2:
+        raise ValueError(f"row_normalize expects a matrix, got {m.ndim}-D")
+    norms = np.linalg.norm(m, axis=1, keepdims=True)
+    safe = np.where(norms < eps, 1.0, norms)
+    return np.where(norms < eps, m, m / safe)
 
 
 def gram_penalty(mat):

@@ -1,13 +1,17 @@
 """Acceptance criteria, one test per criterion, each printing PASS/FAIL.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines. Criterion 5 trains 3 seeds x 2 methods x 20 tasks and dominates the
-runtime (a few minutes); everything else finishes in seconds.
+lines. Criterion 5 trains 3 seeds x 2 methods x 20 tasks, in up to two
+worker processes, and dominates the runtime; everything else finishes in
+seconds.
 """
 
 import functools
 import json
 import math
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -211,18 +215,29 @@ def _aggregate(scores):
     return sr, f_sr
 
 
+def _train_and_aggregate(cfg, run_dir):
+    run_training(cfg, run_dir)
+    return _aggregate(run_eval(cfg, run_dir))
+
+
 @criterion(5, "forgetting ordering across 3 seeds")
 def test_c5_forgetting_ordering(tmp_path):
+    """The six independent (method, seed) runs share the CPUs the process
+    may use, at most two at a time; one CPU runs them one after another."""
+    configs = {}
     for seed in (1, 2, 3):
-        cfg_tucker = ExperimentConfig(adapter_kind="tucker4", seed=seed)
-        run_training(cfg_tucker, tmp_path / f"tucker_{seed}")
-        sr_t, f_t = _aggregate(run_eval(cfg_tucker, tmp_path / f"tucker_{seed}"))
-
-        cfg_seq = ExperimentConfig(adapter_kind="lora", lam1=0.0, lam2=0.0,
-                                   lam3=0.0, seed=seed)
-        run_training(cfg_seq, tmp_path / f"seq_{seed}")
-        sr_s, f_s = _aggregate(run_eval(cfg_seq, tmp_path / f"seq_{seed}"))
-
+        configs["tucker", seed] = ExperimentConfig(adapter_kind="tucker4", seed=seed)
+        configs["seq", seed] = ExperimentConfig(adapter_kind="lora", lam1=0.0,
+                                                lam2=0.0, lam3=0.0, seed=seed)
+    with ProcessPoolExecutor(min(2, len(os.sched_getaffinity(0))),
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        futures = {key: pool.submit(_train_and_aggregate, cfg,
+                                    tmp_path / f"{key[0]}_{key[1]}")
+                   for key, cfg in configs.items()}
+        results = {key: future.result() for key, future in futures.items()}
+    for seed in (1, 2, 3):
+        sr_t, f_t = results["tucker", seed]
+        sr_s, f_s = results["seq", seed]
         print(f"  seed {seed}: tensor-adapter F-SR={f_t:.3f} SR={sr_t:.3f} | "
               f"sequential F-SR={f_s:.3f} SR={sr_s:.3f}")
         assert f_t < f_s, f"seed {seed}: forgetting ordering violated"

@@ -58,3 +58,33 @@ def test_bench_file_holds_benchmark_workloads_and_metrics(path):
         for layer, values in workload.get("layers", {}).items():
             assert layer in PER_LAYER, layer
             assert set(values) == set(SIDES)
+
+
+TIMED = [(path, key) for path in TRAIL
+         for key, block in json.loads(path.read_text()).items()
+         if key != "workloads" and isinstance(block, dict) and "runs" in
+         block.get("parent", {})]
+
+
+def test_the_trail_times_acceptance_criterion_5():
+    assert any(key == "criterion_5" for _, key in TIMED)
+
+
+@pytest.mark.parametrize("path, key", TIMED,
+                         ids=[f"{p.name}-{k}" for p, k in TIMED])
+def test_timings_outside_the_workloads_hold_their_runs(path, key):
+    """A timing block outside ``"workloads"`` (a lower-is-better wall time,
+    such as acceptance criterion 5's) holds alternating parent and change
+    runs with their median, quartiles and wins, and the change printed
+    what the parent printed."""
+    block = json.loads(path.read_text())[key]
+    assert block["command"] and block["unit"] == "s"
+    pairs = len(block["parent"]["runs"])
+    assert pairs >= 5 and len(block["change"]["runs"]) == pairs
+    for side in SIDES:
+        stats = block[side]
+        quartiles = np.percentile(stats["runs"], [25, 50, 75]).tolist()
+        assert [stats["q1"], stats["median"], stats["q3"]] == quartiles, side
+    assert block["wins"] == sum(change < parent for parent, change in
+                                zip(block["parent"]["runs"], block["change"]["runs"]))
+    assert block["output_equal"] is True

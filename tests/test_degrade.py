@@ -1,12 +1,15 @@
 """Degradation operators: identities, bounds, determinism, byte equality
-with the out-of-place reference, PNM IO and the concurrent batch."""
+with the out-of-place reference, per-call memory, PNM IO and the concurrent
+batch."""
 
 import dataclasses
 import json
 import math
 import os
 import re
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from tucker_adapters import degrade
 from tucker_adapters.degrade import (
     MODE_DEFAULTS,
     LowLightParams,
@@ -292,11 +296,15 @@ def params_in_ranges(cls, cap=math.inf):
     return st.builds(cls, **fields)
 
 
-def assert_reference_bytes(op, *args):
+def assert_reference_bytes(op, *args, block_rows=None):
     """``op`` returns the bytes its out-of-place reference returns and
-    leaves its arguments as they were."""
+    leaves its arguments as they were; with ``block_rows`` given, ``op``
+    runs its pointwise stages over blocks of that many rows."""
     before = [a.copy() if isinstance(a, np.ndarray) else a for a in args]
-    with warnings.catch_warnings():
+    block_bytes = (degrade._BLOCK_BYTES if block_rows is None
+                   else block_rows * 8 * 3 * args[0].shape[1])
+    with warnings.catch_warnings(), \
+            mock.patch.object(degrade, "_BLOCK_BYTES", block_bytes):
         warnings.simplefilter("ignore")
         want = getattr(reference, op.__name__)(*args)
         got = op(*args)
@@ -309,19 +317,25 @@ def assert_reference_bytes(op, *args):
 
 @settings(max_examples=80)
 @given(img=images(), depth=st.none() | st.floats(0.0, 500.0),
-       cap=st.sampled_from([1.0, 4.0, math.inf]), data=st.data())
-def test_operators_return_the_reference_bytes(img, depth, cap, data):
+       cap=st.sampled_from([1.0, 4.0, math.inf]),
+       block_rows=st.none() | st.integers(1, 4), data=st.data())
+def test_operators_return_the_reference_bytes(img, depth, cap, block_rows,
+                                              data):
     """Two thirds of the examples keep every float at most 1 or 4, where
     few pixels clip; the others range over whole intervals, extremes
-    included."""
+    included. About half run over blocks of 1-4 rows, so that an image of
+    up to 6 rows spans several blocks and often ends in a shorter one."""
     if depth is not None:
         depth = np.random.default_rng(0).uniform(0.0, depth, size=img.shape[:2])
     assert_reference_bytes(scatter, img, depth,
-                           data.draw(params_in_ranges(ScatterParams, cap)))
+                           data.draw(params_in_ranges(ScatterParams, cap)),
+                           block_rows=block_rows)
     assert_reference_bytes(low_light, img,
-                           data.draw(params_in_ranges(LowLightParams, cap)))
+                           data.draw(params_in_ranges(LowLightParams, cap)),
+                           block_rows=block_rows)
     assert_reference_bytes(overexpose, img,
-                           data.draw(params_in_ranges(OverexposeParams, cap)))
+                           data.draw(params_in_ranges(OverexposeParams, cap)),
+                           block_rows=block_rows)
 
 
 @pytest.mark.parametrize("crf_inverse", [False, True])
@@ -329,21 +343,64 @@ def test_operators_return_the_reference_bytes(img, depth, cap, data):
 def test_operator_edge_settings_return_the_reference_bytes(img, depth,
                                                            crf_inverse, gamma):
     """The branches a random draw may miss: no denoise, no bloom, full-well
-    saturation at 1, and exponents numpy may special-case."""
-    for low in (LowLightParams(seed=3, gamma=gamma, crf_inverse=crf_inverse),
-                LowLightParams(seed=3, gamma=gamma, crf_inverse=crf_inverse,
-                               denoise_strength=0.0)):
-        assert_reference_bytes(low_light, img, low)
-    for over in (OverexposeParams(seed=4, gamma=gamma, crf_inverse=crf_inverse),
-                 OverexposeParams(seed=4, gamma=gamma, crf_inverse=crf_inverse,
-                                  bloom_strength=0.0, saturation=1.0),
-                 OverexposeParams(seed=4, gamma=gamma, crf_inverse=crf_inverse,
-                                  saturation=1.0, exposure_multiplier=50.0)):
-        assert_reference_bytes(overexpose, img, over)
+    saturation at 1, and exponents numpy may special-case; in one block, and
+    in blocks of 5 rows (12 = 5 + 5 + 2, and 16 = 5 + 5 + 5 + 1 rows when
+    transposed)."""
+    for rows in (None, 5):
+        for low in (LowLightParams(seed=3, gamma=gamma, crf_inverse=crf_inverse),
+                    LowLightParams(seed=3, gamma=gamma, crf_inverse=crf_inverse,
+                                   denoise_strength=0.0)):
+            assert_reference_bytes(low_light, img, low, block_rows=rows)
+        for over in (OverexposeParams(seed=4, gamma=gamma, crf_inverse=crf_inverse),
+                     OverexposeParams(seed=4, gamma=gamma, crf_inverse=crf_inverse,
+                                      bloom_strength=0.0, saturation=1.0),
+                     OverexposeParams(seed=4, gamma=gamma, crf_inverse=crf_inverse,
+                                      saturation=1.0, exposure_multiplier=50.0)):
+            assert_reference_bytes(overexpose, img, over, block_rows=rows)
+        assert_reference_bytes(scatter, img, depth, ScatterParams(beta=0.02),
+                               block_rows=rows)
+        assert_reference_bytes(scatter, img.transpose(1, 0, 2), depth.T,
+                               ScatterParams(beta=0.02), block_rows=rows)
+        assert_reference_bytes(low_light, img.transpose(1, 0, 2),
+                               LowLightParams(), block_rows=rows)
+
+
+def vga_scene(height=480):
+    rng = np.random.default_rng(5)
+    return (rng.uniform(0.0, 1.0, size=(height, 640, 3)),
+            rng.uniform(0.5, 300.0, size=(height, 640)))
+
+
+def test_operators_return_the_reference_bytes_over_default_blocks():
+    """37 rows of 640 pixels span several blocks of the default size and
+    end in a shorter one."""
+    img, depth = vga_scene(37)
+    step, blocks = degrade._row_blocks(img.shape)
+    assert len(blocks) > 1 and blocks[-1].stop - blocks[-1].start < step
     assert_reference_bytes(scatter, img, depth, ScatterParams(beta=0.02))
-    assert_reference_bytes(scatter, img.transpose(1, 0, 2), depth.T,
-                           ScatterParams(beta=0.02))
-    assert_reference_bytes(low_light, img.transpose(1, 0, 2), LowLightParams())
+    assert_reference_bytes(scatter, img, None, ScatterParams(beta=0.02))
+    assert_reference_bytes(low_light, img, LowLightParams(seed=3))
+    assert_reference_bytes(overexpose, img, OverexposeParams(seed=4))
+
+
+@pytest.mark.parametrize("op, bound", [("scatter", 1.15), ("low_light", 2.25),
+                                       ("overexpose", 2.25)])
+def test_operator_peak_allocation_on_a_vga_image(op, bound):
+    """A call holds its output, at most one full-size filter buffer and
+    blocks of scratch: its peak allocation, in image sizes, stays within
+    ``bound``."""
+    img, depth = vga_scene()
+    args = (img, depth) if op == "scatter" else (img,)
+    getattr(degrade, op)(*args)  # first-call set-up is not the operator's
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = getattr(degrade, op)(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == img.shape
+    assert (peak - start) / img.nbytes <= bound
 
 
 def test_param_validation_errors(img):

