@@ -208,7 +208,7 @@ class TuckerAdapter(AdapterBase):
         if widths != core.shape:
             raise ValueError(f"factor widths {widths} must match the core "
                              f"ranks {core.shape}")
-        self._mid, self._core_grad, self._row_grads = tucker_subscripts(order - 2)
+        _, self._core_grad, self._row_grads = tucker_subscripts(order - 2)
 
     @classmethod
     def init(cls, a: int, b: int, ranks: tuple[int, ...], n_scenes: int,
@@ -249,12 +249,8 @@ class TuckerAdapter(AdapterBase):
                       for n in range(len(rows))))
 
     def delta(self, sel: Selection, ops: tuple | None = None) -> np.ndarray:
-        if ops is None:   # a one-off delta, as evaluation takes it
-            return contract_adapter(self.core, self.up, self.down,
-                                    *super().operands(sel)[1])
-        _, core_rows, mid, _ = ops
-        np.einsum(self._mid, *core_rows, out=mid)
-        return self.up @ mid @ self.down.T
+        _, (core, *rows), mid, _ = ops or self.operands(sel)
+        return contract_adapter(core, self.up, self.down, *rows, out=mid)
 
     def delta_backward(self, ops, g, out):
         index, (_, *rows), mid, row_operands = ops

@@ -1,5 +1,5 @@
-"""Dense tensor arithmetic: mode products, Tucker reconstruction, and the
-fused adapter contraction used in every forward pass.
+"""Dense tensor arithmetic: mode products, Tucker reconstruction, and
+``contract_adapter``, the one kernel of every Tucker delta, trained or not.
 
 Tensors are plain float64 ``numpy.ndarray`` objects in C (row-major) order;
 matrices are 2-D arrays. A mode-n product contracts the n-th axis of a
@@ -76,30 +76,14 @@ def tucker_subscripts(k: int) -> tuple[str, str, tuple[str, ...]]:
                   for m in modes))
 
 
-def contract_adapter(core: np.ndarray, u1: np.ndarray, u2: np.ndarray,
-                     *rows: np.ndarray) -> np.ndarray:
-    """Fused extraction of one adapter weight from an order-(k + 2) core.
-
-    Computes ``u1 @ (core x_3 rows[0] ... x_{k+2} rows[k-1]) @ u2.T`` where
-    each row vector contracts one expert mode away (a 1 x r factor followed
-    by a squeeze), yielding an ``a x b`` matrix. This is the inner loop of
-    every adapted forward pass; the generic mode-product path above is kept
-    as its cross-check oracle.
-    """
-    core = _as_f64(core)
-    u1, u2 = _as_f64(u1), _as_f64(u2)
-    rows = [_as_f64(row).ravel() for row in rows]
-    if core.ndim != 2 + len(rows):
-        raise ValueError(f"a {core.ndim}-D adapter core takes {core.ndim - 2} "
-                         f"expert rows, got {len(rows)}")
-    r1, r2 = core.shape[:2]
-    if u1.shape[1] != r1:
-        raise ValueError(f"u1 has {u1.shape[1]} columns, core mode 0 is {r1}")
-    if u2.shape[1] != r2:
-        raise ValueError(f"u2 has {u2.shape[1]} columns, core mode 1 is {r2}")
-    for mode, (row, r) in enumerate(zip(rows, core.shape[2:]), start=2):
-        if row.size != r:
-            raise ValueError(f"u{mode + 1} row length {row.size}, core mode "
-                             f"{mode} is {r}")
-    mid = np.einsum(tucker_subscripts(len(rows))[0], core, *rows)
-    return u1 @ mid @ u2.T
+def contract_adapter(core: np.ndarray, up: np.ndarray, down: np.ndarray,
+                     *rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """One adapter weight ``up @ mid @ down.T``, where ``mid`` is the (r1, r2)
+    matrix left when the k ``rows`` contract the expert modes of an
+    order-(k + 2) core away. Every Tucker delta runs it, in a training step
+    and in evaluation; the mode-product path above is its oracle. ``out`` is
+    the einsum's own output argument: given, it receives ``mid``, which a
+    training step keeps for ``delta_backward``. ``TuckerAdapter`` checks the
+    widths once, when it is built; nothing is checked here."""
+    mid = np.einsum(tucker_subscripts(len(rows))[0], core, *rows, out=out)
+    return up @ mid @ down.T

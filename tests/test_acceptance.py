@@ -133,17 +133,18 @@ def test_c2_tensor_oracles():
                    for o, r in zip(out_dims, core_shape)]
         rec = tucker_reconstruct(core, factors)
         assert np.max(np.abs(rec - _loop_expand(core, factors))) < 1e-10
+    # the kernel of every Tucker delta, on cores of order 3, 4 and 5
     for trial in range(100):
-        core_shape = tuple(int(d) for d in rng.integers(1, 5, size=4))
+        ndim = int(rng.integers(3, 6))
+        core_shape = tuple(int(d) for d in rng.integers(1, 5, size=ndim))
         a, b = int(rng.integers(1, 5)), int(rng.integers(1, 5))
         core = rng.standard_normal(core_shape)
-        u1 = rng.standard_normal((a, core_shape[0]))
-        u2 = rng.standard_normal((b, core_shape[1]))
-        u3 = rng.standard_normal(core_shape[2])
-        u4 = rng.standard_normal(core_shape[3])
-        fused = contract_adapter(core, u1, u2, u3, u4)
-        oracle = _loop_expand(core, [u1, u2, u3[None, :], u4[None, :]])[:, :, 0, 0]
-        assert np.max(np.abs(fused - oracle)) < 1e-10
+        up = rng.standard_normal((a, core_shape[0]))
+        down = rng.standard_normal((b, core_shape[1]))
+        rows = [rng.standard_normal(r) for r in core_shape[2:]]
+        fused = contract_adapter(core, up, down, *rows)
+        oracle = _loop_expand(core, [up, down, *(row[None, :] for row in rows)])
+        assert np.max(np.abs(fused - oracle.reshape(a, b))) < 1e-10
 
 
 # ---------------------------------------------------------------------------

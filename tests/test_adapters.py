@@ -2,15 +2,18 @@
 rows, IO."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tucker_adapters import adapters
 from tucker_adapters.adapters import (
     ADAPTER_KINDS,
     SIGMA_EXPERT_INIT,
+    TUCKER_EXPERTS,
     AbcLoraAdapter,
     AdapterBase,
     LoraAdapter,
@@ -20,7 +23,7 @@ from tucker_adapters.adapters import (
     TuckerAdapter,
 )
 from tucker_adapters.config import ConfigError, ExperimentConfig
-from tucker_adapters.tensor_ops import tucker_reconstruct
+from tucker_adapters.tensor_ops import contract_adapter, tucker_reconstruct
 
 
 def small_tucker(seed=0, a=6, b=5, ranks=(2, 3, 2, 2), m=4, n=3):
@@ -150,6 +153,91 @@ def test_tucker5_linear_in_instruction_row():
     ad.instr_experts[0] *= -2.0
     np.testing.assert_allclose(ad.delta(Selection(scene=0, env=1, instr=0)),
                                -2.0 * base, atol=1e-12)
+
+
+@pytest.mark.parametrize("ranks", [(2, 3, 4), (2, 3, 4, 2), (2, 3, 4, 2, 3)],
+                         ids=["tucker3", "tucker4", "tucker5"])
+def test_tucker_delta_runs_contract_adapter_once(monkeypatch, ranks):
+    ad = TuckerAdapter.init(a=6, b=5, ranks=ranks, n_scenes=3, n_envs=2,
+                            n_instr=2, rng=np.random.default_rng(len(ranks)))
+    sel = Selection(scene=2, env=1, instr=1)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return contract_adapter(*args, **kwargs)
+
+    monkeypatch.setattr(adapters, "contract_adapter", counted)
+    one_off = ad.delta(sel)
+    assert len(calls) == 1
+    ops = ad.operands(sel)
+    step = ad.delta(sel, ops)
+    assert len(calls) == 2
+    assert step.tobytes() == one_off.tobytes()
+    # the step form leaves the contracted core in ops[2] for delta_backward
+    _, (_, *rows), mid, _ = ops
+    r1, r2 = ranks[:2]
+    expanded = tucker_reconstruct(
+        ad.core, [np.eye(r1), np.eye(r2), *(row[None, :] for row in rows)])
+    np.testing.assert_allclose(mid, expanded.reshape(r1, r2), atol=1e-12)
+    assert (ad.up @ mid @ ad.down.T).tobytes() == step.tobytes()
+
+
+def tucker_blocks(order):
+    """Constructor arguments of a valid Tucker adapter with a core of
+    ``order`` and ranks (2, 3, 4, 5, 2)[:order]."""
+    rng = np.random.default_rng(order)
+    ranks = (2, 3, 4, 5, 2)[:order]
+    return dict(core=rng.standard_normal(ranks),
+                up=rng.standard_normal((6, ranks[0])),
+                down=rng.standard_normal((5, ranks[1])),
+                n_envs=2 if order == 3 else None,
+                **{name: rng.standard_normal((3, r))
+                   for name, r in zip(TUCKER_EXPERTS[order], ranks[2:])})
+
+
+def bad_tucker_blocks():
+    """Every argument set ``TuckerAdapter.__init__`` must refuse, each with
+    its exact error message."""
+    cases = []
+    for order in (2, 6):
+        args = {**tucker_blocks(4), "core": np.zeros((2,) * order)}
+        cases.append(pytest.param(
+            args, f"a Tucker core has order 3, 4 or 5, not {order}",
+            id=f"order{order}"))
+    for order, experts in TUCKER_EXPERTS.items():
+        good, names = tucker_blocks(order), list(experts)
+        renamed = {**good, "other_experts": good[names[0]]}
+        del renamed[names[0]]
+        missing = {k: v for k, v in good.items() if k != names[-1]}
+        for tag, args in (("renamed", renamed), ("missing", missing)):
+            got = sorted(k for k in args if k.endswith("_experts"))
+            cases.append(pytest.param(
+                args, f"a tucker{order} core takes expert blocks {names}, "
+                f"got {got}", id=f"tucker{order}-{tag}"))
+        cases.append(pytest.param(
+            {**good, "n_envs": None if order == 3 else 2},
+            "n_envs couples scene and env in tucker3 cores only",
+            id=f"tucker{order}-n_envs"))
+        for name in ("up", "down", *names):
+            rows, width = good[name].shape
+            args = {**good, name: np.zeros((rows, width + 1))}
+            widths = tuple(args[n].shape[1] for n in ("up", "down", *names))
+            cases.append(pytest.param(
+                args, f"factor widths {widths} must match the core ranks "
+                f"{good['core'].shape}", id=f"tucker{order}-{name}-width"))
+    return cases
+
+
+@pytest.mark.parametrize("order", sorted(TUCKER_EXPERTS))
+def test_tucker_blocks_are_valid(order):
+    assert TuckerAdapter(**tucker_blocks(order)).kind == f"tucker{order}"
+
+
+@pytest.mark.parametrize("args, message", bad_tucker_blocks())
+def test_tucker_init_rejects_bad_blocks(args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TuckerAdapter(**args)
 
 
 def test_lora_zero_up_gives_zero_delta():

@@ -203,17 +203,6 @@ def test_contract_bilinear_in_expert_rows():
     np.testing.assert_allclose(lhs, -3.0 * contract_adapter(core, u1, u2, u, v), atol=1e-12)
 
 
-def test_contract_dimension_errors():
-    core = np.zeros((2, 2, 2, 2))
-    with pytest.raises(ValueError, match="u1"):
-        contract_adapter(core, np.zeros((3, 3)), np.zeros((3, 2)), np.zeros(2), np.zeros(2))
-    with pytest.raises(ValueError, match="u3"):
-        contract_adapter(core, np.zeros((3, 2)), np.zeros((3, 2)), np.zeros(5), np.zeros(2))
-    with pytest.raises(ValueError, match="takes 2 expert rows, got 3"):
-        contract_adapter(core, np.zeros((3, 2)), np.zeros((3, 2)), np.zeros(2),
-                         np.zeros(2), np.zeros(2))
-
-
 # ---------------------------------------------------------------------------
 # row_normalize, the reference's (training.py normalizes its Gram rows inline)
 # ---------------------------------------------------------------------------
