@@ -8,6 +8,7 @@ seeds recorded here, which is what makes runs reproducible and resumable.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import numbers
@@ -30,12 +31,16 @@ class ConfigError(ValueError):
 _TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
 
 
+# the resolved annotations of a dataclass, once per class
+_type_hints = functools.cache(typing.get_type_hints)
+
+
 def _field_type(cls, key: str):
     """The annotated type of field ``key`` of the dataclass ``cls``."""
-    types = typing.get_type_hints(cls)
-    if key not in types:
+    hints = _type_hints(cls)
+    if key not in hints:
         raise ConfigError(f"{key}: unknown field of {cls.__name__}")
-    return types[key]
+    return hints[key]
 
 
 def _item_types(kind, n: int) -> tuple | None:

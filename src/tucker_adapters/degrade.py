@@ -229,8 +229,8 @@ def overexpose(img: np.ndarray,
                                mode="nearest", output=np.float64)
         s += np.multiply(params.bloom_strength, glow, out=glow)
     s *= np.asarray(params.color_shift)[None, None, :]
-    _crf(np.clip(s, 0.0, 1.0, out=s), params.gamma, params.crf_inverse)
-    return np.clip(s, 0.0, 1.0, out=s)
+    # a positive power (gamma or 1/gamma) of a value in [0, 1] stays in it
+    return _crf(np.clip(s, 0.0, 1.0, out=s), params.gamma, params.crf_inverse)
 
 
 # ---------------------------------------------------------------------------

@@ -47,16 +47,6 @@ def softmax_nll(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndar
     return float(-(np.add.reduce(log_p) / len(log_p))), e / total
 
 
-def ewc_loss(weighted: np.ndarray, spans: list[slice], lam1: float) -> float:
-    """``lam1`` times the sum over ``spans`` of ``||weighted[span]||^2``,
-    where ``weighted`` = ``F * (theta - theta')`` over the shared slots and
-    each span holds one shared block."""
-    total = 0.0
-    for span in spans:
-        total += float(np.add.reduce(weighted[span] * weighted[span]))
-    return lam1 * total
-
-
 def gram_penalty_and_row_grad(mat: np.ndarray, row: int) -> tuple[float, np.ndarray]:
     """The Gram penalty ||U_hat U_hat^T - I||_F^2 over the rows of ``mat``
     with norm >= EPS_NORM, and its gradient w.r.t. one (unnormalized) row,
@@ -188,8 +178,8 @@ class StepPlan:
     views of ``grad`` the network pass writes; other experts' rows are never
     written. ``trained`` is every slot the task trains: the shared span, then
     the kernel's selected expert rows. ``snapshot`` is the previous task's
-    parameters; ``fisher`` and ``ewc_weight`` = ``(2 lam1 F) F`` cover the
-    leading ``layout.n_shared`` (shared) slots.
+    parameters when a term reads them; ``fisher`` and ``ewc_weight`` =
+    ``(2 lam1 F) F`` cover the leading ``layout.n_shared`` (shared) slots.
     """
 
     adapters: list[AdapterBase]
@@ -238,8 +228,9 @@ def build_plan(adapters: list[AdapterBase], sel: Selection,
                 terms.orthogonality.append(
                     (block.reshape(block.shape[0], -1), row, slots))
         layer_terms.append(terms)
-    return StepPlan(adapters, layout, theta, sel, cfg, trained, snapshot,
-                    fisher if ewc else None,
+    anchored = ewc or any(terms.consistency for terms in layer_terms)
+    return StepPlan(adapters, layout, theta, sel, cfg, trained,
+                    snapshot if anchored else None, fisher if ewc else None,
                     2.0 * cfg.lam1 * fisher * fisher if ewc else None,
                     layer_terms, grad, kernel)
 
@@ -252,27 +243,30 @@ def regularizer_terms(plan: StepPlan) -> tuple[dict[str, float], np.ndarray]:
     """Losses of the three consolidation terms and their gradient over the
     flat vector; the gradient touches only slots the task trains.
 
-    Each slot accumulates its terms in the order EWC, consistency,
-    orthogonality, and each loss per layer, so that the arithmetic is that of
-    the per-block objective.
+    The anchor is subtracted once per step; every term reads that difference.
+    Each slot adds its terms in the order EWC, consistency, orthogonality, and
+    each loss adds up per block, then per layer, then across layers: the
+    order of the per-block objective, on which ``train_log.jsonl``'s bits rest.
     """
-    theta, cfg = plan.theta, plan.cfg
-    lam1, lam2, lam3 = cfg.lam1, cfg.lam2, cfg.lam3
-    grad = np.zeros_like(theta)
+    lam1, lam2, lam3 = plan.cfg.lam1, plan.cfg.lam2, plan.cfg.lam3
+    grad = np.zeros_like(plan.theta)
     ewc = consistency = orthogonality = 0.0
+    if plan.snapshot is not None:
+        diff = plan.theta - plan.snapshot
     if plan.ewc_weight is not None:
         n = plan.layout.n_shared
-        diff = theta[:n] - plan.snapshot[:n]
-        grad[:n] += plan.ewc_weight * diff
-        weighted = plan.fisher * diff
+        grad[:n] += plan.ewc_weight * diff[:n]
+        square = np.square(plan.fisher * diff[:n])
     for terms in plan.layer_terms:
         layer_ewc = layer_consistency = layer_orthogonality = 0.0
         if terms.ewc is not None:
-            layer_ewc = ewc_loss(weighted, terms.ewc, lam1)
+            for span in terms.ewc:
+                layer_ewc += float(np.add.reduce(square[span]))
+            layer_ewc *= lam1
         for slots in terms.consistency:
-            diff = theta[slots] - plan.snapshot[slots]
-            layer_consistency += lam2 * float(np.add.reduce(diff * diff))
-            grad[slots] += 2.0 * lam2 * diff
+            d = diff[slots]
+            layer_consistency += lam2 * float(np.add.reduce(d * d))
+            grad[slots] += 2.0 * lam2 * d
         for mat, row, slots in terms.orthogonality:
             loss, row_grad = gram_penalty_and_row_grad(mat, row)
             layer_orthogonality += lam3 * loss

@@ -20,7 +20,6 @@ from tucker_adapters.pipeline import (
     final_state,
     init_state,
     run_eval,
-    run_gradcheck,
     run_reference,
     run_training,
     task_dir,
@@ -546,13 +545,6 @@ def test_checkpoint_of_another_kind_is_refused(tmp_path):
                                          r"adapter, the config asks for "
                                          r"'lora_per_task'"):
         pipeline.load_state(per_task, task_dir(tmp_path / "r", 0), n_layers)
-
-
-def test_gradcheck_on_default_toy_config():
-    report = run_gradcheck(tiny_config(), n_episodes=2)
-    assert report, "gradcheck should cover at least one block"
-    for name, err in report.items():
-        assert err < 1e-4, f"{name}: {err}"
 
 
 def test_training_log_structure(tmp_path):
