@@ -72,6 +72,11 @@ def lora_ewc(theta, snapshot, fisher, lam1=0.2):
     return regularizer_terms(plan)[0]["ewc"]
 
 
+def test_ewc_zero_at_snapshot():
+    theta = [1.0, -2.0]
+    assert lora_ewc(theta, list(theta), [3.0, 4.0]) == 0.0
+
+
 def test_ewc_zero_fisher():
     assert lora_ewc([5.0, 3.0], [1.0, 1.0], [0.0, 0.0]) == 0.0
 
@@ -102,6 +107,12 @@ def expert_terms(u3, u4, u3_prev, u4_prev, alpha, beta, lam2=0.0, lam3=0.0):
     return regularizer_terms(plan)[0]
 
 
+def test_consistency_novel_task_is_zero():
+    r = np.array([1.0, 2.0])
+    assert expert_terms(r, r, r + 5, r - 3, alpha=0, beta=0,
+                        lam2=0.2)["consistency"] == 0.0
+
+
 def test_consistency_equal_rows_zero():
     r = np.array([0.3, -0.7])
     assert expert_terms(r, r, r.copy(), r.copy(), 1, 1, lam2=0.2)["consistency"] == 0.0
@@ -120,6 +131,12 @@ def test_orthogonality_orthonormal_rows_zero():
     u4 = np.array([[5.0, 0.0]])  # single row normalizes to a 1x1 identity Gram
     assert expert_terms(u3, u4, u3[0], u4[0], 0, 0, lam3=0.1)[
         "orthogonality"] == pytest.approx(0.0, abs=1e-15)
+
+
+def test_orthogonality_skipped_when_both_seen():
+    rng = np.random.default_rng(0)
+    u3, u4 = rng.standard_normal((4, 3)), rng.standard_normal((3, 3))
+    assert expert_terms(u3, u4, u3[0], u4[0], 1, 1, lam3=0.1)["orthogonality"] == 0.0
 
 
 def test_orthogonality_identical_unit_rows():
