@@ -50,16 +50,6 @@ def kaiming(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
 
 
-def _expert_init(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    return rng.normal(0.0, SIGMA_EXPERT_INIT, size=shape)
-
-
-def _check_index(name: str, idx: int | None, bound: int) -> int:
-    if idx is None or not 0 <= idx < bound:
-        raise IndexError(f"{name} index {idx} out of range [0, {bound})")
-    return idx
-
-
 class AdapterBase:
     """Shared plumbing: blocks, trained rows, parameter counts, checkpoints."""
 
@@ -97,8 +87,11 @@ class AdapterBase:
 
     def expert_index(self, name: str, sel: Selection) -> int:
         axis = self.expert_axes[name]
+        idx = getattr(self.resolve(sel), axis)
         bound = getattr(self, name).shape[0]
-        return _check_index(axis, getattr(self.resolve(sel), axis), bound)
+        if idx is None or not 0 <= idx < bound:
+            raise IndexError(f"{axis} index {idx} out of range [0, {bound})")
+        return idx
 
     def trainable_mask(self, sel: Selection) -> tuple[int, ...]:
         """The row of each expert block (``expert_axes`` order) that ``sel``
@@ -221,7 +214,7 @@ class TuckerAdapter(AdapterBase):
         core = kaiming(rng, tuple(ranks), fan_in=math.prod(ranks[1:]))
         up = kaiming(rng, (a, r1), fan_in=r1)
         down = kaiming(rng, (b, r2), fan_in=b)
-        experts = {name: _expert_init(rng, (counts[name], r))
+        experts = {name: rng.normal(0.0, SIGMA_EXPERT_INIT, size=(counts[name], r))
                    for name, r in zip(TUCKER_EXPERTS[len(ranks)], expert_ranks)}
         return cls(core, up, down, n_envs=n_envs if len(ranks) == 3 else None,
                    **experts)

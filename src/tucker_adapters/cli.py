@@ -16,15 +16,10 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, ExperimentConfig, check_field, coerce_field
-from .degrade import MODE_DEFAULTS, degrade_directory
 from .metrics import TaskScore, render_table, write_reports
 from .pipeline import run_eval, run_gradcheck, run_reference, run_training
 
 GRADCHECK_TOLERANCE = 1e-4
-
-
-def output_root() -> Path:
-    return Path(os.environ.get("TUCKER_ADAPTERS_OUT", "runs"))
 
 
 def _set_pairs(args, cls) -> dict:
@@ -51,7 +46,8 @@ def load_config(args) -> ExperimentConfig:
 def resolve_run_dir(args, cfg: ExperimentConfig) -> Path:
     if args.run_dir:
         return Path(args.run_dir)
-    return output_root() / f"{cfg.adapter_kind}-{cfg.config_hash()}"
+    root = Path(os.environ.get("TUCKER_ADAPTERS_OUT", "runs"))
+    return root / f"{cfg.adapter_kind}-{cfg.config_hash()}"
 
 
 def _add_config_args(p: argparse.ArgumentParser):
@@ -113,6 +109,10 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_degrade(args) -> int:
+    # imported here so that no other command loads scipy
+    from .degrade import MODE_DEFAULTS, degrade_directory
+    if args.mode not in MODE_DEFAULTS:
+        raise ConfigError(f"mode: {args.mode!r} is not one of {sorted(MODE_DEFAULTS)}")
     manifest = degrade_directory(args.mode, args.input, args.output,
                                  depth_dir=args.depth_dir, seed=args.seed,
                                  overrides=_set_pairs(args, MODE_DEFAULTS[args.mode]))
@@ -181,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("degrade", help="synthesize degraded images")
-    p.add_argument("--mode", required=True, choices=sorted(MODE_DEFAULTS))
+    p.add_argument("--mode", required=True, help="degradation to apply")
     p.add_argument("--input", required=True, help="directory of .ppm images")
     p.add_argument("--output", required=True)
     p.add_argument("--depth-dir", help="directory of .pgm depth maps "

@@ -16,6 +16,7 @@ bitwise-identical to an uninterrupted one.
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 import warnings
@@ -178,15 +179,11 @@ def delta_provider(state: LifelongState):
     computed once and kept for the provider's lifetime. The task index is
     that of the task that trained the pair, None for an untrained pair.
     """
-    cache: dict[tuple, list[np.ndarray]] = {}
-
+    @functools.cache
     def provide(scene: int, env: int, instr: int | None):
-        key = (scene, env, instr)
-        if key not in cache:
-            sel = Selection(scene=scene, env=env, instr=instr,
-                            task=state.pair_to_task.get((scene, env)))
-            cache[key] = [ad.delta(sel) for ad in state.adapters]
-        return cache[key]
+        sel = Selection(scene=scene, env=env, instr=instr,
+                        task=state.pair_to_task.get((scene, env)))
+        return [ad.delta(sel) for ad in state.adapters]
 
     return provide
 

@@ -58,10 +58,6 @@ class CentroidTable:
     def ids(self) -> list[int]:
         return self._keys[0].tolist()
 
-    def stacked_sums(self) -> np.ndarray:
-        """The sums as one (len(ids), dim) array, in id order."""
-        return np.reshape([self.sums[k] for k in self.ids], (-1, self.dim))
-
     def similarities(self, queries: np.ndarray, norms: np.ndarray) -> np.ndarray:
         """The (k, len(ids)) cosine similarities of the C-contiguous (k, dim)
         stack ``queries`` (of row norms ``norms``) to the centroids.
@@ -157,9 +153,11 @@ class FeatureStore:
                 **{f"{kind}_ids": t.ids for kind, t in tables.items()},
                 **{f"{kind}_counts": [t.counts[k] for k in t.ids]
                    for kind, t in tables.items()}}
+        # each table's sums as one (len(ids), dim) array, in id order
         np.savez(path, meta=np.array(json.dumps(meta)),
-                 scene_sums=self.scenes.stacked_sums(),
-                 env_sums=self.envs.stacked_sums())
+                 **{f"{kind}_sums": np.reshape([t.sums[k] for k in t.ids],
+                                               (-1, self.dim))
+                    for kind, t in tables.items()})
 
     @classmethod
     def load(cls, path: str | Path) -> "FeatureStore":

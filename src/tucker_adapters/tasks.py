@@ -139,21 +139,18 @@ class World:
             rng, cfg.n_envs, cfg.d_f)
         n_q = max(cfg.n_instr, 1)
         self.instr_offsets = _orthonormal_rows(rng, n_q, cfg.d_f)
-        self.teacher_shared = [
-            _low_rank(rng, dims, cfg.teacher_rank, cfg.teacher_shared_scale)
-            for dims in self.backbone.layer_dims]
-        self.teacher_scene = [
-            [_low_rank(rng, dims, cfg.teacher_rank, cfg.teacher_scene_scale)
-             for dims in self.backbone.layer_dims]
-            for _ in range(cfg.n_scenes)]
-        self.teacher_env = [
-            [_low_rank(rng, dims, cfg.teacher_rank, cfg.teacher_env_scale)
-             for dims in self.backbone.layer_dims]
-            for _ in range(cfg.n_envs)]
-        self.teacher_instr = [
-            [_low_rank(rng, dims, cfg.teacher_rank, cfg.teacher_instr_scale)
-             for dims in self.backbone.layer_dims]
-            for _ in range(n_q)]
+
+        def perturbation(scale: float) -> list[np.ndarray]:
+            return [_low_rank(rng, dims, cfg.teacher_rank, scale)
+                    for dims in self.backbone.layer_dims]
+
+        self.teacher_shared = perturbation(cfg.teacher_shared_scale)
+        self.teacher_scene = [perturbation(cfg.teacher_scene_scale)
+                              for _ in range(cfg.n_scenes)]
+        self.teacher_env = [perturbation(cfg.teacher_env_scale)
+                            for _ in range(cfg.n_envs)]
+        self.teacher_instr = [perturbation(cfg.teacher_instr_scale)
+                              for _ in range(n_q)]
         # the backbone with the teacher's delta added, per (scene, env,
         # instr), built on first use
         self._teachers: dict[tuple, ToyBackbone] = {}

@@ -2,6 +2,10 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -270,6 +274,7 @@ SMALL = ["--set", "n_tasks=1", "--set", "epochs=1", "--set", "train_episodes=4",
     (["degrade", "--mode", "overexposure", "--set", "gain=1e308"], "gain"),
     (["degrade", "--mode", "lowlight", "--seed", "-1"], "seed"),
     (["train", "--set", "scene_scale=1e300"], "scene_scale"),
+    (["degrade", "--mode", "bogus"], "mode"),
 ])
 def test_non_finite_or_degenerate_value_exit_code_1(out_root, tmp_path, capsys,
                                                     argv, field):
@@ -282,6 +287,18 @@ def test_non_finite_or_degenerate_value_exit_code_1(out_root, tmp_path, capsys,
     assert f"{field}:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
     assert not list((out_root / "runs").glob("*"))
+
+
+def test_cli_import_loads_no_scipy():
+    """Only ``degrade`` needs scipy, so importing the CLI must not load it."""
+    code = ("import sys, tucker_adapters.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_train_and_eval_at_the_world_float_caps(out_root):

@@ -112,6 +112,49 @@ def test_degenerate_teacher_ignores_hierarchy():
     assert np.array_equal(a, b)
 
 
+def test_world_draw_order_matches_reference():
+    """Every teacher array comes from one ``default_rng([seed, 11])`` in a
+    fixed order: the backbone, the scene, environment and instruction bases,
+    then the shared, per-scene, per-environment and per-instruction
+    perturbations, each layer by layer."""
+    cfg = WorldConfig(seed=9, d_f=8, hidden=6, n_scenes=3, n_envs=2, n_instr=2,
+                      scene_scale=1.7, env_scale=0.9,
+                      teacher_rank=2, teacher_shared_scale=0.7,
+                      teacher_scene_scale=1.1, teacher_env_scale=1.3,
+                      teacher_instr_scale=0.2)
+    world = World(cfg)
+    rng = np.random.default_rng([cfg.seed, 11])
+    dims = [(cfg.hidden, 2 * cfg.d_f), (4, cfg.hidden)]
+    w1 = rng.normal(0.0, np.sqrt(2.0 / (2 * cfg.d_f)), size=dims[0])
+    w2 = rng.normal(0.0, np.sqrt(2.0 / cfg.hidden), size=dims[1])
+    bases = [scale * np.linalg.qr(rng.standard_normal((cfg.d_f, n)))[0].T
+             for n, scale in ((cfg.n_scenes, cfg.scene_scale),
+                              (cfg.n_envs, cfg.env_scale), (cfg.n_instr, 1.0))]
+
+    def low_rank(scale):
+        out = []
+        for a, b in dims:
+            m = rng.standard_normal((a, 2)) @ rng.standard_normal((2, b))
+            out.append(scale * np.sqrt(2.0 / b) * m / np.sqrt(2 * a))
+        return out
+
+    expected = [[w1, w2], bases, low_rank(0.7),
+                [low_rank(1.1) for _ in range(cfg.n_scenes)],
+                [low_rank(1.3) for _ in range(cfg.n_envs)],
+                [low_rank(0.2) for _ in range(cfg.n_instr)]]
+    actual = [world.backbone.weights,
+              [world.scene_centers, world.env_offsets, world.instr_offsets],
+              world.teacher_shared, world.teacher_scene, world.teacher_env,
+              world.teacher_instr]
+
+    def flat(xs):
+        return [y for x in xs for y in (flat(x) if isinstance(x, list) else [x])]
+
+    pairs = list(zip(flat(expected), flat(actual), strict=True))
+    assert len(pairs) == 2 + 3 + 2 * (1 + 3 + 2 + 2)
+    assert all(np.array_equal(e, a) for e, a in pairs)
+
+
 # ---------------------------------------------------------------------------
 # Backbone forward
 # ---------------------------------------------------------------------------
