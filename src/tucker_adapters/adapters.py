@@ -424,7 +424,6 @@ class Slot:
 
     start: int
     shape: tuple[int, ...]
-    shared: bool
 
     @property
     def span(self) -> slice:
@@ -459,7 +458,7 @@ class FlatLayout:
                   for name, arr in ad.blocks().items()]
         slots, start, n_shared = {}, 0, 0
         for expert, l, name, shape in sorted(blocks, key=lambda b: b[0]):
-            slots[l, name] = Slot(start, shape, not expert)
+            slots[l, name] = Slot(start, shape)
             start = slots[l, name].span.stop
             if not expert:
                 n_shared = start
@@ -487,8 +486,7 @@ class FlatLayout:
         """Block-shaped views of a vector in this layout, keyed by
         ``block_key`` in checkpoint order (layer by layer); a vector of the
         ``n_shared`` leading slots has views of the shared blocks alone."""
-        every = vector.size == self.size
         return {block_key(l, name): vector[s.span].reshape(s.shape)
                 for (l, name), s in sorted(self.slots.items(),
                                            key=lambda item: item[0][0])
-                if s.shared or every}
+                if s.span.stop <= vector.size}

@@ -10,12 +10,11 @@ config hash, so identical configs land in the same resumable directory.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
 
-from .config import ConfigError, ExperimentConfig, check_field, coerce_field
+from .config import ConfigError, ExperimentConfig, check_field, coerce_field, read_json
 from .metrics import TaskScore, render_table, write_reports
 from .pipeline import run_eval, run_gradcheck, run_reference, run_training
 
@@ -130,10 +129,7 @@ def cmd_report(args) -> int:
         print(f"no scores.json under {args.dir} (run `eval` first)",
               file=sys.stderr)
         return 2
-    try:
-        rows = json.loads(scores_file.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{scores_file}: invalid JSON ({exc})") from exc
+    rows = read_json(scores_file)
     if not (isinstance(rows, list) and all(isinstance(r, dict) for r in rows)):
         raise ValueError(f"{scores_file}: expected a list of score objects")
     for i, row in enumerate(rows):

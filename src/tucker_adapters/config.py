@@ -113,6 +113,15 @@ def write_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+def read_json(path: Path):
+    """The JSON value ``path`` holds; a ValueError names the file if it
+    holds no valid JSON."""
+    try:
+        return json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON ({exc})") from exc
+
+
 def check_field(cls, key: str, value):
     """``value``, as read from JSON, if it has the type of field ``key`` of
     the dataclass ``cls``: an int field takes an int but not a bool, a float

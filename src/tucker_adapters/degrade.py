@@ -348,6 +348,8 @@ def degrade_directory(mode: str, input_dir: str | Path, output_dir: str | Path,
     if "seed" in (overrides or {}):
         raise ConfigError("seed: each image's seed derives from the directory seed")
     params = MODE_DEFAULTS[mode](**(overrides or {})).validate()
+    if depth_dir is not None and not Path(depth_dir).is_dir():
+        raise ConfigError(f"depth_dir: {depth_dir} is not a directory")
     input_dir, output_dir = Path(input_dir), Path(output_dir)
     images = sorted(input_dir.glob("*.ppm"))
     if not images:

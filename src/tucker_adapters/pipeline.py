@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .adapters import ADAPTER_KINDS, AdapterBase, FlatLayout, Selection
-from .config import ExperimentConfig, check_field, write_atomic
+from .config import ExperimentConfig, check_field, read_json, write_atomic
 from .metrics import EpisodeRecord, TaskScore, path_length, score_task
 from .retrieval import FeatureStore
 from .tasks import (
@@ -81,13 +81,6 @@ class LifelongState:
     @property
     def task_count(self) -> int:
         return len(self.pair_to_task)
-
-    @property
-    def lookup_pairs(self) -> set[tuple[int, int]] | None:
-        """The scenarios retrieval may return: only trained pairs when each
-        scenario's expert is its own task's, all of them (None) when expert
-        rows combine freely."""
-        return set(self.pair_to_task) if self.adapters[0].pairs_only else None
 
 
 def init_state(cfg: ExperimentConfig, world: World) -> LifelongState:
@@ -172,22 +165,6 @@ def train_task(state: LifelongState, world: World,
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def delta_provider(state: LifelongState):
-    """Maps a retrieved (scene, env, instr) triple to per-layer deltas.
-
-    Evaluation never changes the adapters, so each triple's deltas are
-    computed once and kept for the provider's lifetime. The task index is
-    that of the task that trained the pair, None for an untrained pair.
-    """
-    @functools.cache
-    def provide(scene: int, env: int, instr: int | None):
-        sel = Selection(scene=scene, env=env, instr=instr,
-                        task=state.pair_to_task.get((scene, env)))
-        return [ad.delta(sel) for ad in state.adapters]
-
-    return provide
-
-
 def policy_actions(backbone, deltas, inputs: np.ndarray) -> np.ndarray:
     """Greedy open-loop actions for a (g, n_steps, in) stack of episode inputs."""
     return np.argmax(forward_logits(backbone, deltas, inputs), axis=-1)
@@ -204,23 +181,31 @@ def episode_record(world: World, reference: np.ndarray, predicted: np.ndarray,
                          epsilon=epsilon, n_points=walk_steps(predicted) + 1)
 
 
-def evaluate_task(world: World, provider, store: FeatureStore,
-                  task: TaskDescriptor, n_episodes: int,
-                  cfg: ExperimentConfig, oracle_ids: bool = False,
-                  pairs: set[tuple[int, int]] | None = None) -> TaskScore:
+def evaluate_task(world: World, state: LifelongState, task: TaskDescriptor,
+                  n_episodes: int, oracle_ids: bool = False) -> TaskScore:
     """Score one task's held-out episodes with task-agnostic expert lookup.
 
-    ``pairs`` restricts retrieval to those (scene, env) pairs. Episodes are
-    drawn ``EPISODE_CHUNK`` at a time, and one ``FeatureStore.search`` of
-    the chunk's stacked first observations retrieves every episode's
+    Retrieval searches ``state.store``, and only among trained pairs when
+    each scenario's expert is its own task's. Episodes are drawn
+    ``EPISODE_CHUNK`` at a time, and one ``FeatureStore.search`` of the
+    chunk's stacked first observations retrieves every episode's
     (scene, env); in each chunk, the episodes that retrieved the same pair
-    and have the same length share one forward pass. Groups are never
-    padded to a common length, since the products of a padded stack round
+    and have the same length share one forward pass. Each retrieved pair's
+    deltas are computed once per call, with the task index of the task that
+    trained the pair (None for an untrained one). Groups are never padded
+    to a common length, since the products of a padded stack round
     differently. All episodes are then scored as one stack, so every score
     is bitwise that of scoring the episodes one by one.
     """
     if n_episodes < 1:
         raise ValueError("evaluation needs at least one episode")
+    pairs = set(state.pair_to_task) if state.adapters[0].pairs_only else None
+
+    @functools.cache
+    def deltas_of(scene: int, env: int) -> list[np.ndarray]:
+        sel = Selection(scene, env, task.instr, state.pair_to_task.get((scene, env)))
+        return [ad.delta(sel) for ad in state.adapters]
+
     # STOP-padded action rows of the teacher and of the policy
     reference = np.full((n_episodes, world.cfg.horizon), STOP)
     predicted = reference.copy()
@@ -228,19 +213,18 @@ def evaluate_task(world: World, provider, store: FeatureStore,
         episodes = gen_episode(world, task, range(
             start, min(start + EPISODE_CHUNK, n_episodes)), split=1)
         retrieved = ([(task.scene, task.env)] * len(episodes) if oracle_ids
-                     else store.search(np.stack([ep.obs[0] for ep in episodes]),
-                                       pairs))
+                     else state.store.search(
+                         np.stack([ep.obs[0] for ep in episodes]), pairs))
         groups: dict[tuple, list[int]] = {}
         for j, (ep, pair) in enumerate(zip(episodes, retrieved), start):
             reference[j, :ep.n_steps] = ep.actions
             groups.setdefault((pair, ep.n_steps), []).append(j)
         for ((scene, env), n_steps), members in groups.items():
-            deltas = provider(scene, env, task.instr)
             inputs = np.stack([episodes[j - start].inputs for j in members])
-            predicted[members, :n_steps] = policy_actions(world.backbone,
-                                                          deltas, inputs)
-    record = episode_record(world, reference, predicted, cfg.epsilon)
-    return score_task(task.index, [record], spl_literal=cfg.spl_literal)
+            predicted[members, :n_steps] = policy_actions(
+                world.backbone, deltas_of(scene, env), inputs)
+    record = episode_record(world, reference, predicted, state.cfg.epsilon)
+    return score_task(task.index, [record], spl_literal=state.cfg.spl_literal)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +307,9 @@ def open_run(cfg: ExperimentConfig, run_dir: str | Path,
     stream = gen_stream(cfg.n_scenes, cfg.n_envs, cfg.n_tasks, cfg.seed,
                         n_instr=cfg.n_instr)
     if layout["manifest"].exists():
-        manifest = json.loads(layout["manifest"].read_text())
+        manifest = read_json(layout["manifest"])
+        if not isinstance(manifest, dict):
+            raise ValueError(f"{layout['manifest']}: expected a JSON object")
         if manifest.get("config_hash") != cfg.config_hash():
             raise ValueError(
                 f"run directory {run_dir} belongs to a different config "
@@ -381,9 +367,7 @@ def run_training(cfg: ExperimentConfig, run_dir: str | Path,
             for rec in logs:
                 fh.write(json.dumps(rec) + "\n")
         if eval_each:
-            score = evaluate_task(world, delta_provider(state), state.store,
-                                  task, cfg.test_episodes, cfg,
-                                  pairs=state.lookup_pairs)
+            score = evaluate_task(world, state, task, cfg.test_episodes)
             reference[str(t)] = _reference_entry(task, score)
             write_atomic(layout["reference"], json.dumps(
                 {"config_hash": cfg.config_hash(), "values": reference},
@@ -461,12 +445,10 @@ def run_eval(cfg: ExperimentConfig, run_dir: str | Path,
     """
     world, stream, state = final_state(cfg, run_dir)
     reference = _load_reference(run_dir_layout(run_dir)["reference"])
-    provider = delta_provider(state)
     scores = []
     for task in stream:
-        score = evaluate_task(world, provider, state.store, task,
-                              cfg.test_episodes, cfg, oracle_ids=oracle_ids,
-                              pairs=state.lookup_pairs)
+        score = evaluate_task(world, state, task, cfg.test_episodes,
+                              oracle_ids=oracle_ids)
         ref = reference.get(str(task.index))
         if ref is not None:
             score.m_sr, score.m_spl, score.m_osr = ref["sr"], ref["spl"], ref["osr"]
@@ -496,8 +478,7 @@ def run_reference(cfg: ExperimentConfig, run_dir: str | Path,
     for t in missing:
         state = load_state(cfg, task_dir(run_dir, t), n_layers)
         values[str(t)] = _reference_entry(stream[t], evaluate_task(
-            world, delta_provider(state), state.store, stream[t],
-            cfg.test_episodes, cfg, pairs=state.lookup_pairs))
+            world, state, stream[t], cfg.test_episodes))
         if progress:
             progress(f"reference {t + 1}/{cfg.n_tasks} rebuilt")
     values = {str(t): values[str(t)] for t in range(cfg.n_tasks)}

@@ -145,17 +145,18 @@ def reference_policy_actions(backbone, deltas, episode):
     return actions
 
 
-def reference_evaluate_task(world, state, task, n_episodes, cfg,
-                            oracle_ids=False):
+def reference_evaluate_task(world, state, task, n_episodes, oracle_ids=False):
     """(TaskScore, per-episode records) the per-episode way."""
+    cfg = state.cfg
+    # retrieve trained pairs only when each scenario's expert is its own task's
+    pairs = set(state.pair_to_task) if state.adapters[0].pairs_only else None
     records = []
     for i in range(n_episodes):
         ep = reference_gen_episode(world, task, i, split=1)
         if oracle_ids:
             scene, env = task.scene, task.env
         else:
-            scene, env = reference_search(state.store, ep.obs[0],
-                                          state.lookup_pairs)
+            scene, env = reference_search(state.store, ep.obs[0], pairs)
         deltas = reference_deltas(state, scene, env, task.instr)
         predicted = reference_policy_actions(world.backbone, deltas, ep)
         wc = world.cfg

@@ -102,6 +102,17 @@ def test_eval_before_train_exit_code_2(out_root, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content,what", [("[1]", "expected a JSON object"),
+                                          ("{", "invalid JSON")])
+def test_broken_manifest_named_exit_code_2(out_root, capsys, content, what):
+    manifest = out_root / "exp" / "manifest.json"
+    manifest.parent.mkdir()
+    manifest.write_text(content)
+    assert main(["eval", *TINY, "--run-dir", str(manifest.parent)]) == 2
+    err = capsys.readouterr().err
+    assert str(manifest) in err and what in err
+
+
 def test_gradcheck_passes_on_tiny_config(out_root, capsys):
     # the second config has gradient entries near 1e-6 on a loss near 21,
     # finer than a second-order central difference resolves to 1e-4
@@ -275,6 +286,8 @@ SMALL = ["--set", "n_tasks=1", "--set", "epochs=1", "--set", "train_episodes=4",
     (["degrade", "--mode", "lowlight", "--seed", "-1"], "seed"),
     (["train", "--set", "scene_scale=1e300"], "scene_scale"),
     (["degrade", "--mode", "bogus"], "mode"),
+    (["degrade", "--mode", "scattering", "--depth-dir", "/nonexistent/depths"],
+     "depth_dir"),
 ])
 def test_non_finite_or_degenerate_value_exit_code_1(out_root, tmp_path, capsys,
                                                     argv, field):

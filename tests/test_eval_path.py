@@ -384,19 +384,6 @@ def test_cached_teacher_equals_fresh_sum(world):
         assert np.array_equal(stacked.reshape(-1), np.argmax(fresh, axis=1))
 
 
-def test_delta_provider_computes_each_triple_once():
-    cfg = ExperimentConfig(n_scenes=3, n_envs=2, n_tasks=2, d_f=16, hidden=12,
-                           horizon=8)
-    state = pipeline.init_state(cfg, World(cfg.world_config()))
-    provide = pipeline.delta_provider(state)
-    with mock.patch.object(type(state.adapters[0]), "delta",
-                           autospec=True, side_effect=type(state.adapters[0]).delta) as spy:
-        first = provide(1, 0, None)
-        assert provide(1, 0, None) is first
-        provide(2, 1, None)
-    assert spy.call_count == 2 * len(state.adapters)
-
-
 # ---------------------------------------------------------------------------
 # (c) evaluate_task against the per-episode reference
 # ---------------------------------------------------------------------------
@@ -445,7 +432,7 @@ def trained():
     return get
 
 
-def _evaluate(world, state, task, n_episodes, cfg, oracle_ids):
+def _evaluate(world, state, task, n_episodes, oracle_ids):
     """evaluate_task's score and the records it scored, one per episode."""
     seen, real = [], pipeline.score_task
 
@@ -454,10 +441,8 @@ def _evaluate(world, state, task, n_episodes, cfg, oracle_ids):
         return real(index, records, **kw)
 
     with mock.patch.object(pipeline, "score_task", side_effect=keep):
-        score = pipeline.evaluate_task(world, pipeline.delta_provider(state),
-                                       state.store, task, n_episodes, cfg,
-                                       oracle_ids=oracle_ids,
-                                       pairs=state.lookup_pairs)
+        score = pipeline.evaluate_task(world, state, task, n_episodes,
+                                       oracle_ids=oracle_ids)
     # each chunk's stacked record, cut into its rows' own points
     return score, [EpisodeRecord(trajectory=rec.trajectory[j, :rec.n_points[j]],
                                  goal=rec.goal[j], tl_ref=rec.tl_ref[j],
@@ -474,9 +459,9 @@ def test_grouped_eval_equals_per_episode_reference(trained, kind, stop_bias,
                                                    oracle_ids, n_episodes, task_idx):
     cfg, world, state, stream = trained(kind, stop_bias)
     task = stream[task_idx]
-    score, records = _evaluate(world, state, task, n_episodes, cfg, oracle_ids)
+    score, records = _evaluate(world, state, task, n_episodes, oracle_ids)
     want, want_records = reference_evaluate_task(world, state, task, n_episodes,
-                                                 cfg, oracle_ids)
+                                                 oracle_ids)
     assert (score.sr, score.spl, score.osr) == (want.sr, want.spl, want.osr)
     assert len(records) == len(want_records) == n_episodes
     for got, ref in zip(records, want_records):
@@ -503,7 +488,33 @@ def test_one_forward_pass_per_pair_and_length_group(trained):
         return real(backbone, deltas, inputs)
 
     with mock.patch.object(pipeline, "policy_actions", side_effect=count):
-        pipeline.evaluate_task(world, pipeline.delta_provider(state), state.store,
-                               task, n, cfg)
+        pipeline.evaluate_task(world, state, task, n)
     assert len(sizes) == len(groups)
     assert sum(sizes) == n
+
+
+def test_evaluate_task_computes_each_retrieved_pairs_deltas_once():
+    cfg = ExperimentConfig(n_scenes=3, n_envs=2, n_tasks=2, d_f=16, hidden=12,
+                           horizon=8, train_episodes=4, feature_noise=0.6)
+    world = World(cfg.world_config())
+    stream = gen_stream(cfg.n_scenes, cfg.n_envs, cfg.n_tasks, cfg.seed)
+    state = pipeline.init_state(cfg, world)
+    for task in stream:
+        pipeline.train_task(state, world, task)
+    retrieved, search = set(), FeatureStore.search
+
+    def remember(store, queries, pairs=None):
+        found = search(store, queries, pairs)
+        retrieved.update(found)
+        return found
+
+    cls = type(state.adapters[0])
+    with mock.patch.object(FeatureStore, "search", autospec=True,
+                           side_effect=remember) as searches, \
+            mock.patch.object(cls, "delta", autospec=True,
+                              side_effect=cls.delta) as deltas:
+        pipeline.evaluate_task(world, state, stream[0], 70)
+    # 70 episodes are three chunks, and between them they retrieve two pairs
+    assert searches.call_count == 3
+    assert retrieved == {(1, 1), (2, 1)}
+    assert deltas.call_count == len(retrieved) * len(state.adapters)

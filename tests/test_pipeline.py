@@ -15,7 +15,6 @@ from tucker_adapters.adapters import AdapterBase, LoraAdapter
 from tucker_adapters.config import ExperimentConfig
 from tucker_adapters.metrics import EpisodeRecord
 from tucker_adapters.pipeline import (
-    delta_provider,
     evaluate_task,
     final_state,
     init_state,
@@ -479,8 +478,7 @@ def test_empty_eval_rejected():
     state = init_state(cfg, world)
     stream = gen_stream(cfg.n_scenes, cfg.n_envs, 1, cfg.seed)
     with pytest.raises(ValueError, match="at least one"):
-        evaluate_task(world, delta_provider(state), FeatureStore(cfg.d_f),
-                      stream[0], 0, cfg)
+        evaluate_task(world, state, stream[0], 0)
 
 
 def test_eval_without_checkpoint_errors(tmp_path):
