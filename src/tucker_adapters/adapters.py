@@ -30,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .runfiles import open_npz
 from .tensor_ops import contract_adapter, tucker_subscripts
 
 SIGMA_EXPERT_INIT = 1e-3  # expert rows start tiny but nonzero so gradients flow
@@ -139,7 +140,7 @@ class AdapterBase:
     def load(path: str | Path) -> "AdapterBase":
         """Read a checkpoint written by ``save``; every block must have the
         shape its header records."""
-        with np.load(path, allow_pickle=False) as data:
+        with open_npz(path) as data:
             meta = json.loads(str(data["__meta__"]))
             arrays = {k: np.asarray(data[k]) for k in data.files if k != "__meta__"}
         cls = ADAPTER_KINDS[meta["kind"]]

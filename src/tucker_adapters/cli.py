@@ -14,9 +14,10 @@ import os
 import sys
 from pathlib import Path
 
-from .config import ConfigError, ExperimentConfig, check_field, coerce_field, read_json
+from .config import ConfigError, ExperimentConfig, check_field, coerce_field
 from .metrics import TaskScore, render_table, write_reports
 from .pipeline import run_eval, run_gradcheck, run_reference, run_training
+from .runfiles import read_json
 
 GRADCHECK_TOLERANCE = 1e-4
 
@@ -129,10 +130,10 @@ def cmd_report(args) -> int:
         print(f"no scores.json under {args.dir} (run `eval` first)",
               file=sys.stderr)
         return 2
-    rows = read_json(scores_file)
-    if not (isinstance(rows, list) and all(isinstance(r, dict) for r in rows)):
-        raise ValueError(f"{scores_file}: expected a list of score objects")
+    rows = read_json(scores_file, list)
     for i, row in enumerate(rows):
+        if not isinstance(row, dict):
+            raise ValueError(f"{scores_file}: row {i}: expected a score object")
         missing = [k for k in ("task", "sr", "spl", "osr") if k not in row]
         if missing:
             raise ValueError(f"{scores_file}: row {i} has no {', '.join(missing)}")

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .adapters import ADAPTER_KINDS, TUCKER_KINDS
+from .runfiles import read_json
 from .tasks import WorldConfig
 
 VALID_KINDS = tuple(sorted(ADAPTER_KINDS))
@@ -111,15 +112,6 @@ def write_atomic(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text)
     os.replace(tmp, path)
-
-
-def read_json(path: Path):
-    """The JSON value ``path`` holds; a ValueError names the file if it
-    holds no valid JSON."""
-    try:
-        return json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: invalid JSON ({exc})") from exc
 
 
 def check_field(cls, key: str, value):
@@ -257,14 +249,11 @@ class ExperimentConfig:
                   overrides: dict | None = None) -> "ExperimentConfig":
         """The config a JSON file holds, with ``overrides`` on top."""
         try:
-            raw = json.loads(Path(path).read_text())
-        except (OSError, UnicodeDecodeError) as exc:
+            raw = read_json(Path(path), dict)
+        except OSError as exc:
             raise ConfigError(f"config file {path}: cannot read it ({exc})") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path}: invalid JSON ({exc})") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError(f"config file {path}: expected a JSON object, "
-                              f"got {type(raw).__name__}")
+        except ValueError as exc:
+            raise ConfigError(f"config file {exc}") from exc
         return cls.from_dict({**raw, **(overrides or {})})
 
     @classmethod

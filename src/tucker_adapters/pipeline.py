@@ -26,9 +26,10 @@ from pathlib import Path
 import numpy as np
 
 from .adapters import ADAPTER_KINDS, AdapterBase, FlatLayout, Selection
-from .config import ExperimentConfig, check_field, read_json, write_atomic
+from .config import ExperimentConfig, check_field, write_atomic
 from .metrics import EpisodeRecord, TaskScore, path_length, score_task
 from .retrieval import FeatureStore
+from .runfiles import open_npz, read_json
 from .tasks import (
     EPISODE_CHUNK,
     STOP,
@@ -259,7 +260,15 @@ def save_state(state: LifelongState, directory: str | Path) -> None:
 def load_state(cfg: ExperimentConfig, directory: str | Path,
                n_layers: int) -> LifelongState:
     directory = Path(directory)
-    meta = json.loads((directory / "state.json").read_text())
+    state_file = directory / "state.json"
+    meta = read_json(state_file, dict)
+    triples, instr = meta.get("pair_to_task"), meta.get("seen_instr")
+    if not (isinstance(triples, list) and all(_ints(t, 3) for t in triples)):
+        raise ValueError(f"{state_file}: pair_to_task: expected a list of "
+                         f"[scene, env, task] int triples, got {triples!r}")
+    if not _ints(instr):
+        raise ValueError(f"{state_file}: seen_instr: expected a list of ints, "
+                         f"got {instr!r}")
     adapters = []
     for l in range(n_layers):
         path = directory / f"adapter_L{l}.npz"
@@ -269,14 +278,26 @@ def load_state(cfg: ExperimentConfig, directory: str | Path,
                              f"adapter, the config asks for {cfg.adapter_kind!r}")
     state = LifelongState(cfg=cfg, adapters=adapters,
                           store=FeatureStore.load(directory / "store.npz"))
-    state.pair_to_task = {(s, e): t for s, e, t in meta["pair_to_task"]}
-    state.seen_instr = set(meta["seen_instr"])
+    state.pair_to_task = {(s, e): t for s, e, t in triples}
+    state.seen_instr = set(instr)
     layout = FlatLayout.of(adapters)
     state.fisher = np.empty(layout.n_shared)
-    with np.load(directory / "fisher.npz") as data:
-        for key, view in layout.views(state.fisher).items():
-            view[...] = data[key]
+    views = layout.views(state.fisher)
+    with open_npz(directory / "fisher.npz") as data:
+        for key in sorted(views.keys() | set(data.files)):
+            array = data[key]
+            block = views[key].shape if key in views else "no shared block"
+            if array.shape != block:
+                raise ValueError(f"{key} has shape {array.shape}, expected {block}")
+            views[key][...] = array
     return state
+
+
+def _ints(value, n: int | None = None) -> bool:
+    """Whether ``value`` is a list of ints (bools excluded), ``n`` of them
+    unless ``n`` is None."""
+    return (isinstance(value, list) and n in (None, len(value))
+            and all(type(v) is int for v in value))
 
 
 # ---------------------------------------------------------------------------
@@ -307,16 +328,14 @@ def open_run(cfg: ExperimentConfig, run_dir: str | Path,
     stream = gen_stream(cfg.n_scenes, cfg.n_envs, cfg.n_tasks, cfg.seed,
                         n_instr=cfg.n_instr)
     if layout["manifest"].exists():
-        manifest = read_json(layout["manifest"])
-        if not isinstance(manifest, dict):
-            raise ValueError(f"{layout['manifest']}: expected a JSON object")
+        manifest = read_json(layout["manifest"], dict)
         if manifest.get("config_hash") != cfg.config_hash():
             raise ValueError(
                 f"run directory {run_dir} belongs to a different config "
                 f"(hash {manifest.get('config_hash')} != {cfg.config_hash()})")
     elif any(layout["root"].glob("task_*")):
-        raise ValueError(f"run directory {run_dir} holds task checkpoints but "
-                         "no manifest.json, so no config can resume it")
+        raise ValueError(f"no manifest.json at {layout['manifest']}, though the "
+                         "directory holds task checkpoints: no config can resume it")
     elif train:
         layout["root"].mkdir(parents=True, exist_ok=True)
         write_atomic(layout["manifest"], json.dumps(
@@ -359,7 +378,8 @@ def run_training(cfg: ExperimentConfig, run_dir: str | Path,
     else:
         state = init_state(cfg, world)
 
-    reference = _load_reference(layout["reference"])
+    reference = _load_reference(layout["reference"],
+                                "train starts a new cache from the tasks it trains")
     for t in range(completed, cfg.n_tasks):
         task = stream[t]
         logs = train_task(state, world, task)
@@ -401,15 +421,15 @@ def _trim_log(path: Path, completed: int) -> None:
         write_atomic(path, "".join(kept))
 
 
-def _load_reference(path: Path) -> dict:
+def _load_reference(path: Path, fallback: str) -> dict:
     """The task entries cached in ``path``: {} when it does not exist, and
-    {} with a warning when it is not ``{"values": {task: {"sr", "spl",
-    "osr": numbers, ...}}}``."""
+    {} with a warning that ends with ``fallback``, what the caller does
+    then, when it is not ``{"values": {task: {"sr", "spl", "osr": numbers,
+    ...}}}``."""
     if not path.exists():
         return {}
     try:
-        payload = json.loads(path.read_text())
-        values = payload.get("values") if isinstance(payload, dict) else None
+        values = read_json(path, dict).get("values")
         if not isinstance(values, dict):
             raise ValueError('expected a "values" object')
         for task, entry in values.items():
@@ -418,9 +438,8 @@ def _load_reference(path: Path) -> dict:
             for metric in ("sr", "spl", "osr"):
                 check_field(TaskScore, metric, entry.get(metric))
         return values
-    except ValueError as exc:   # a JSONDecodeError or ConfigError too
-        warnings.warn(f"reference cache {path} is corrupted ({exc}); "
-                      "recomputing from scratch")
+    except ValueError as exc:   # a ConfigError too
+        warnings.warn(f"reference cache {path} is corrupted ({exc}); {fallback}")
         return {}
 
 
@@ -431,8 +450,8 @@ def final_state(cfg: ExperimentConfig, run_dir: str | Path
     last = task_dir(run_dir, cfg.n_tasks - 1)
     if not (last / "complete.marker").exists():
         raise FileNotFoundError(
-            f"no complete checkpoint for task {cfg.n_tasks - 1} under {run_dir}; "
-            "run training first")
+            f"task {cfg.n_tasks - 1} is not complete: no "
+            f"{last / 'complete.marker'}; run training first")
     return world, stream, load_state(cfg, last, len(world.backbone.layer_dims))
 
 
@@ -444,7 +463,8 @@ def run_eval(cfg: ExperimentConfig, run_dir: str | Path,
     forgetting rates can be reported.
     """
     world, stream, state = final_state(cfg, run_dir)
-    reference = _load_reference(run_dir_layout(run_dir)["reference"])
+    reference = _load_reference(run_dir_layout(run_dir)["reference"],
+                                "eval reports without reference values")
     scores = []
     for task in stream:
         score = evaluate_task(world, state, task, cfg.test_episodes,
@@ -469,7 +489,9 @@ def run_reference(cfg: ExperimentConfig, run_dir: str | Path,
     """
     layout = run_dir_layout(run_dir)
     run_training(cfg, run_dir, eval_each=True, progress=progress)
-    values = _load_reference(layout["reference"])
+    values = _load_reference(
+        layout["reference"],
+        "reference rebuilds the missing tasks from their checkpoints")
     missing = [t for t in range(cfg.n_tasks) if str(t) not in values]
     if not missing:
         return values

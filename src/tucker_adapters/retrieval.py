@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .runfiles import open_npz
 from .tensor_ops import EPS_NORM
 
 
@@ -161,11 +162,16 @@ class FeatureStore:
 
     @classmethod
     def load(cls, path: str | Path) -> "FeatureStore":
-        with np.load(path, allow_pickle=False) as data:
+        with open_npz(path) as data:
             meta = json.loads(str(data["meta"]))
             store = cls(meta["dim"])
             for kind, table in (("scene", store.scenes), ("env", store.envs)):
-                ids = meta[f"{kind}_ids"]
-                table.sums = dict(zip(ids, np.asarray(data[f"{kind}_sums"])))
-                table.counts = dict(zip(ids, meta[f"{kind}_counts"]))
+                ids, counts = meta[f"{kind}_ids"], meta[f"{kind}_counts"]
+                sums = data[f"{kind}_sums"]
+                if len(counts) != len(ids) or sums.shape != (len(ids), store.dim):
+                    raise ValueError(f"{kind}_sums of shape {sums.shape} and "
+                                     f"{len(counts)} {kind}_counts do not fit "
+                                     f"{len(ids)} ids of dim {store.dim}")
+                table.sums = dict(zip(ids, sums))
+                table.counts = dict(zip(ids, counts))
         return store

@@ -1,0 +1,37 @@
+"""The checked readers of a run directory's files: each failure to read one
+as expected is a ValueError that names the file."""
+
+import contextlib
+import json
+import zipfile
+from pathlib import Path
+
+import numpy as np
+
+
+def read_json(path: Path, expect: type):
+    """The JSON value of type ``expect``, ``dict`` or ``list``, in ``path``."""
+    try:
+        value = json.loads(path.read_text())
+    except ValueError as exc:   # a JSONDecodeError or UnicodeDecodeError
+        raise ValueError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(value, expect):
+        kind = "object" if expect is dict else "array"
+        raise ValueError(f"{path}: expected a JSON {kind}, got {type(value).__name__}")
+    return value
+
+
+@contextlib.contextmanager
+def open_npz(path: Path):
+    """The npz archive ``path``, for a ``with`` block that reads its arrays
+    by name. A missing array, a damaged member and a ValueError raised in
+    the block are raised again as a ValueError naming ``path``."""
+    try:
+        archive = np.load(path, allow_pickle=False)
+    except (EOFError, ValueError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"{path}: not an npz archive") from exc
+    with archive:
+        try:
+            yield archive
+        except (KeyError, ValueError, zipfile.BadZipFile) as exc:
+            raise ValueError(f"{path}: {exc}") from exc

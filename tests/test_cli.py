@@ -1,14 +1,21 @@
 """Command-line interface: subcommands, exit codes, output layout."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tucker_adapters.cli import build_parser, load_config, main
 from tucker_adapters.config import ConfigError, ExperimentConfig, check_ranges
@@ -113,6 +120,104 @@ def test_broken_manifest_named_exit_code_2(out_root, capsys, content, what):
     assert str(manifest) in err and what in err
 
 
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    """A trained TINY run directory; each test damages a copy of it."""
+    run_dir = tmp_path_factory.mktemp("finished") / "exp"
+    assert main(["train", *TINY, "--run-dir", str(run_dir)]) == 0
+    return run_dir
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_a_damaged_run_file_is_named(finished_run, data):
+    """Damage one file that ``eval`` reads: it exits 2 naming the file,
+    except that a damaged ``reference.json`` only warns (a deleted one is
+    absent) and only the existence of ``complete.marker`` is read."""
+    checkpoint = sorted(p.name for p in (finished_run / "task_001").iterdir())
+    names = ["manifest.json", "reference.json",
+             *(f"task_001/{n}" for n in checkpoint)]
+    name = data.draw(st.sampled_from(names), label="file")
+    damage = data.draw(st.sampled_from(["truncate", "[1]", "{", "delete"]),
+                       label="damage")
+    with tempfile.TemporaryDirectory() as tmp:
+        run_dir = Path(tmp) / "exp"
+        shutil.copytree(finished_run, run_dir)
+        path = run_dir / name
+        if damage == "delete":
+            path.unlink()
+        elif damage == "truncate":
+            cut = data.draw(st.integers(0, path.stat().st_size - 1), label="byte")
+            path.write_bytes(path.read_bytes()[:cut])
+        else:
+            path.write_text(damage)
+        err = io.StringIO()
+        with (contextlib.redirect_stdout(io.StringIO()),
+              contextlib.redirect_stderr(err),
+              warnings.catch_warnings(record=True) as caught):
+            warnings.simplefilter("always")
+            code = main(["eval", *TINY, "--run-dir", str(run_dir)])
+    err = err.getvalue()
+    assert "Traceback" not in err and "allow_pickle" not in err
+    if name == "reference.json":
+        assert code == 0, err
+        warned = [w for w in caught if str(path) in str(w.message) and
+                  "eval reports without reference values" in str(w.message)]
+        assert len(warned) == (damage != "delete")
+    elif name.endswith("complete.marker") and damage != "delete":
+        assert code == 0, err
+    else:
+        assert code == 2 and str(path) in err, err
+
+
+def _edit_json(key, value):
+    def edit(path):
+        meta = json.loads(path.read_text())
+        meta[key] = value
+        path.write_text(json.dumps(meta))
+    return edit
+
+
+def _edit_npz(key, change):
+    """Rewrite an npz with the array ``key`` changed by ``change``, or
+    deleted when ``change`` is None."""
+    def edit(path):
+        with np.load(path) as data:
+            arrays = dict(data)
+        if change is None:
+            del arrays[key]
+        else:
+            arrays[key] = change(arrays[key])
+        np.savez(path, **arrays)
+    return edit
+
+
+@pytest.mark.parametrize("name,damage,what", [
+    pytest.param("state.json", lambda p: p.write_text('{"task_count": 2}'),
+                 "pair_to_task", id="state-without-pairs"),
+    pytest.param("state.json", _edit_json("pair_to_task", [[0, 1]]),
+                 "pair_to_task", id="state-pair-not-a-triple"),
+    pytest.param("state.json", _edit_json("seen_instr", [True]),
+                 "seen_instr", id="state-instr-not-an-int"),
+    pytest.param("fisher.npz", _edit_npz("L0:core", lambda a: a.ravel()[:1]),
+                 "L0:core", id="fisher-broadcast-shape"),
+    pytest.param("fisher.npz", _edit_npz("L0:core", None),
+                 "L0:core", id="fisher-missing-block"),
+    pytest.param("store.npz", _edit_npz("scene_sums", lambda a: a[:-1]),
+                 "scene_sums", id="store-row-short"),
+])
+def test_damaged_checkpoint_named_exit_code_2(finished_run, tmp_path, capsys,
+                                              name, damage, what):
+    """A checkpoint file that loads but holds the wrong keys, types or
+    shapes fails naming the file and the key or array at fault."""
+    run_dir = tmp_path / "exp"
+    shutil.copytree(finished_run, run_dir)
+    damage(run_dir / "task_001" / name)
+    assert main(["eval", *TINY, "--run-dir", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert str(run_dir / "task_001" / name) in err and what in err, err
+
+
 def test_gradcheck_passes_on_tiny_config(out_root, capsys):
     # the second config has gradient entries near 1e-6 on a loss near 21,
     # finer than a second-order central difference resolves to 1e-4
@@ -170,7 +275,7 @@ def test_report_missing_scores_exit_code_2(out_root, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("payload,what", [
-    ('{"task": 0, "sr": 1.0}', "expected a list of score objects"),
+    ('{"task": 0, "sr": 1.0}', "expected a JSON array"),
     ('[{"task": 0, "spl": 1.0, "osr": 1.0}]', "row 0 has no sr"),
     ('[{"task": 0, "sr"', "invalid JSON"),
     ('[{"task": 0, "sr": "x", "spl": 1, "osr": 1}]', "row 0: sr: expected float"),
@@ -179,6 +284,7 @@ def test_report_missing_scores_exit_code_2(out_root, tmp_path, capsys):
      '"spl": 1, "osr": 1}]', "row 1: task: expected int"),
     ('[{"task": 0, "sr": 1, "spl": 1, "osr": 1, "m_sr": "x"}]',
      "row 0: m_sr: expected float"),
+    ('[1]', "row 0: expected a score object"),
 ])
 def test_report_malformed_scores_exit_code_2(tmp_path, capsys, payload, what):
     (tmp_path / "scores.json").write_text(payload)

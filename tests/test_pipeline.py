@@ -3,6 +3,7 @@ expert isolation, and consolidation orderings."""
 
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -340,14 +341,27 @@ def test_reference_cache_hit_and_corruption(tmp_path):
     assert marker.stat().st_mtime_ns == stamp  # nothing retrained
     # unparsable, or JSON of the wrong shape: eval reports without
     # reference values and reference rebuilds them, each with a warning
+    # that says so
+    corrupted = r"reference\.json is corrupted \(.*\); "
     for text in ("{broken", "[]", '{"values": 5}', '{"values": []}',
                  '{"values": {"0": 1}}'):
         (tmp_path / "r" / "reference.json").write_text(text)
-        with pytest.warns(UserWarning, match=r"reference\.json is corrupted"):
+        with pytest.warns(UserWarning, match=corrupted
+                          + "eval reports without reference values$"):
             scores = run_eval(tiny_config(), tmp_path / "r")
         assert all(s.m_sr is None for s in scores), text
-        with pytest.warns(UserWarning, match=r"reference\.json is corrupted"):
+        with pytest.warns(UserWarning, match=corrupted + "reference rebuilds "
+                          "the missing tasks from their checkpoints$"):
             assert run_reference(tiny_config(), tmp_path / "r") == values, text
+    # training the last task again starts a new cache holding that task only
+    last = str(cfg.n_tasks - 1)
+    (task_dir(tmp_path / "r", cfg.n_tasks - 1) / "complete.marker").unlink()
+    (tmp_path / "r" / "reference.json").write_text("{broken")
+    with pytest.warns(UserWarning, match=corrupted + "train starts a new "
+                      "cache from the tasks it trains$"):
+        run_training(tiny_config(), tmp_path / "r")
+    cached = json.loads((tmp_path / "r" / "reference.json").read_text())
+    assert cached["values"] == {last: values[last]}
 
 
 def test_eval_attaches_reference_and_rates(tmp_path):
@@ -482,7 +496,9 @@ def test_empty_eval_rejected():
 
 
 def test_eval_without_checkpoint_errors(tmp_path):
-    with pytest.raises(FileNotFoundError, match="run training first"):
+    marker = task_dir(tmp_path / "missing", 2) / "complete.marker"
+    with pytest.raises(FileNotFoundError,
+                       match=re.escape(f"{marker}; run training first")):
         run_eval(tiny_config(), tmp_path / "missing")
 
 
