@@ -106,6 +106,14 @@ def _fits(kind, value) -> bool:
     return isinstance(value, kind)
 
 
+def available_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one, else every CPU of the machine."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def write_atomic(path: Path, text: str) -> None:
     """Replace ``path`` by a file holding ``text``; an interruption leaves
     the old file or the new one, never a part."""

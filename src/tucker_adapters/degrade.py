@@ -41,7 +41,6 @@ depend on the block size.
 from __future__ import annotations
 
 import json
-import os
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -51,7 +50,7 @@ from pathlib import Path
 import numpy as np
 from scipy.ndimage import gaussian_filter, uniform_filter
 
-from .config import ConfigError, check_ranges, write_atomic
+from .config import ConfigError, available_cpus, check_ranges, write_atomic
 
 
 class _Params:
@@ -380,9 +379,7 @@ def degrade_directory(mode: str, input_dir: str | Path, output_dir: str | Path,
         return {"input": str(src), "output": str(output_dir / src.name),
                 "mode": mode, "params": asdict(image_params)}
 
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    with ThreadPoolExecutor(min(len(images), cpus)) as pool:
+    with ThreadPoolExecutor(min(len(images), available_cpus())) as pool:
         futures = [pool.submit(degrade_one, i, src) for i, src in enumerate(images)]
         try:
             # a failed image began before any skipped one (None): its error is first

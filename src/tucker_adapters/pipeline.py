@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import functools
 import json
+import os
+import pickle
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -26,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .adapters import ADAPTER_KINDS, AdapterBase, FlatLayout, Selection
-from .config import ExperimentConfig, check_field, write_atomic
+from .config import ExperimentConfig, available_cpus, check_field, write_atomic
 from .metrics import EpisodeRecord, TaskScore, path_length, score_task
 from .retrieval import FeatureStore
 from .runfiles import open_npz, read_json
@@ -266,9 +268,18 @@ def load_state(cfg: ExperimentConfig, directory: str | Path,
     if not (isinstance(triples, list) and all(_ints(t, 3) for t in triples)):
         raise ValueError(f"{state_file}: pair_to_task: expected a list of "
                          f"[scene, env, task] int triples, got {triples!r}")
-    if not _ints(instr):
-        raise ValueError(f"{state_file}: seen_instr: expected a list of ints, "
-                         f"got {instr!r}")
+    pair_to_task = {(s, e): t for s, e, t in triples}
+    if not (len(pair_to_task) == len(triples)
+            and sorted(pair_to_task.values()) == list(range(len(triples)))
+            and all(0 <= s < cfg.n_scenes and 0 <= e < cfg.n_envs
+                    for s, e in pair_to_task)):
+        raise ValueError(
+            f"{state_file}: pair_to_task: expected distinct pairs in [0, "
+            f"{cfg.n_scenes}) x [0, {cfg.n_envs}) of the tasks 0..{len(triples) - 1}, "
+            f"got {triples!r}")
+    if not (_ints(instr) and all(0 <= i < cfg.n_instr for i in instr)):
+        raise ValueError(f"{state_file}: seen_instr: expected a list of ints "
+                         f"in [0, {cfg.n_instr}), got {instr!r}")
     adapters = []
     for l in range(n_layers):
         path = directory / f"adapter_L{l}.npz"
@@ -278,7 +289,7 @@ def load_state(cfg: ExperimentConfig, directory: str | Path,
                              f"adapter, the config asks for {cfg.adapter_kind!r}")
     state = LifelongState(cfg=cfg, adapters=adapters,
                           store=FeatureStore.load(directory / "store.npz"))
-    state.pair_to_task = {(s, e): t for s, e, t in triples}
+    state.pair_to_task = pair_to_task
     state.seen_instr = set(instr)
     layout = FlatLayout.of(adapters)
     state.fisher = np.empty(layout.n_shared)
@@ -405,18 +416,25 @@ def _reference_entry(task: TaskDescriptor, score: TaskScore) -> dict:
 
 
 def _trim_log(path: Path, completed: int) -> None:
-    """Keep only the training-log lines of the first ``completed`` tasks."""
+    """Keep only the training-log lines of the first ``completed`` tasks.
+    A last line cut short mid-write is dropped; any other line that is not
+    a JSON object with an int "task" raises a ValueError naming the line."""
     if not path.exists():
         return
     lines = path.read_text().splitlines(keepends=True)
-
-    def done(line: str) -> bool:
+    kept = []
+    for number, line in enumerate(lines, 1):
         try:
-            return json.loads(line)["task"] < completed
-        except json.JSONDecodeError:   # cut short mid-write
-            return False
-
-    kept = [line for line in lines if done(line)]
+            record = json.loads(line)
+        except json.JSONDecodeError:
+            if number == len(lines) and not line.endswith("\n"):
+                continue   # cut short mid-write
+            record = None
+        if not (isinstance(record, dict) and type(record.get("task")) is int):
+            raise ValueError(f"{path}: line {number}: expected a JSON object "
+                             f'with an int "task", got {line.strip()!r}')
+        if record["task"] < completed:
+            kept.append(line)
     if len(kept) != len(lines):
         write_atomic(path, "".join(kept))
 
@@ -459,21 +477,90 @@ def run_eval(cfg: ExperimentConfig, run_dir: str | Path,
              oracle_ids: bool = False) -> list[TaskScore]:
     """Score every task's held-out episodes with the final checkpoint.
 
-    Reference values cached by training (or `run_reference`) are attached so
-    forgetting rates can be reported.
+    The tasks are independent once the state is loaded, so they are scored
+    on up to one process per available CPU (see `_forked_map`); each score
+    is bitwise the serial one. Reference values cached by training (or
+    `run_reference`) are attached so forgetting rates can be reported.
     """
     world, stream, state = final_state(cfg, run_dir)
     reference = _load_reference(run_dir_layout(run_dir)["reference"],
                                 "eval reports without reference values")
-    scores = []
-    for task in stream:
-        score = evaluate_task(world, state, task, cfg.test_episodes,
-                              oracle_ids=oracle_ids)
+    scores = _forked_map(lambda task: evaluate_task(
+        world, state, task, cfg.test_episodes, oracle_ids=oracle_ids), stream)
+    for task, score in zip(stream, scores):
         ref = reference.get(str(task.index))
         if ref is not None:
             score.m_sr, score.m_spl, score.m_osr = ref["sr"], ref["spl"], ref["osr"]
-        scores.append(score)
     return scores
+
+
+def _forked_map(fn, items: list) -> list:
+    """``[fn(item) for item in items]`` on every CPU this process may use.
+
+    The items are cut into one contiguous share per CPU. This process maps
+    the first share, and one ``os.fork`` child per further CPU maps each
+    other share, pickles its results, or the exception that stopped it,
+    back through a pipe and leaves with ``os._exit``. The shares are joined
+    in item order and a child's exception is raised again unchanged, so the
+    first failing item's error is raised as in the serial loop. Every child
+    is reaped before the call returns or raises, and any still running when
+    this process fails is killed first. A forked child reads ``fn``'s loaded
+    state in place, so nothing but results is pickled. Serial without
+    ``os.fork`` or an affinity set, with one CPU or with one item.
+    """
+    can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    n = max(1, min(len(items), available_cpus() if can_fork else 1))
+    cuts = [len(items) * k // n for k in range(n + 1)]
+    shares = [items[a:b] for a, b in zip(cuts, cuts[1:])]
+    children = {}   # pid -> the read end of its pipe, until it is reaped
+    try:
+        for share in shares[1:]:
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _map_share_and_exit(fn, share, read, write)
+            os.close(write)
+            children[pid] = os.fdopen(read, "rb")
+        results = [fn(item) for item in shares[0]]
+        for pid, pipe in list(children.items()):
+            with pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            if code != 0:   # it exits 0 only once its result is written
+                how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+                raise ChildProcessError(
+                    f"worker process {pid} ended without a result ({how})")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results += value
+        return results
+    finally:
+        if children:
+            import signal   # imported here: no other path pays for it
+            for pid, pipe in children.items():
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _map_share_and_exit(fn, share: list, read: int, write: int):
+    """The forked child of `_forked_map`: maps ``share``, writes the
+    pickled ``(True, results)`` or ``(False, exception)`` to ``write`` and
+    exits, 0 once all of it is written; it never returns."""
+    code = 1
+    try:
+        os.close(read)
+        try:
+            payload = True, [fn(item) for item in share]
+        except BaseException as exc:
+            payload = False, exc
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(pickle.dumps(payload))
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def run_reference(cfg: ExperimentConfig, run_dir: str | Path,

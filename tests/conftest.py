@@ -1,7 +1,36 @@
 """Shared pytest set-up: property tests draw the same examples on every run,
-with no per-example deadline, so that a slow host cannot fail them."""
+with no per-example deadline, so that a slow host cannot fail them; and no
+test may leave a child process behind."""
 
+import os
+import signal
+import sys
+from pathlib import Path
+
+import pytest
 from hypothesis import settings
 
 settings.register_profile("repeatable", derandomize=True, deadline=None)
 settings.load_profile("repeatable")
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process running or unreaped, as a
+    forked evaluation worker would. The resource tracker that
+    multiprocessing starts for a spawned pool and keeps for the life of the
+    interpreter is stopped first: it is no test's leftover."""
+    yield
+    tracker = sys.modules.get("multiprocessing.resource_tracker")
+    if tracker is not None:
+        tracker._resource_tracker._stop()
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:   # no child, running or unreaped
+        return
+    # kill and reap the rest where Linux lists them: the next test starts clean
+    for children in Path("/proc/self/task").glob("*/children"):
+        for pid in map(int, children.read_text().split()):
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    pytest.fail("the test left a child process running or unreaped")

@@ -199,6 +199,16 @@ def _edit_npz(key, change):
                  "pair_to_task", id="state-pair-not-a-triple"),
     pytest.param("state.json", _edit_json("seen_instr", [True]),
                  "seen_instr", id="state-instr-not-an-int"),
+    pytest.param("state.json", _edit_json("pair_to_task", [[3, 0, 0], [0, 1, 1]]),
+                 "pair_to_task", id="state-scene-out-of-range"),
+    pytest.param("state.json", _edit_json("pair_to_task", [[0, 2, 0], [0, 1, 1]]),
+                 "pair_to_task", id="state-env-out-of-range"),
+    pytest.param("state.json", _edit_json("pair_to_task", [[0, 0, 0], [2, 0, 7]]),
+                 "pair_to_task", id="state-task-out-of-range"),
+    pytest.param("state.json", _edit_json("pair_to_task", [[0, 0, 0], [0, 0, 1]]),
+                 "pair_to_task", id="state-pair-repeated"),
+    pytest.param("state.json", _edit_json("seen_instr", [0]),
+                 "seen_instr", id="state-instr-out-of-range"),
     pytest.param("fisher.npz", _edit_npz("L0:core", lambda a: a.ravel()[:1]),
                  "L0:core", id="fisher-broadcast-shape"),
     pytest.param("fisher.npz", _edit_npz("L0:core", None),
@@ -216,6 +226,39 @@ def test_damaged_checkpoint_named_exit_code_2(finished_run, tmp_path, capsys,
     assert main(["eval", *TINY, "--run-dir", str(run_dir)]) == 2
     err = capsys.readouterr().err
     assert str(run_dir / "task_001" / name) in err and what in err, err
+
+
+def _log_records(path):
+    return [{k: v for k, v in json.loads(line).items() if k != "wall_time"}
+            for line in path.read_text().splitlines()]
+
+
+@pytest.mark.parametrize("edit,line", [
+    pytest.param(lambda text: "[1]\n" + text, 1, id="first-line-an-array"),
+    pytest.param(lambda text: text.replace('"task": 0', '"task": "0"', 1), 1,
+                 id="task-not-an-int"),
+    pytest.param(lambda text: text + '{"task": 1, "ep\n' + text, 7,
+                 id="cut-line-not-last"),
+    pytest.param(lambda text: text + '{"task": 1, "ep', None, id="last-line-cut"),
+])
+def test_resume_names_a_bad_training_log_line(finished_run, tmp_path, capsys,
+                                              edit, line):
+    """Resuming trims ``train_log.jsonl``: a line that is not an object with
+    an int "task" exits 2 naming the file and the line, but a last line cut
+    short mid-write is dropped and task 1 trains again to the same log."""
+    run_dir = tmp_path / "exp"
+    shutil.copytree(finished_run, run_dir)
+    log = run_dir / "train_log.jsonl"
+    log.write_text(edit(log.read_text()))
+    (run_dir / "task_001" / "complete.marker").unlink()
+    code = main(["train", *TINY, "--run-dir", str(run_dir)])
+    err = capsys.readouterr().err
+    if line is None:
+        assert code == 0, err
+        assert _log_records(log) == _log_records(finished_run / "train_log.jsonl")
+    else:
+        assert code == 2
+        assert f"error: {log}: line {line}: expected a JSON object" in err, err
 
 
 def test_gradcheck_passes_on_tiny_config(out_root, capsys):

@@ -1,9 +1,12 @@
 """End-to-end pipeline contracts: determinism, resume, reference semantics,
 expert isolation, and consolidation orderings."""
 
+import dataclasses
 import json
 import os
 import re
+import signal
+import time
 from pathlib import Path
 
 import numpy as np
@@ -500,6 +503,124 @@ def test_eval_without_checkpoint_errors(tmp_path):
     with pytest.raises(FileNotFoundError,
                        match=re.escape(f"{marker}; run training first")):
         run_eval(tiny_config(), tmp_path / "missing")
+
+
+# ---------------------------------------------------------------------------
+# Scoring on forked processes (the autouse fixture in conftest.py fails any
+# test here that leaves a worker running or unreaped)
+# ---------------------------------------------------------------------------
+
+class WorkerError(Exception):
+    pass
+
+
+@pytest.fixture(scope="module")
+def finished_runs(tmp_path_factory):
+    """(config, run directory) of a finished 1-, 2- and 3-task run."""
+    runs = {}
+    for n_tasks in (1, 2, 3):
+        cfg = tiny_config(n_tasks=n_tasks, epochs=1)
+        run_dir = tmp_path_factory.mktemp(f"tasks{n_tasks}")
+        run_training(cfg, run_dir)
+        runs[n_tasks] = cfg, run_dir
+    return runs
+
+
+@pytest.fixture
+def deadline():
+    """Raise TimeoutError in a test still running after 60 s, in place of a
+    hang."""
+    def expire(signum, frame):
+        raise TimeoutError("the test ran past its 60 s deadline")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def score_bits(scores):
+    """Every field of every score, floats by their exact repr."""
+    return [[repr(v) for v in dataclasses.astuple(s)] for s in scores]
+
+
+@pytest.mark.parametrize("oracle_ids", [False, True])
+@pytest.mark.parametrize("n_tasks", [1, 2, 3])
+def test_forked_scores_are_bitwise_the_serial_ones(finished_runs, monkeypatch,
+                                                    n_tasks, oracle_ids):
+    """Three CPUs fork one worker per task after the first; the host's own
+    CPU count and one CPU, the serial loop, give the same bits."""
+    cfg, run_dir = finished_runs[n_tasks]
+    fork, forks = os.fork, []
+
+    def counted_fork():
+        pid = fork()
+        forks.append(pid)   # in the child the list is its own copy
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(pipeline, "available_cpus", lambda: 3)
+    forked = run_eval(cfg, run_dir, oracle_ids=oracle_ids)
+    assert len(forks) == n_tasks - 1
+    monkeypatch.setattr(pipeline, "available_cpus", lambda: 1)
+    serial = run_eval(cfg, run_dir, oracle_ids=oracle_ids)
+    assert len(forks) == n_tasks - 1
+    monkeypatch.undo()
+    host = run_eval(cfg, run_dir, oracle_ids=oracle_ids)
+    assert [s.task for s in serial] == list(range(n_tasks))
+    assert all(s.m_sr is not None for s in serial)
+    assert score_bits(forked) == score_bits(serial) == score_bits(host)
+
+
+def test_a_workers_exception_reaches_the_caller(finished_runs, monkeypatch,
+                                                deadline):
+    cfg, run_dir = finished_runs[3]
+    caller, evaluate = os.getpid(), pipeline.evaluate_task
+
+    def fail_last(world, state, task, *args, **kwargs):
+        if task.index == cfg.n_tasks - 1:
+            where = "the caller" if os.getpid() == caller else "a worker"
+            raise WorkerError(f"task {task.index} failed in {where}")
+        return evaluate(world, state, task, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "available_cpus", lambda: 3)
+    monkeypatch.setattr(pipeline, "evaluate_task", fail_last)
+    with pytest.raises(WorkerError, match="^task 2 failed in a worker$"):
+        run_eval(cfg, run_dir)
+
+
+def test_a_killed_worker_raises_instead_of_hanging(finished_runs, monkeypatch,
+                                                   deadline):
+    cfg, run_dir = finished_runs[3]
+    caller, evaluate = os.getpid(), pipeline.evaluate_task
+
+    def killed_in_a_worker(world, state, task, *args, **kwargs):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return evaluate(world, state, task, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "available_cpus", lambda: 2)
+    monkeypatch.setattr(pipeline, "evaluate_task", killed_in_a_worker)
+    with pytest.raises(ChildProcessError, match=r"^worker process \d+ ended "
+                       rf"without a result \(killed by signal {signal.SIGKILL:d}\)$"):
+        run_eval(cfg, run_dir)
+
+
+def test_an_error_in_the_caller_kills_and_reaps_the_workers(finished_runs,
+                                                          monkeypatch, deadline):
+    cfg, run_dir = finished_runs[3]
+    caller = os.getpid()
+
+    def fail_in_the_caller(world, state, task, *args, **kwargs):
+        if os.getpid() == caller:
+            raise WorkerError("the caller's share failed")
+        time.sleep(300)   # past the deadline, unless the worker is killed
+
+    monkeypatch.setattr(pipeline, "available_cpus", lambda: 3)
+    monkeypatch.setattr(pipeline, "evaluate_task", fail_in_the_caller)
+    with pytest.raises(WorkerError, match="^the caller's share failed$"):
+        run_eval(cfg, run_dir)
 
 
 # ---------------------------------------------------------------------------
