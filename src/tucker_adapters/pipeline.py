@@ -49,6 +49,7 @@ from .training import (
     adam_step,
     batch_arrays,
     build_plan,
+    finite_difference_check,
     fisher_ema,
     fisher_estimate,
     total_loss_and_grads,
@@ -572,7 +573,8 @@ def run_reference(cfg: ExperimentConfig, run_dir: str | Path,
     run is trained (or resumed; a finished run is left as it is) with
     evaluation after each task, then every task missing from
     ``reference.json``, because it was trained without evaluation or the
-    file was corrupted, is scored from its own checkpoint.
+    file was corrupted, is scored from its own checkpoint, on up to one
+    process per available CPU (see `_forked_map`).
     """
     layout = run_dir_layout(run_dir)
     run_training(cfg, run_dir, eval_each=True, progress=progress)
@@ -584,10 +586,11 @@ def run_reference(cfg: ExperimentConfig, run_dir: str | Path,
         return values
     world, stream = open_run(cfg, run_dir)
     n_layers = len(world.backbone.layer_dims)
-    for t in missing:
-        state = load_state(cfg, task_dir(run_dir, t), n_layers)
-        values[str(t)] = _reference_entry(stream[t], evaluate_task(
-            world, state, stream[t], cfg.test_episodes))
+    entries = _forked_map(lambda t: _reference_entry(stream[t], evaluate_task(
+        world, load_state(cfg, task_dir(run_dir, t), n_layers), stream[t],
+        cfg.test_episodes)), missing)
+    for t, entry in zip(missing, entries):
+        values[str(t)] = entry
         if progress:
             progress(f"reference {t + 1}/{cfg.n_tasks} rebuilt")
     values = {str(t): values[str(t)] for t in range(cfg.n_tasks)}
@@ -596,13 +599,10 @@ def run_reference(cfg: ExperimentConfig, run_dir: str | Path,
     return values
 
 
-def run_gradcheck(cfg: ExperimentConfig, n_episodes: int = 3) -> dict[str, float]:
-    """Finite-difference validation of the full objective on this config.
-
-    Returns max relative error per parameter block; all must be < 1e-4.
-    """
-    from .training import finite_difference_check
-
+def run_gradcheck(cfg: ExperimentConfig) -> dict[str, float]:
+    """Finite-difference validation of the full objective on three training
+    episodes of this config's first task; returns the max relative error
+    per parameter block, each of which must be < 1e-4."""
     cfg.validate()
     world = World(cfg.world_config())
     rng = np.random.default_rng([cfg.seed, 31])
@@ -613,11 +613,9 @@ def run_gradcheck(cfg: ExperimentConfig, n_episodes: int = 3) -> dict[str, float
                 arr += 0.05 * rng.standard_normal(arr.shape)
             elif np.all(arr == 0.0):
                 arr += 0.1 * rng.standard_normal(arr.shape)
-    stream = gen_stream(cfg.n_scenes, cfg.n_envs, min(cfg.n_tasks, 2), cfg.seed,
-                        n_instr=cfg.n_instr)
-    task = stream[0]
-    episodes = gen_task_data(world, task, n_episodes)
-    x, y = batch_arrays(episodes)
+    task = gen_stream(cfg.n_scenes, cfg.n_envs, min(cfg.n_tasks, 2), cfg.seed,
+                      n_instr=cfg.n_instr)[0]
+    x, y = batch_arrays(gen_task_data(world, task, 3))
     sel = Selection(scene=task.scene, env=task.env, instr=task.instr, task=0)
     layout = FlatLayout.of(adapters)
     theta = layout.bind(adapters)

@@ -298,6 +298,7 @@ def total_loss_and_grads(backbone, plan: StepPlan, x, y):
 # ---------------------------------------------------------------------------
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+FD_STEP, FD_FLOOR = 1e-4, 1e-8   # of `finite_difference_check`
 
 
 @dataclass
@@ -336,18 +337,18 @@ def adam_step(state: AdamState, theta: np.ndarray, grad: np.ndarray) -> None:
 # Finite-difference gradient checker
 # ---------------------------------------------------------------------------
 
-def finite_difference_check(loss_fn, plan: StepPlan, analytic: np.ndarray,
-                            h: float = 1e-4, floor: float = 1e-8) -> dict[str, float]:
+def finite_difference_check(loss_fn, plan: StepPlan,
+                            analytic: np.ndarray) -> dict[str, float]:
     """Worst relative error per block of ``plan.layout`` between the flat
     gradient ``analytic`` and the fourth-order central difference
-    ``(8 (f(x+h) - f(x-h)) - (f(x+2h) - f(x-2h))) / 12h`` of ``loss_fn``.
+    ``(8 (f(x+h) - f(x-h)) - (f(x+2h) - f(x-2h))) / 12h``, h = FD_STEP.
 
     Only the slots of ``plan.trained`` are perturbed, in place on
     ``plan.theta``, so ``loss_fn`` must read the plan's live blocks. Slots
-    where both gradients are below ``floor`` are skipped; a block with no
+    where both gradients are below ``FD_FLOOR`` are skipped; a block with no
     checked slot reports 0.0.
     """
-    theta = plan.theta
+    theta, h = plan.theta, FD_STEP
     errors = np.zeros(plan.layout.size)
     for slots in plan.trained:
         for i in range(slots.start, slots.stop):
@@ -358,7 +359,7 @@ def finite_difference_check(loss_fn, plan: StepPlan, analytic: np.ndarray,
                 f.append(loss_fn())
             theta[i] = orig
             num = (8.0 * (f[0] - f[1]) - (f[2] - f[3])) / (12.0 * h)
-            if abs(num) < floor and abs(analytic[i]) < floor:
+            if abs(num) < FD_FLOOR and abs(analytic[i]) < FD_FLOOR:
                 continue
             errors[i] = abs(num - analytic[i]) / max(abs(num), abs(analytic[i]))
     return {key: float(np.max(block, initial=0.0))

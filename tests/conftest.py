@@ -4,7 +4,6 @@ test may leave a child process behind."""
 
 import os
 import signal
-import sys
 from pathlib import Path
 
 import pytest
@@ -17,13 +16,8 @@ settings.load_profile("repeatable")
 @pytest.fixture(autouse=True)
 def no_child_process_left():
     """Fail a test that leaves a child process running or unreaped, as a
-    forked evaluation worker would. The resource tracker that
-    multiprocessing starts for a spawned pool and keeps for the life of the
-    interpreter is stopped first: it is no test's leftover."""
+    forked worker of `pipeline._forked_map` would."""
     yield
-    tracker = sys.modules.get("multiprocessing.resource_tracker")
-    if tracker is not None:
-        tracker._resource_tracker._stop()
     try:
         os.waitpid(-1, os.WNOHANG)
     except ChildProcessError:   # no child, running or unreaped

@@ -5,17 +5,25 @@ import dataclasses
 import json
 import os
 import re
+import shutil
 import signal
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from tucker_adapters import pipeline
-from tucker_adapters.adapters import AdapterBase, LoraAdapter
+from tucker_adapters.adapters import (
+    ADAPTER_KINDS,
+    AdapterBase,
+    LoraAdapter,
+    Selection,
+    block_key,
+)
 from tucker_adapters.config import ExperimentConfig
 from tucker_adapters.metrics import EpisodeRecord
 from tucker_adapters.pipeline import (
@@ -167,14 +175,21 @@ def count_writes(mp, crash_at=0):
 
 
 def run_dir_contents(run_dir):
-    """Every array of every task checkpoint, the reference and manifest
-    files, and the training log less its wall times."""
+    """Every file of every task checkpoint, the reference and manifest
+    files, and the training log less its wall times. An npz file counts by
+    its arrays, since its zip entries are stamped with the time of writing,
+    and a completion marker by its existence, the only thing read of it."""
     out = {}
-    for path in sorted(run_dir.glob("task_*/*.npz")):
-        with np.load(path) as data:
-            out[path.relative_to(run_dir).as_posix()] = {
-                key: (data[key].dtype.str, data[key].shape, data[key].tobytes())
-                for key in data.files}
+    for path in sorted(run_dir.glob("task_*/*")):
+        name = path.relative_to(run_dir).as_posix()
+        if path.suffix == ".npz":
+            with np.load(path) as data:
+                out[name] = {key: (data[key].dtype.str, data[key].shape,
+                                   data[key].tobytes()) for key in data.files}
+        elif path.name == "complete.marker":
+            out[name] = "exists"
+        else:
+            out[name] = path.read_bytes()
     for name in ("reference.json", "manifest.json"):
         out[name] = (run_dir / name).read_text()
     out["log"] = [{k: v for k, v in json.loads(line).items() if k != "wall_time"}
@@ -209,6 +224,75 @@ def test_crash_at_any_write_resumes_to_the_uninterrupted_run(
     run_training(crash_config(), run_dir)
     assert run_dir_contents(run_dir) == contents
     assert not list(run_dir.rglob("*.tmp"))
+
+
+@st.composite
+def lifelong_configs(draw, kind):
+    """Tiny configs of adapter kind ``kind``, each consolidation weight
+    either 0 or not and omega at either end; the world's floats keep their
+    defaults."""
+    n_scenes, n_envs = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    lam = st.one_of(st.just(0.0), st.floats(0.05, 0.3))
+    small = st.integers(1, 3)
+    return ExperimentConfig(
+        adapter_kind=kind, n_scenes=n_scenes, n_envs=n_envs,
+        n_tasks=draw(st.integers(1, min(3, n_scenes * n_envs))),
+        n_instr=draw(st.integers(kind == "tucker5", 2)),
+        ranks=tuple(draw(st.lists(small, min_size=5, max_size=5))),
+        lora_rank=draw(small), moe_rank=draw(small),
+        abc_rank_base=draw(small), abc_rank_mid=draw(small),
+        lam1=draw(lam), lam2=draw(lam), lam3=draw(lam),
+        omega=draw(st.sampled_from([0.0, 1.0])),
+        train_episodes=draw(st.integers(1, 4)), test_episodes=2,
+        epochs=draw(st.integers(1, 2)), batch_size=draw(small),
+        d_f=16, hidden=12, horizon=8, seed=draw(st.integers(0, 2**16)))
+
+
+@pytest.mark.parametrize("kind", sorted(ADAPTER_KINDS))
+@settings(max_examples=12)
+@given(data=st.data())
+def test_lifelong_invariants_hold_on_drawn_configs(kind, data):
+    """Each task changes no expert row but its own, stores a Fisher over
+    exactly the shared blocks, and a run resumed after its last ``k`` task
+    checkpoints were deleted ends bitwise as it was."""
+    cfg = data.draw(lifelong_configs(kind), label="cfg")
+    world = World(cfg.world_config())
+    stream = gen_stream(cfg.n_scenes, cfg.n_envs, cfg.n_tasks, cfg.seed,
+                        n_instr=cfg.n_instr)
+    before = init_state(cfg, world).adapters
+    with tempfile.TemporaryDirectory() as tmp:
+        run_dir = Path(tmp)
+        try:
+            run_training(cfg, run_dir)
+        except RuntimeError as exc:
+            # a world where some episode cannot be drawn is a defect of its
+            # own, not one of the invariants checked here
+            if "could not draw a moving episode" not in str(exc):
+                raise
+            reject()
+        for t, task in enumerate(stream):
+            checkpoint = task_dir(run_dir, t)
+            after = [AdapterBase.load(checkpoint / f"adapter_L{l}.npz")
+                     for l in range(len(before))]
+            sel = Selection(task.scene, task.env, task.instr, t)
+            for l, (old, new) in enumerate(zip(before, after)):
+                for name in new.expert_axes:
+                    trained = new.expert_index(name, sel)
+                    for i, row in enumerate(getattr(new, name)):
+                        if i != trained:
+                            assert row.tobytes() == getattr(old, name)[i].tobytes(), (
+                                f"task {t} changed row {i} of {block_key(l, name)}")
+            with np.load(checkpoint / "fisher.npz") as fisher:
+                assert {key: fisher[key].shape for key in fisher.files} == {
+                    block_key(l, name): getattr(ad, name).shape
+                    for l, ad in enumerate(after) for name in ad.shared_names}
+            before = after
+        contents = run_dir_contents(run_dir)
+        k = data.draw(st.integers(1, cfg.n_tasks), label="k")
+        for t in range(cfg.n_tasks - k, cfg.n_tasks):
+            shutil.rmtree(task_dir(run_dir, t))
+        run_training(cfg, run_dir)
+        assert run_dir_contents(run_dir) == contents
 
 
 def test_run_dir_rejects_other_config(tmp_path):
@@ -545,21 +629,27 @@ def score_bits(scores):
     return [[repr(v) for v in dataclasses.astuple(s)] for s in scores]
 
 
-@pytest.mark.parametrize("oracle_ids", [False, True])
-@pytest.mark.parametrize("n_tasks", [1, 2, 3])
-def test_forked_scores_are_bitwise_the_serial_ones(finished_runs, monkeypatch,
-                                                    n_tasks, oracle_ids):
-    """Three CPUs fork one worker per task after the first; the host's own
-    CPU count and one CPU, the serial loop, give the same bits."""
-    cfg, run_dir = finished_runs[n_tasks]
-    fork, forks = os.fork, []
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of every ``os.fork`` this process makes during the test."""
+    fork, pids = os.fork, []
 
     def counted_fork():
         pid = fork()
-        forks.append(pid)   # in the child the list is its own copy
+        pids.append(pid)   # in the child the list is its own copy
         return pid
 
     monkeypatch.setattr(os, "fork", counted_fork)
+    return pids
+
+
+@pytest.mark.parametrize("oracle_ids", [False, True])
+@pytest.mark.parametrize("n_tasks", [1, 2, 3])
+def test_forked_scores_are_bitwise_the_serial_ones(finished_runs, monkeypatch,
+                                                    forks, n_tasks, oracle_ids):
+    """Three CPUs fork one worker per task after the first; the host's own
+    CPU count and one CPU, the serial loop, give the same bits."""
+    cfg, run_dir = finished_runs[n_tasks]
     monkeypatch.setattr(pipeline, "available_cpus", lambda: 3)
     forked = run_eval(cfg, run_dir, oracle_ids=oracle_ids)
     assert len(forks) == n_tasks - 1
@@ -571,6 +661,27 @@ def test_forked_scores_are_bitwise_the_serial_ones(finished_runs, monkeypatch,
     assert [s.task for s in serial] == list(range(n_tasks))
     assert all(s.m_sr is not None for s in serial)
     assert score_bits(forked) == score_bits(serial) == score_bits(host)
+
+
+def test_forked_reference_rebuild_is_bitwise_the_serial_one(tmp_path, monkeypatch,
+                                                          forks):
+    """``reference`` on a run trained without eval after each task rebuilds
+    all three tasks from their checkpoints, one contiguous share per CPU:
+    one, two and three CPUs write the same bytes, and every worker is
+    reaped before it returns."""
+    cfg, run_dir = tiny_config(epochs=1), tmp_path / "r"
+    run_training(cfg, run_dir, eval_each=False)
+    written = []
+    for cpus in (1, 2, 3):
+        (run_dir / "reference.json").unlink(missing_ok=True)
+        monkeypatch.setattr(pipeline, "available_cpus", lambda n=cpus: n)
+        before = len(forks)
+        run_reference(cfg, run_dir)
+        assert len(forks) - before == cpus - 1
+        with pytest.raises(ChildProcessError):   # no child, running or unreaped
+            os.waitpid(-1, os.WNOHANG)
+        written.append((run_dir / "reference.json").read_bytes())
+    assert written[0] == written[1] == written[2]
 
 
 def test_a_workers_exception_reaches_the_caller(finished_runs, monkeypatch,
