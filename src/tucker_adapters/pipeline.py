@@ -364,7 +364,10 @@ def run_training(cfg: ExperimentConfig, run_dir: str | Path,
     exact config, training resumes after the last complete task; a finished
     run is left as it is. With ``eval_each`` the just-trained task is scored
     immediately, which by sequential determinism equals the prefix-run
-    reference value.
+    reference value, and first every sealed task missing from
+    ``reference.json``, because it was trained without evaluation or the
+    file was corrupted, is scored from its own checkpoint, on up to one
+    process per available CPU (see `_forked_map`).
     """
     world, stream = open_run(cfg, run_dir, train=True)
     layout = run_dir_layout(run_dir)
@@ -378,20 +381,35 @@ def run_training(cfg: ExperimentConfig, run_dir: str | Path,
         else:
             break
 
+    n_layers = len(world.backbone.layer_dims)
+    if eval_each:
+        reference = _load_reference(
+            layout["reference"], "the missing tasks are rebuilt from their checkpoints")
+        missing = [t for t in range(completed) if str(t) not in reference]
+        if missing:
+            entries = _forked_map(lambda t: _reference_entry(stream[t], evaluate_task(
+                world, load_state(cfg, task_dir(run_dir, t), n_layers), stream[t],
+                cfg.test_episodes)), missing)
+            for t, entry in zip(missing, entries):
+                reference[str(t)] = entry
+                if progress:
+                    progress(f"reference {t + 1}/{cfg.n_tasks} rebuilt")
+        # in task order, and without the entry of any task trained again
+        reference = {str(t): reference[str(t)] for t in range(completed)}
+        if missing:
+            _write_reference(layout["reference"], cfg, reference)
+
     summary = {"run_dir": str(run_dir), "tasks": cfg.n_tasks,
                "config_hash": cfg.config_hash()}
     if completed == cfg.n_tasks:
         return summary
     # an interrupted task may have logged epochs; it is trained again
     _trim_log(layout["logs"], completed)
-    n_layers = len(world.backbone.layer_dims)
     if completed:
         state = load_state(cfg, task_dir(run_dir, completed - 1), n_layers)
     else:
         state = init_state(cfg, world)
 
-    reference = _load_reference(layout["reference"],
-                                "train starts a new cache from the tasks it trains")
     for t in range(completed, cfg.n_tasks):
         task = stream[t]
         logs = train_task(state, world, task)
@@ -401,9 +419,7 @@ def run_training(cfg: ExperimentConfig, run_dir: str | Path,
         if eval_each:
             score = evaluate_task(world, state, task, cfg.test_episodes)
             reference[str(t)] = _reference_entry(task, score)
-            write_atomic(layout["reference"], json.dumps(
-                {"config_hash": cfg.config_hash(), "values": reference},
-                indent=2))
+            _write_reference(layout["reference"], cfg, reference)
         save_state(state, task_dir(run_dir, t))
         if progress:
             progress(f"task {t + 1}/{cfg.n_tasks} "
@@ -414,6 +430,11 @@ def run_training(cfg: ExperimentConfig, run_dir: str | Path,
 def _reference_entry(task: TaskDescriptor, score: TaskScore) -> dict:
     return {"task": task.index, "scene": task.scene, "env": task.env,
             "sr": score.sr, "spl": score.spl, "osr": score.osr}
+
+
+def _write_reference(path: Path, cfg: ExperimentConfig, values: dict) -> None:
+    write_atomic(path, json.dumps(
+        {"config_hash": cfg.config_hash(), "values": values}, indent=2))
 
 
 def _trim_log(path: Path, completed: int) -> None:
@@ -571,32 +592,11 @@ def run_reference(cfg: ExperimentConfig, run_dir: str | Path,
     Training is deterministic and strictly sequential, so the checkpoint of
     task t in the full run is the state of a prefix run of length t. The
     run is trained (or resumed; a finished run is left as it is) with
-    evaluation after each task, then every task missing from
-    ``reference.json``, because it was trained without evaluation or the
-    file was corrupted, is scored from its own checkpoint, on up to one
-    process per available CPU (see `_forked_map`).
+    evaluation after each task, which also rebuilds every sealed task
+    missing from ``reference.json``; returns the file's task entries.
     """
-    layout = run_dir_layout(run_dir)
     run_training(cfg, run_dir, eval_each=True, progress=progress)
-    values = _load_reference(
-        layout["reference"],
-        "reference rebuilds the missing tasks from their checkpoints")
-    missing = [t for t in range(cfg.n_tasks) if str(t) not in values]
-    if not missing:
-        return values
-    world, stream = open_run(cfg, run_dir)
-    n_layers = len(world.backbone.layer_dims)
-    entries = _forked_map(lambda t: _reference_entry(stream[t], evaluate_task(
-        world, load_state(cfg, task_dir(run_dir, t), n_layers), stream[t],
-        cfg.test_episodes)), missing)
-    for t, entry in zip(missing, entries):
-        values[str(t)] = entry
-        if progress:
-            progress(f"reference {t + 1}/{cfg.n_tasks} rebuilt")
-    values = {str(t): values[str(t)] for t in range(cfg.n_tasks)}
-    write_atomic(layout["reference"], json.dumps(
-        {"config_hash": cfg.config_hash(), "values": values}, indent=2))
-    return values
+    return read_json(run_dir_layout(run_dir)["reference"], dict)["values"]
 
 
 def run_gradcheck(cfg: ExperimentConfig) -> dict[str, float]:

@@ -151,9 +151,11 @@ class World:
                             for _ in range(cfg.n_envs)]
         self.teacher_instr = [perturbation(cfg.teacher_instr_scale)
                               for _ in range(n_q)]
-        # the backbone with the teacher's delta added, per (scene, env,
-        # instr), built on first use
-        self._teachers: dict[tuple, ToyBackbone] = {}
+        # the (scene, env, instr) key last labelled and its teacher, the
+        # backbone with the teacher's delta added. Every caller labels one
+        # scenario's chunks in a row, so one entry is rebuilt once per task
+        # and memory does not grow with the scenarios a run has seen
+        self._teacher_key, self._teacher = None, None
 
     def teacher_deltas(self, scene: int, env: int,
                        instr: int | None = None) -> list[np.ndarray]:
@@ -167,14 +169,12 @@ class World:
     def teacher_actions(self, scene: int, env: int, instr: int | None,
                         inputs: np.ndarray) -> np.ndarray:
         key = (scene, env, instr)
-        teacher = self._teachers.get(key)
-        if teacher is None:
+        if key != self._teacher_key:
             deltas = self.teacher_deltas(scene, env, instr)
-            teacher = ToyBackbone(
+            self._teacher_key, self._teacher = key, ToyBackbone(
                 weights=[w + d for w, d in zip(self.backbone.weights, deltas)],
                 biases=self.backbone.biases)
-            self._teachers[key] = teacher
-        return np.argmax(forward_logits(teacher, None, inputs), axis=-1)
+        return np.argmax(forward_logits(self._teacher, None, inputs), axis=-1)
 
 
 def _orthonormal_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:

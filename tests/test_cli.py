@@ -75,6 +75,20 @@ def test_reference_command(out_root, capsys):
     assert (run_dir / "reference.json").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "reference"])
+def test_reference_of_a_run_trained_without_eval_each(out_root, command):
+    """``train`` or ``reference`` after ``train --no-eval-each`` scores every
+    sealed task from its checkpoint and writes the ``reference.json`` bytes
+    of a run trained with eval after each task."""
+    assert main(["train", *TINY, "--run-dir", str(out_root / "each")]) == 0
+    run_dir = out_root / "later"
+    assert main(["train", *TINY, "--no-eval-each", "--run-dir", str(run_dir)]) == 0
+    assert not (run_dir / "reference.json").exists()
+    assert main([command, *TINY, "--run-dir", str(run_dir)]) == 0
+    assert ((run_dir / "reference.json").read_bytes()
+            == (out_root / "each" / "reference.json").read_bytes())
+
+
 @pytest.mark.parametrize("command", ["eval", "reference"])
 def test_run_directory_of_another_config_is_refused(out_root, capsys, command):
     run_dir = out_root / "exp"

@@ -351,7 +351,7 @@ def test_duplicate_centroids_pick_the_lowest_id():
 
 
 # ---------------------------------------------------------------------------
-# Forward pass, teacher and delta caches
+# Forward pass and delta caches
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -369,19 +369,6 @@ def test_stacked_forward_equals_per_slice(world):
         for i in range(g):
             assert (stacked[i].tobytes()
                     == forward_logits(world.backbone, deltas, x[i]).tobytes())
-
-
-def test_cached_teacher_equals_fresh_sum(world):
-    rng = np.random.default_rng(5)
-    x = rng.standard_normal((40, 2 * world.cfg.d_f))
-    for key in [(0, 0), (2, 1), (0, 0), (4, 3)]:
-        fresh = forward_logits(world.backbone, world.teacher_deltas(*key), x)
-        for _ in range(2):
-            assert np.array_equal(world.teacher_actions(*key, None, x),
-                                  np.argmax(fresh, axis=1))
-        # a stack is labelled slice by slice
-        stacked = world.teacher_actions(*key, None, x.reshape(5, 8, -1))
-        assert np.array_equal(stacked.reshape(-1), np.argmax(fresh, axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -253,8 +253,10 @@ def lifelong_configs(draw, kind):
 @given(data=st.data())
 def test_lifelong_invariants_hold_on_drawn_configs(kind, data):
     """Each task changes no expert row but its own, stores a Fisher over
-    exactly the shared blocks, and a run resumed after its last ``k`` task
-    checkpoints were deleted ends bitwise as it was."""
+    exactly the shared blocks, eval with oracle ids scores as eval with
+    retrieval when every held-out query retrieves its own pair, and a run
+    resumed after its last ``k`` task checkpoints were deleted ends bitwise
+    as it was."""
     cfg = data.draw(lifelong_configs(kind), label="cfg")
     world = World(cfg.world_config())
     stream = gen_stream(cfg.n_scenes, cfg.n_envs, cfg.n_tasks, cfg.seed,
@@ -287,6 +289,18 @@ def test_lifelong_invariants_hold_on_drawn_configs(kind, data):
                     block_key(l, name): getattr(ad, name).shape
                     for l, ad in enumerate(after) for name in ad.shared_names}
             before = after
+        # criterion 7 generalized: the final store retrieves each held-out
+        # first observation's own pair, among trained pairs for kinds whose
+        # experts are their task's, so oracle ids change no score
+        _, _, state = final_state(cfg, run_dir)
+        pairs = set(state.pair_to_task) if state.adapters[0].pairs_only else None
+        if all(state.store.search(np.stack([ep.obs[0] for ep in gen_episode(
+                world, task, range(cfg.test_episodes), split=1)]), pairs)
+               == [(task.scene, task.env)] * cfg.test_episodes for task in stream):
+            for task in stream:
+                assert score_bits([evaluate_task(
+                    world, state, task, cfg.test_episodes, oracle_ids=True)]) \
+                    == score_bits([evaluate_task(world, state, task, cfg.test_episodes)])
         contents = run_dir_contents(run_dir)
         k = data.draw(st.integers(1, cfg.n_tasks), label="k")
         for t in range(cfg.n_tasks - k, cfg.n_tasks):
@@ -421,6 +435,7 @@ def test_reference_cache_hit_and_corruption(tmp_path):
     cfg = tiny_config()
     values = run_reference(cfg, tmp_path / "r")
     assert len(values) == cfg.n_tasks
+    written = (tmp_path / "r" / "reference.json").read_bytes()
     marker = task_dir(tmp_path / "r", 0) / "complete.marker"
     stamp = marker.stat().st_mtime_ns
     values2 = run_reference(tiny_config(), tmp_path / "r")  # cache hit
@@ -430,6 +445,7 @@ def test_reference_cache_hit_and_corruption(tmp_path):
     # reference values and reference rebuilds them, each with a warning
     # that says so
     corrupted = r"reference\.json is corrupted \(.*\); "
+    rebuilt = corrupted + "the missing tasks are rebuilt from their checkpoints$"
     for text in ("{broken", "[]", '{"values": 5}', '{"values": []}',
                  '{"values": {"0": 1}}'):
         (tmp_path / "r" / "reference.json").write_text(text)
@@ -437,18 +453,16 @@ def test_reference_cache_hit_and_corruption(tmp_path):
                           + "eval reports without reference values$"):
             scores = run_eval(tiny_config(), tmp_path / "r")
         assert all(s.m_sr is None for s in scores), text
-        with pytest.warns(UserWarning, match=corrupted + "reference rebuilds "
-                          "the missing tasks from their checkpoints$"):
+        with pytest.warns(UserWarning, match=rebuilt):
             assert run_reference(tiny_config(), tmp_path / "r") == values, text
-    # training the last task again starts a new cache holding that task only
-    last = str(cfg.n_tasks - 1)
+        assert (tmp_path / "r" / "reference.json").read_bytes() == written, text
+    # training the last task again rebuilds the sealed tasks' entries from
+    # their checkpoints, then scores the last task after training it
     (task_dir(tmp_path / "r", cfg.n_tasks - 1) / "complete.marker").unlink()
     (tmp_path / "r" / "reference.json").write_text("{broken")
-    with pytest.warns(UserWarning, match=corrupted + "train starts a new "
-                      "cache from the tasks it trains$"):
+    with pytest.warns(UserWarning, match=rebuilt):
         run_training(tiny_config(), tmp_path / "r")
-    cached = json.loads((tmp_path / "r" / "reference.json").read_text())
-    assert cached["values"] == {last: values[last]}
+    assert (tmp_path / "r" / "reference.json").read_bytes() == written
 
 
 def test_eval_attaches_reference_and_rates(tmp_path):

@@ -1,5 +1,7 @@
 """Task streams, synthetic episodes, and the frozen toy backbone."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,43 @@ def test_degenerate_teacher_ignores_hierarchy():
     a = world.teacher_actions(0, 0, None, inputs)
     b = world.teacher_actions(2, 1, None, inputs)
     assert np.array_equal(a, b)
+
+
+def test_last_teacher_labels_as_the_fresh_sum(world):
+    """Labelling scenarios A, B, A, C in turn rebuilds the one kept teacher
+    on each change, and every label is the argmax of the backbone with the
+    teacher's deltas passed separately."""
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((40, 2 * world.cfg.d_f))
+    for key in [(0, 0), (2, 1), (0, 0), (3, 2)]:
+        fresh = forward_logits(world.backbone, world.teacher_deltas(*key), x)
+        for _ in range(2):
+            assert np.array_equal(world.teacher_actions(*key, None, x),
+                                  np.argmax(fresh, axis=1))
+        # a stack is labelled slice by slice
+        stacked = world.teacher_actions(*key, None, x.reshape(5, 8, -1))
+        assert np.array_equal(stacked.reshape(-1), np.argmax(fresh, axis=1))
+
+
+def test_the_world_keeps_one_teacher(world):
+    """A world's memory does not grow with the scenarios it has labelled:
+    after 12 it holds less than one teacher more than after 2."""
+    x = np.random.default_rng(6).standard_normal((32, 2 * world.cfg.d_f))
+    keys = [(s, e) for s in range(world.cfg.n_scenes) for e in range(world.cfg.n_envs)]
+    one_teacher = sum(w.nbytes for w in world.backbone.weights)
+    assert len(keys) == 12 and one_teacher == 66 * 1024
+    tracemalloc.start()
+    try:
+        fresh = World(world.cfg)
+        for key in keys[:2]:
+            fresh.teacher_actions(*key, None, x)
+        after_two = tracemalloc.get_traced_memory()[0]
+        for key in keys[2:]:
+            fresh.teacher_actions(*key, None, x)
+        after_twelve = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert after_twelve - after_two < one_teacher
 
 
 def test_world_draw_order_matches_reference():
