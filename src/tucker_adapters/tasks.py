@@ -153,7 +153,7 @@ class World:
                               for _ in range(n_q)]
         # the (scene, env, instr) key last labelled and its teacher, the
         # backbone with the teacher's delta added. Every caller labels one
-        # scenario's chunks in a row, so one entry is rebuilt once per task
+        # scenario's chunks in a row, so the entry is rebuilt once per task
         # and memory does not grow with the scenarios a run has seen
         self._teacher_key, self._teacher = None, None
 
