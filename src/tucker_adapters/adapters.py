@@ -138,20 +138,21 @@ class AdapterBase:
 
     @staticmethod
     def load(path: str | Path) -> "AdapterBase":
-        """Read a checkpoint written by ``save``; every block must have the
-        shape its header records."""
+        """Read a checkpoint written by ``save``. A header that names no
+        adapter kind or does not fit the arrays raises a ValueError."""
         with open_npz(path) as data:
             meta = json.loads(str(data["__meta__"]))
             arrays = {k: np.asarray(data[k]) for k in data.files if k != "__meta__"}
-        cls = ADAPTER_KINDS[meta["kind"]]
-        adapter = cls(**arrays, **meta.get("scalars", {}))
-        shapes = {k: list(v.shape) for k, v in adapter.blocks().items()}
-        for name in sorted(set(shapes) | set(meta["shapes"])):
-            if shapes.get(name) != meta["shapes"].get(name):
-                raise ValueError(
-                    f"checkpoint {path}: block {name!r} has shape "
-                    f"{shapes.get(name)}, its header records "
-                    f"{meta['shapes'].get(name)}")
+            kind = meta.get("kind") if isinstance(meta, dict) else None
+            if kind not in ADAPTER_KINDS:
+                raise ValueError(f"__meta__: kind {kind!r} is not one of "
+                                 f"{sorted(ADAPTER_KINDS)}")
+            adapter = ADAPTER_KINDS[kind](**arrays, **meta.get("scalars", {}))
+            shapes = {k: list(v.shape) for k, v in adapter.blocks().items()}
+            for name in sorted(set(shapes) | set(meta["shapes"])):
+                if shapes.get(name) != meta["shapes"].get(name):
+                    raise ValueError(f"block {name!r} has shape {shapes.get(name)}, "
+                                     f"its header records {meta['shapes'].get(name)}")
         return adapter
 
 
@@ -465,14 +466,25 @@ class FlatLayout:
                 n_shared = start
         return cls(slots, n_shared, start)
 
+    def flatten(self, adapters: list[AdapterBase]) -> np.ndarray:
+        """Every block of ``adapters``, copied into one new vector."""
+        return np.concatenate([getattr(adapters[l], name).ravel()
+                               for l, name in self.slots], dtype=np.float64)
+
     def bind(self, adapters: list[AdapterBase]) -> np.ndarray:
-        """Copy every block into one new vector and make each block of
-        ``adapters`` a view of it; returns the vector."""
-        theta = np.empty(self.size)
+        """``flatten(adapters)``, with each block of ``adapters`` made a
+        view of the new vector."""
+        theta = self.flatten(adapters)
         for (l, name), s in self.slots.items():
-            theta[s.span] = getattr(adapters[l], name).ravel()
             setattr(adapters[l], name, theta[s.span].reshape(s.shape))
         return theta
+
+    def trained(self, adapters: list[AdapterBase], sel: Selection) -> list[slice]:
+        """The slots a task of selection ``sel`` trains: the shared span,
+        then each layer's expert rows of ``trainable_mask(sel)``."""
+        return [slice(0, self.n_shared)] + [
+            self.slots[l, name].row(row) for l, ad in enumerate(adapters)
+            for name, row in zip(ad.expert_axes, ad.trainable_mask(sel))]
 
     def check_bound(self, adapters: list[AdapterBase], theta: np.ndarray) -> None:
         """Raise if a block of ``adapters`` is no longer a view of ``theta``
@@ -491,3 +503,34 @@ class FlatLayout:
                 for (l, name), s in sorted(self.slots.items(),
                                            key=lambda item: item[0][0])
                 if s.span.stop <= vector.size}
+
+
+def audit_task(before: list[AdapterBase], after: list[AdapterBase],
+               sel: Selection) -> dict:
+    """What the task of selection ``sel`` did to the stack ``before`` (the
+    initial one or the last task's) to leave ``after``: ``"shared"`` and
+    ``"experts"`` map each shared block ``L{l}:{block}`` and each trained
+    expert row ``L{l}:{block}[{row}]`` to its (L2 drift, norm before), and
+    ``"frozen_changed"`` names each other row whose bytes changed."""
+    layout = FlatLayout.of(before)
+    if FlatLayout.of(after) != layout:
+        raise ValueError("the two adapter stacks have different blocks")
+    old, new = layout.flatten(before), layout.flatten(after)
+    trained = np.zeros(layout.size, dtype=bool)
+    for slots in layout.trained(before, sel):
+        trained[slots] = True
+    drift, changed = new - old, old.view(np.int64) != new.view(np.int64)
+    audit = {"shared": {}, "experts": {}, "frozen_changed": []}
+    for (l, name), s in layout.slots.items():
+        key, n = block_key(l, name), s.shape[0]
+        norms = np.stack([np.linalg.norm(v[s.span].reshape(n, -1), axis=1)
+                          for v in (drift, old)], axis=1)
+        rows = trained[s.span].reshape(n, -1).all(axis=1)
+        if name in before[l].shared_names:
+            audit["shared"][key] = tuple(np.linalg.norm(norms, axis=0).tolist())
+        else:
+            audit["experts"].update({f"{key}[{row}]": tuple(norms[row].tolist())
+                                     for row in np.flatnonzero(rows)})
+        moved = changed[s.span].reshape(n, -1).any(axis=1) & ~rows
+        audit["frozen_changed"] += [f"{key}[{row}]" for row in np.flatnonzero(moved)]
+    return audit

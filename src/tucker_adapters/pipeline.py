@@ -31,7 +31,7 @@ from .adapters import ADAPTER_KINDS, AdapterBase, FlatLayout, Selection
 from .config import ExperimentConfig, available_cpus, check_field, write_atomic
 from .metrics import EpisodeRecord, TaskScore, path_length, score_task
 from .retrieval import FeatureStore
-from .runfiles import open_npz, read_json
+from .runfiles import int_list, open_npz, read_json
 from .tasks import (
     EPISODE_CHUNK,
     STOP,
@@ -266,7 +266,7 @@ def load_state(cfg: ExperimentConfig, directory: str | Path,
     state_file = directory / "state.json"
     meta = read_json(state_file, dict)
     triples, instr = meta.get("pair_to_task"), meta.get("seen_instr")
-    if not (isinstance(triples, list) and all(_ints(t, 3) for t in triples)):
+    if not (isinstance(triples, list) and all(int_list(t, 3) for t in triples)):
         raise ValueError(f"{state_file}: pair_to_task: expected a list of "
                          f"[scene, env, task] int triples, got {triples!r}")
     pair_to_task = {(s, e): t for s, e, t in triples}
@@ -278,7 +278,7 @@ def load_state(cfg: ExperimentConfig, directory: str | Path,
             f"{state_file}: pair_to_task: expected distinct pairs in [0, "
             f"{cfg.n_scenes}) x [0, {cfg.n_envs}) of the tasks 0..{len(triples) - 1}, "
             f"got {triples!r}")
-    if not (_ints(instr) and all(0 <= i < cfg.n_instr for i in instr)):
+    if not (int_list(instr) and all(0 <= i < cfg.n_instr for i in instr)):
         raise ValueError(f"{state_file}: seen_instr: expected a list of ints "
                          f"in [0, {cfg.n_instr}), got {instr!r}")
     adapters = []
@@ -303,13 +303,6 @@ def load_state(cfg: ExperimentConfig, directory: str | Path,
                 raise ValueError(f"{key} has shape {array.shape}, expected {block}")
             views[key][...] = array
     return state
-
-
-def _ints(value, n: int | None = None) -> bool:
-    """Whether ``value`` is a list of ints (bools excluded), ``n`` of them
-    unless ``n`` is None."""
-    return (isinstance(value, list) and n in (None, len(value))
-            and all(type(v) is int for v in value))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .runfiles import open_npz
+from .runfiles import int_list, open_npz
 from .tensor_ops import EPS_NORM
 
 
@@ -91,8 +91,8 @@ class FeatureStore:
     """Per-scene and per-environment feature centroids (running means)."""
 
     def __init__(self, dim: int):
-        if dim < 1:
-            raise ValueError("feature dimension must be >= 1")
+        if not (isinstance(dim, int) and dim >= 1):
+            raise ValueError(f"dim: expected an int >= 1, got {dim!r}")
         self.dim = dim
         self.scenes, self.envs = CentroidTable(dim), CentroidTable(dim)
 
@@ -168,10 +168,13 @@ class FeatureStore:
             for kind, table in (("scene", store.scenes), ("env", store.envs)):
                 ids, counts = meta[f"{kind}_ids"], meta[f"{kind}_counts"]
                 sums = data[f"{kind}_sums"]
-                if len(counts) != len(ids) or sums.shape != (len(ids), store.dim):
-                    raise ValueError(f"{kind}_sums of shape {sums.shape} and "
-                                     f"{len(counts)} {kind}_counts do not fit "
-                                     f"{len(ids)} ids of dim {store.dim}")
+                if not (int_list(ids) and int_list(counts, len(ids))
+                        and len(set(ids)) == len(ids) and min(counts, default=1) >= 1
+                        and sums.shape == (len(ids), store.dim)):
+                    raise ValueError(
+                        f"{kind}_ids {ids}, {kind}_counts {counts} and {kind}_sums of "
+                        f"shape {sums.shape}: expected distinct int ids, each with an "
+                        f"int count >= 1 and a sum of dim {store.dim}")
                 table.sums = dict(zip(ids, sums))
                 table.counts = dict(zip(ids, counts))
         return store

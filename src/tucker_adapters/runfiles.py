@@ -21,11 +21,19 @@ def read_json(path: Path, expect: type):
     return value
 
 
+def int_list(value, n: int | None = None) -> bool:
+    """Whether ``value`` is a list of ints (bools excluded), ``n`` of them
+    unless ``n`` is None."""
+    return (isinstance(value, list) and n in (None, len(value))
+            and all(type(v) is int for v in value))
+
+
 @contextlib.contextmanager
 def open_npz(path: Path):
     """The npz archive ``path``, for a ``with`` block that reads its arrays
-    by name. A missing array, a damaged member and a ValueError raised in
-    the block are raised again as a ValueError naming ``path``."""
+    by name. A missing array, a damaged member and a ValueError, TypeError
+    or AttributeError raised in the block are raised again as a ValueError
+    naming ``path``."""
     try:
         archive = np.load(path, allow_pickle=False)
     except (EOFError, ValueError, zipfile.BadZipFile) as exc:
@@ -33,5 +41,6 @@ def open_npz(path: Path):
     with archive:
         try:
             yield archive
-        except (KeyError, ValueError, zipfile.BadZipFile) as exc:
+        except (KeyError, ValueError, TypeError, AttributeError,
+                zipfile.BadZipFile) as exc:
             raise ValueError(f"{path}: {exc}") from exc

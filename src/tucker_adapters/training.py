@@ -176,10 +176,10 @@ class StepPlan:
     ``theta`` holds every block of ``adapters`` (the blocks are views of it).
     ``kernel`` fixes each layer's selected rows and einsum operands and the
     views of ``grad`` the network pass writes; other experts' rows are never
-    written. ``trained`` is every slot the task trains: the shared span, then
-    the kernel's selected expert rows. ``snapshot`` is the previous task's
-    parameters when a term reads them; ``fisher`` and ``ewc_weight`` =
-    ``(2 lam1 F) F`` cover the leading ``layout.n_shared`` (shared) slots.
+    written. ``trained`` is ``layout.trained(adapters, sel)``, the slots the
+    task trains. ``snapshot`` is the previous task's parameters when a term
+    reads them; ``fisher`` and ``ewc_weight`` = ``(2 lam1 F) F`` cover the
+    leading ``layout.n_shared`` (shared) slots.
     """
 
     adapters: list[AdapterBase]
@@ -212,14 +212,13 @@ def build_plan(adapters: list[AdapterBase], sel: Selection,
     grad = np.zeros(layout.size)
     kernel = layer_kernels(adapters, sel, layout, grad)
     ewc = snapshot is not None and fisher is not None and cfg.lam1 != 0.0
-    trained, layer_terms = [slice(0, layout.n_shared)], []
+    trained = layout.trained(adapters, sel)
+    rows, layer_terms = iter(trained[1:]), []
     for l, (ad, ops, _) in enumerate(kernel):
         terms = LayerTerms()
         if ewc:
             terms.ewc = [layout.slots[l, name].span for name in ad.shared_names]
-        for (name, axis), row in zip(ad.expert_axes.items(), ops[0]):
-            slots = layout.slots[l, name].row(row)
-            trained.append(slots)
+        for (name, axis), row, slots in zip(ad.expert_axes.items(), ops[0], rows):
             if flags.get(axis, 0):
                 if snapshot is not None and cfg.lam2 != 0.0:
                     terms.consistency.append(slots)

@@ -1,6 +1,7 @@
 """Adapter zoo: deltas vs reconstruction oracles, parameter counts, trained
 rows, IO."""
 
+import copy
 import json
 import re
 
@@ -16,10 +17,13 @@ from tucker_adapters.adapters import (
     TUCKER_EXPERTS,
     AbcLoraAdapter,
     AdapterBase,
+    FlatLayout,
     LoraAdapter,
     Selection,
     SharedAMoeAdapter,
     TuckerAdapter,
+    audit_task,
+    block_key,
 )
 from tucker_adapters.config import ConfigError, ExperimentConfig
 from tucker_adapters.tensor_ops import contract_adapter, tucker_reconstruct
@@ -307,6 +311,55 @@ def test_mask_index_errors():
         ad.trainable_mask(Selection(scene=99, env=0))
     with pytest.raises(IndexError):
         ad.delta(Selection(scene=0, env=-1))
+
+
+# one bit pattern of a changed slot, before and after
+NAN_PAYLOADS = (0x7FF8000000000001, 0x7FF8000000000002)
+
+
+@settings(max_examples=150)
+@given(kind=st.sampled_from(sorted(ADAPTER_KINDS)),
+       dims=st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)),
+                     min_size=1, max_size=2),
+       ranks=st.lists(st.integers(1, 3), min_size=5, max_size=5),
+       rank=st.integers(1, 3), sel=st.builds(
+           Selection, scene=st.integers(0, 2), env=st.integers(0, 1),
+           instr=st.integers(0, 1), task=st.integers(0, 3)),
+       change=st.sampled_from(["-0.0", "nan payload", "+1.0"]), data=st.data())
+def test_audit_names_one_changed_slot(kind, dims, ranks, rank, sel, change, data):
+    """Changing one slot outside the slots ``sel`` trains, from +0.0 to -0.0,
+    to a NaN of another payload or by +1.0, makes the audit name its row
+    once; changing a trained slot is named nowhere, and by +1.0 it is the
+    only drift."""
+    cfg = ExperimentConfig(adapter_kind=kind, ranks=tuple(ranks), lora_rank=rank,
+                           moe_rank=rank, abc_rank_base=rank, abc_rank_mid=rank,
+                           n_scenes=3, n_envs=2, n_instr=2, n_tasks=4)
+    before = [ADAPTER_KINDS[kind].from_config(
+        cfg, a, b, lambda draw, l=l: np.random.default_rng([l, draw]))
+        for l, (a, b) in enumerate(dims)]
+    after = copy.deepcopy(before)
+    layout = FlatLayout.of(before)
+    old, new = layout.bind(before), layout.bind(after)
+    i = data.draw(st.integers(0, layout.size - 1), label="slot")
+    if change == "-0.0":
+        old[i], new[i] = 0.0, -0.0
+    elif change == "nan payload":
+        old.view(np.int64)[i], new.view(np.int64)[i] = NAN_PAYLOADS
+    else:
+        new[i] += 1.0
+    (l, name), slot = next((key, s) for key, s in layout.slots.items()
+                           if s.span.start <= i < s.span.stop)
+    ad, row = before[l], (i - slot.start) // int(np.prod(slot.shape[1:]))
+    key = f"{block_key(l, name)}[{row}]"
+    audit = audit_task(before, after, sel)
+    if name in ad.expert_axes and row != ad.expert_index(name, sel):
+        assert audit["frozen_changed"] == [key]
+        return
+    assert audit["frozen_changed"] == []
+    drift = {k: d for k, (d, _) in {**audit["shared"], **audit["experts"]}.items()}
+    moved = block_key(l, name) if name in ad.shared_names else key
+    if change == "+1.0":
+        assert drift.pop(moved) > 0.0 and not any(drift.values())
 
 
 @pytest.mark.parametrize("make", [

@@ -193,17 +193,23 @@ def _edit_json(key, value):
 
 
 def _edit_npz(key, change):
-    """Rewrite an npz with the array ``key`` changed by ``change``, or
-    deleted when ``change`` is None."""
+    """Rewrite an npz with the array ``key`` changed by ``change`` (called
+    with None where there is no such array), or deleted when ``change`` is
+    None."""
     def edit(path):
         with np.load(path) as data:
             arrays = dict(data)
         if change is None:
             del arrays[key]
         else:
-            arrays[key] = change(arrays[key])
+            arrays[key] = change(arrays.get(key))
         np.savez(path, **arrays)
     return edit
+
+
+def _edit_header(key, change):
+    """``_edit_npz`` of the JSON header ``key``, its value changed by ``change``."""
+    return _edit_npz(key, lambda a: np.array(json.dumps(change(json.loads(str(a))))))
 
 
 @pytest.mark.parametrize("name,damage,what", [
@@ -229,6 +235,22 @@ def _edit_npz(key, change):
                  "L0:core", id="fisher-missing-block"),
     pytest.param("store.npz", _edit_npz("scene_sums", lambda a: a[:-1]),
                  "scene_sums", id="store-row-short"),
+    pytest.param("adapter_L0.npz", _edit_header("__meta__", lambda m: {
+        **m, "kind": "tucker9"}), "tucker9", id="adapter-unknown-kind"),
+    pytest.param("adapter_L0.npz", _edit_header("__meta__", lambda m: {
+        k: v for k, v in m.items() if k != "kind"}), "kind", id="adapter-no-kind"),
+    pytest.param("adapter_L0.npz", _edit_npz("extra", lambda _: np.zeros(1)),
+                 "extra", id="adapter-extra-array"),
+    pytest.param("adapter_L1.npz", _edit_header("__meta__", lambda m: [1]),
+                 "__meta__", id="adapter-header-a-list"),
+    pytest.param("store.npz", _edit_header("meta", lambda m: {**m, "dim": "3"}),
+                 "dim", id="store-dim-a-string"),
+    pytest.param("store.npz", _edit_header("meta", lambda m: {
+        **m, "scene_ids": ["a", *m["scene_ids"][1:]]}), "scene_ids",
+                 id="store-id-a-string"),
+    pytest.param("store.npz", _edit_header("meta", lambda m: {
+        **m, "env_counts": [0, *m["env_counts"][1:]]}), "env_counts",
+                 id="store-count-zero"),
 ])
 def test_damaged_checkpoint_named_exit_code_2(finished_run, tmp_path, capsys,
                                               name, damage, what):

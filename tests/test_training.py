@@ -582,7 +582,7 @@ def test_in_place_delta_backward_equals_dict_form(kind, layer, scene, env, instr
             continue
         row = ad.expert_index(name, sel)
         assert out[name][row].tobytes() == grad[row].tobytes(), name
-        others = [i for i in range(grad.shape[0]) if i != row]
+        others = np.arange(grad.shape[0]) != row
         assert out[name][others].tobytes() == old[block_key(0, name)][others].tobytes()
         assert not np.any(grad[others])
 
