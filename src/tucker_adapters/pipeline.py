@@ -288,8 +288,17 @@ def load_state(cfg: ExperimentConfig, directory: str | Path,
         if adapters[-1].kind != cfg.adapter_kind:
             raise ValueError(f"checkpoint {path} holds a {adapters[-1].kind!r} "
                              f"adapter, the config asks for {cfg.adapter_kind!r}")
+    store_file = directory / "store.npz"
     state = LifelongState(cfg=cfg, adapters=adapters,
-                          store=FeatureStore.load(directory / "store.npz"))
+                          store=FeatureStore.load(store_file))
+    # train_task adds one feature per trained pair, so the store holds
+    # exactly the scenes and envs of pair_to_task
+    trained = {"scene": {s for s, _ in pair_to_task}, "env": {e for _, e in pair_to_task}}
+    for kind, table in (("scene", state.store.scenes), ("env", state.store.envs)):
+        if set(table.counts) != trained[kind]:
+            raise ValueError(
+                f"{store_file}: {kind}_ids: expected the {kind}s of the trained "
+                f"pairs {sorted(trained[kind])}, got {sorted(table.counts)}")
     state.pair_to_task = pair_to_task
     state.seen_instr = set(instr)
     layout = FlatLayout.of(adapters)

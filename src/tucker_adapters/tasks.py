@@ -140,30 +140,39 @@ class World:
         n_q = max(cfg.n_instr, 1)
         self.instr_offsets = _orthonormal_rows(rng, n_q, cfg.d_f)
 
-        def perturbation(scale: float) -> list[np.ndarray]:
-            return [_low_rank(rng, dims, cfg.teacher_rank, scale)
-                    for dims in self.backbone.layer_dims]
+        def factors() -> list[tuple[np.ndarray, np.ndarray]]:
+            return [(rng.standard_normal((a, cfg.teacher_rank)),
+                     rng.standard_normal((cfg.teacher_rank, b)))
+                    for a, b in self.backbone.layer_dims]
 
-        self.teacher_shared = perturbation(cfg.teacher_shared_scale)
-        self.teacher_scene = [perturbation(cfg.teacher_scene_scale)
-                              for _ in range(cfg.n_scenes)]
-        self.teacher_env = [perturbation(cfg.teacher_env_scale)
-                            for _ in range(cfg.n_envs)]
-        self.teacher_instr = [perturbation(cfg.teacher_instr_scale)
-                              for _ in range(n_q)]
+        # each teacher perturbation is kept as the rank-r factors (u, v) of
+        # its layers, r (a + b) floats instead of a b, and expanded only when
+        # a scenario's teacher is built. Part -> one factor list per index
+        self.teacher_factors = {
+            "shared": [factors()],
+            "scene": [factors() for _ in range(cfg.n_scenes)],
+            "env": [factors() for _ in range(cfg.n_envs)],
+            "instr": [factors() for _ in range(n_q)]}
         # the (scene, env, instr) key last labelled and its teacher, the
         # backbone with the teacher's delta added. Every caller labels one
         # scenario's chunks in a row, so the entry is rebuilt once per task
         # and memory does not grow with the scenarios a run has seen
         self._teacher_key, self._teacher = None, None
 
+    def teacher_perturbation(self, part: str, index: int) -> list[np.ndarray]:
+        """Per-layer dense matrices of one perturbation: ``part`` is
+        "shared", "scene", "env" or "instr"."""
+        scale = getattr(self.cfg, f"teacher_{part}_scale")
+        return [_low_rank(u, v, scale) for u, v in self.teacher_factors[part][index]]
+
     def teacher_deltas(self, scene: int, env: int,
                        instr: int | None = None) -> list[np.ndarray]:
-        deltas = [sh + sc + en for sh, sc, en in
-                  zip(self.teacher_shared, self.teacher_scene[scene],
-                      self.teacher_env[env])]
+        parts = [("shared", 0), ("scene", scene), ("env", env)]
         if self.cfg.n_instr > 0 and instr is not None:
-            deltas = [d + q for d, q in zip(deltas, self.teacher_instr[instr])]
+            parts.append(("instr", instr))
+        deltas = self.teacher_perturbation(*parts[0])
+        for part in parts[1:]:   # summed left to right: shared + scene + env + instr
+            deltas = [d + p for d, p in zip(deltas, self.teacher_perturbation(*part))]
         return deltas
 
     def teacher_actions(self, scene: int, env: int, instr: int | None,
@@ -184,13 +193,11 @@ def _orthonormal_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     return q.T.copy()
 
 
-def _low_rank(rng: np.random.Generator, dims: tuple[int, int], rank: int,
-              scale: float) -> np.ndarray:
-    a, b = dims
-    u = rng.standard_normal((a, rank))
-    v = rng.standard_normal((rank, b))
-    m = u @ v
-    return scale * np.sqrt(2.0 / b) * m / np.sqrt(rank * a)
+def _low_rank(u: np.ndarray, v: np.ndarray, scale: float) -> np.ndarray:
+    """The dense (a, b) perturbation of factors u (a, rank) and v (rank, b),
+    evaluated in this order: reassociating it changes the bits."""
+    (a, rank), b = u.shape, v.shape[1]
+    return scale * np.sqrt(2.0 / b) * (u @ v) / np.sqrt(rank * a)
 
 
 def gen_stream(n_scenes: int, n_envs: int, n_tasks: int, seed: int,

@@ -5,7 +5,9 @@ Every file must parse, name only the workloads and metrics ``BENCHMARK.json``
 defines, and give each side of each end-to-end metric a median and
 quartiles, so that a speed claim can be read back from the file alone. The
 median, quartiles and wins must be those of the runs the file lists, the
-change may fail no operation, and its outputs must equal the parent's.
+change may fail no operation, and its outputs must equal the parent's. A
+file that records a ``claim`` must show it: the change wins at least 9 in
+10 pairs on the claimed metric, by more than the parent's quartile spread.
 """
 
 import json
@@ -58,6 +60,25 @@ def test_bench_file_holds_benchmark_workloads_and_metrics(path):
         for layer, values in workload.get("layers", {}).items():
             assert layer in PER_LAYER, layer
             assert set(values) == set(SIDES)
+
+
+CLAIMS = [path for path in TRAIL if "claim" in json.loads(path.read_text())]
+
+
+@pytest.mark.parametrize("path", CLAIMS, ids=lambda p: p.name)
+def test_a_claimed_gain_wins_its_pairs(path):
+    """The claimed workload and metric hold at least 10 pairs; the change
+    wins at least 9 in 10 of them, and its median is better than the
+    parent's by more than the parent's interquartile range."""
+    bench = json.loads(path.read_text())
+    claim = bench["claim"]
+    entry = bench["workloads"][claim["workload"]]["metrics"][claim["metric"]]
+    pairs = len(entry["parent"]["runs"])
+    assert pairs >= 10 and 10 * entry["wins"] >= 9 * pairs, (pairs, entry["wins"])
+    sign = 1 if entry["better"] == "higher" else -1
+    parent, change = entry["parent"], entry["change"]
+    gain = sign * (change["median"] - parent["median"])
+    assert gain > parent["q3"] - parent["q1"], (gain, parent["q1"], parent["q3"])
 
 
 TIMED = [(path, key) for path in TRAIL

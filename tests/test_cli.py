@@ -251,6 +251,15 @@ def _edit_header(key, change):
     pytest.param("store.npz", _edit_header("meta", lambda m: {
         **m, "env_counts": [0, *m["env_counts"][1:]]}), "env_counts",
                  id="store-count-zero"),
+    pytest.param("store.npz", _edit_header("meta", lambda m: {
+        **m, "scene_ids": [s + 7 for s in m["scene_ids"]]}), "scene_ids",
+                 id="store-scene-shifted"),
+    pytest.param("store.npz", _edit_header("meta", lambda m: {
+        **m, "scene_ids": [(s + 1) % 3 for s in m["scene_ids"]]}), "scene_ids",
+                 id="store-scene-untrained"),
+    pytest.param("store.npz", _edit_header("meta", lambda m: {
+        **m, "env_ids": [*m["env_ids"][:-1], 2]}), "env_ids",
+                 id="store-env-untrained"),
 ])
 def test_damaged_checkpoint_named_exit_code_2(finished_run, tmp_path, capsys,
                                               name, damage, what):

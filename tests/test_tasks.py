@@ -155,7 +155,9 @@ def test_world_draw_order_matches_reference():
     """Every teacher array comes from one ``default_rng([seed, 11])`` in a
     fixed order: the backbone, the scene, environment and instruction bases,
     then the shared, per-scene, per-environment and per-instruction
-    perturbations, each layer by layer."""
+    perturbations, each layer by layer. The world keeps each perturbation as
+    its factors; expanded, each is byte for byte the dense reference, and so
+    is every scenario's teacher delta, summed shared + scene + env + instr."""
     cfg = WorldConfig(seed=9, d_f=8, hidden=6, n_scenes=3, n_envs=2, n_instr=2,
                       scene_scale=1.7, env_scale=0.9,
                       teacher_rank=2, teacher_shared_scale=0.7,
@@ -177,21 +179,46 @@ def test_world_draw_order_matches_reference():
             out.append(scale * np.sqrt(2.0 / b) * m / np.sqrt(2 * a))
         return out
 
-    expected = [[w1, w2], bases, low_rank(0.7),
-                [low_rank(1.1) for _ in range(cfg.n_scenes)],
-                [low_rank(1.3) for _ in range(cfg.n_envs)],
-                [low_rank(0.2) for _ in range(cfg.n_instr)]]
-    actual = [world.backbone.weights,
-              [world.scene_centers, world.env_offsets, world.instr_offsets],
-              world.teacher_shared, world.teacher_scene, world.teacher_env,
-              world.teacher_instr]
+    counts = {"shared": 1, "scene": cfg.n_scenes, "env": cfg.n_envs,
+              "instr": cfg.n_instr}
+    scales = {"shared": 0.7, "scene": 1.1, "env": 1.3, "instr": 0.2}
+    reference = {part: [low_rank(scales[part]) for _ in range(n)]
+                 for part, n in counts.items()}
+    assert all(np.array_equal(e, a) for e, a in zip(
+        [w1, w2, *bases], [*world.backbone.weights, world.scene_centers,
+                           world.env_offsets, world.instr_offsets], strict=True))
 
-    def flat(xs):
-        return [y for x in xs for y in (flat(x) if isinstance(x, list) else [x])]
+    def same_bytes(expected, actual):
+        return len(expected) == len(actual) and all(
+            e.shape == a.shape and e.tobytes() == a.tobytes()
+            for e, a in zip(expected, actual))
 
-    pairs = list(zip(flat(expected), flat(actual), strict=True))
-    assert len(pairs) == 2 + 3 + 2 * (1 + 3 + 2 + 2)
-    assert all(np.array_equal(e, a) for e, a in pairs)
+    assert all(same_bytes(reference[part][i], world.teacher_perturbation(part, i))
+               for part, n in counts.items() for i in range(n))
+    keys = [(s, e, q) for s in range(cfg.n_scenes) for e in range(cfg.n_envs)
+            for q in (None, *range(cfg.n_instr))]
+    for s, e, q in keys:
+        parts = [reference["shared"][0], reference["scene"][s], reference["env"][e]]
+        if q is not None:
+            parts.append(reference["instr"][q])
+        expected = [sum(layer[1:], layer[0]) for layer in zip(*parts)]
+        assert same_bytes(expected, world.teacher_deltas(s, e, q)), (s, e, q)
+
+
+def test_the_world_keeps_its_teacher_as_factors():
+    """A world with 32 scenes and 32 environments keeps its 66 teacher
+    perturbations as rank-2 factors: under 1 MB, where dense matrices would
+    take about 4.5 MB (66 x 67.6 KB)."""
+    World(WorldConfig(n_scenes=1, n_envs=1))   # numpy's first calls allocate caches
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        world = World(WorldConfig(n_scenes=32, n_envs=32))
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 1 << 20, kept
+    assert sum(map(len, world.teacher_factors.values())) == 66
 
 
 # ---------------------------------------------------------------------------
