@@ -13,6 +13,7 @@ import hashlib
 import json
 import numbers
 import os
+import pickle
 import types
 import typing
 from dataclasses import dataclass
@@ -114,11 +115,83 @@ def available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def write_atomic(path: Path, text: str) -> None:
-    """Replace ``path`` by a file holding ``text``; an interruption leaves
-    the old file or the new one, never a part."""
+def forked_map(fn, items: list) -> list:
+    """``[fn(item) for item in items]`` on every CPU this process may use.
+
+    The items are cut into one contiguous share per CPU. This process maps
+    the first share, and one ``os.fork`` child per further CPU maps each
+    other share, pickles its results, or the exception that stopped it,
+    back through a pipe and leaves with ``os._exit``. The shares are joined
+    in item order and a child's exception is raised again unchanged, so the
+    first failing item's error is raised as in the serial loop. Every child
+    is reaped before the call returns or raises, and any still running when
+    this process fails is killed first. A forked child reads ``fn``'s loaded
+    state in place, so nothing but results is pickled. Serial without
+    ``os.fork`` or an affinity set, with one CPU or with one item.
+    """
+    can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    n = max(1, min(len(items), available_cpus() if can_fork else 1))
+    cuts = [len(items) * k // n for k in range(n + 1)]
+    shares = [items[a:b] for a, b in zip(cuts, cuts[1:])]
+    children = {}   # pid -> the read end of its pipe, until it is reaped
+    try:
+        for share in shares[1:]:
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _map_share_and_exit(fn, share, read, write)
+            os.close(write)
+            children[pid] = os.fdopen(read, "rb")
+        results = [fn(item) for item in shares[0]]
+        for pid, pipe in list(children.items()):
+            with pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            if code != 0:   # it exits 0 only once its result is written
+                how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+                raise ChildProcessError(
+                    f"worker process {pid} ended without a result ({how})")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results += value
+        return results
+    finally:
+        if children:
+            import signal   # imported here: no other path pays for it
+            for pid, pipe in children.items():
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _map_share_and_exit(fn, share: list, read: int, write: int):
+    """The forked child of `forked_map`: maps ``share``, writes the
+    pickled ``(True, results)`` or ``(False, exception)`` to ``write`` and
+    exits, 0 once all of it is written; it never returns."""
+    code = 1
+    try:
+        os.close(read)
+        try:
+            payload = True, [fn(item) for item in share]
+        except BaseException as exc:
+            payload = False, exc
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(pickle.dumps(payload))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def write_atomic(path: Path, data: str | bytes) -> None:
+    """Replace ``path`` by a file holding ``data``, text or bytes; an
+    interruption leaves the old file or the new one, never a part."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
+    if isinstance(data, str):
+        tmp.write_text(data)
+    else:
+        tmp.write_bytes(data)
     os.replace(tmp, path)
 
 

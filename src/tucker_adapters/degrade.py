@@ -25,9 +25,15 @@ and a per-channel color shift.
 
 All operators are deterministic per seed and map [0,1] images into [0,1].
 Images are float64 arrays of shape (H, W, 3); depth maps are float64 (H, W)
-in meters. ``degrade_directory`` runs a directory's images concurrently, one
-per CPU available to the process, and writes the bytes and manifest a serial
-run would; a failing image skips those not yet begun and writes no manifest.
+in meters. ``degrade_directory`` maps a directory's images over
+``config.forked_map``, one contiguous share per CPU available to the
+process, and writes the bytes and manifest a serial run would. The first
+failing image's error is raised unchanged and no manifest is written; the
+images before it in its share are written whole, and a share still running
+is killed, which can leave a ``.tmp`` file but never a part under an
+image's name. A warning raised in a forked child, such as that of a missing
+depth map, goes to that child's stderr under the filters it inherited; a
+caller that records warnings does not see it.
 
 Memory: an image in flight holds its input, its output and at most one
 full-size filter buffer (the denoise ``uniform_filter`` output, or the bloom
@@ -41,16 +47,14 @@ depend on the block size.
 from __future__ import annotations
 
 import json
-import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 from scipy.ndimage import gaussian_filter, uniform_filter
 
-from .config import ConfigError, available_cpus, check_ranges, write_atomic
+from .config import ConfigError, check_ranges, forked_map, write_atomic
 
 
 class _Params:
@@ -290,9 +294,8 @@ def _write_pnm(path: str | Path, magic: str, samples: np.ndarray) -> None:
     maxval, _, dtype = _PNM[magic]
     data = np.round(samples, out=samples).astype(dtype)
     h, w = samples.shape[:2]
-    with open(path, "wb") as fh:
-        fh.write(f"{magic}\n{w} {h}\n{maxval}\n".encode())
-        fh.write(data)
+    header = f"{magic}\n{w} {h}\n{maxval}\n".encode()
+    write_atomic(Path(path), b"".join((header, data)))
 
 
 def save_image(path: str | Path, img: np.ndarray) -> None:
@@ -354,38 +357,28 @@ def degrade_directory(mode: str, input_dir: str | Path, output_dir: str | Path,
     if not images:
         raise FileNotFoundError(f"no .ppm images under {input_dir}")
     output_dir.mkdir(parents=True, exist_ok=True)
-    stop = threading.Event()
-
     # calls IO and operators by their module-global names: wrappers see them
-    def degrade_one(idx: int, src: Path) -> dict | None:
-        if stop.is_set():
-            return None
-        try:
-            img = load_image(src)
-            if mode == "scattering":
-                pgm = None if depth_dir is None else Path(depth_dir) / f"{src.stem}.pgm"
-                out = scatter(img, load_depth(pgm) if pgm and pgm.exists() else None,
-                              params)
-                image_params = params
-            else:
-                image_params = replace(params, seed=_image_seed(seed, idx))
-                out = (low_light(img, image_params) if mode == "lowlight"
-                       else overexpose(img, image_params))
-            del img  # save_image's buffer takes the input's place
-            save_image(output_dir / src.name, out)
-        except BaseException:
-            stop.set()
-            raise
+    def degrade_one(item: tuple[int, Path]) -> dict:
+        idx, src = item
+        img = load_image(src)
+        if mode == "scattering":
+            pgm = None if depth_dir is None else Path(depth_dir) / f"{src.stem}.pgm"
+            depth = load_depth(pgm) if pgm and pgm.exists() else None
+            if depth is not None and depth.shape != img.shape[:2]:
+                raise ValueError(f"{pgm}: depth shape {depth.shape} does not "
+                                 f"match image {src} {img.shape[:2]}")
+            out = scatter(img, depth, params)
+            image_params = params
+        else:
+            image_params = replace(params, seed=_image_seed(seed, idx))
+            out = (low_light(img, image_params) if mode == "lowlight"
+                   else overexpose(img, image_params))
+        del img  # save_image's buffer takes the input's place
+        save_image(output_dir / src.name, out)
         return {"input": str(src), "output": str(output_dir / src.name),
                 "mode": mode, "params": asdict(image_params)}
 
-    with ThreadPoolExecutor(min(len(images), available_cpus())) as pool:
-        futures = [pool.submit(degrade_one, i, src) for i, src in enumerate(images)]
-        try:
-            # a failed image began before any skipped one (None): its error is first
-            entries = [future.result() for future in futures]
-        finally:
-            stop.set()
+    entries = forked_map(degrade_one, list(enumerate(images)))
     manifest = {"mode": mode, "seed": seed, "count": len(entries),
                 "images": entries}
     write_atomic(output_dir / "manifest.json", json.dumps(manifest, indent=2))

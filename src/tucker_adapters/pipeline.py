@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import functools
 import json
-import os
-import pickle
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -28,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .adapters import ADAPTER_KINDS, AdapterBase, FlatLayout, Selection
-from .config import ExperimentConfig, available_cpus, check_field, write_atomic
+from .config import ExperimentConfig, check_field, forked_map, write_atomic
 from .metrics import EpisodeRecord, TaskScore, path_length, score_task
 from .retrieval import FeatureStore
 from .runfiles import int_list, open_npz, read_json
@@ -369,7 +367,7 @@ def run_training(cfg: ExperimentConfig, run_dir: str | Path,
     reference value, and first every sealed task missing from
     ``reference.json``, because it was trained without evaluation or the
     file was corrupted, is scored from its own checkpoint, on up to one
-    process per available CPU (see `_forked_map`).
+    process per available CPU (see `config.forked_map`).
     """
     world, stream = open_run(cfg, run_dir, train=True)
     layout = run_dir_layout(run_dir)
@@ -389,7 +387,7 @@ def run_training(cfg: ExperimentConfig, run_dir: str | Path,
             layout["reference"], "the missing tasks are rebuilt from their checkpoints")
         missing = [t for t in range(completed) if str(t) not in reference]
         if missing:
-            entries = _forked_map(lambda t: _reference_entry(stream[t], evaluate_task(
+            entries = forked_map(lambda t: _reference_entry(stream[t], evaluate_task(
                 world, load_state(cfg, task_dir(run_dir, t), n_layers), stream[t],
                 cfg.test_episodes)), missing)
             for t, entry in zip(missing, entries):
@@ -502,89 +500,20 @@ def run_eval(cfg: ExperimentConfig, run_dir: str | Path,
     """Score every task's held-out episodes with the final checkpoint.
 
     The tasks are independent once the state is loaded, so they are scored
-    on up to one process per available CPU (see `_forked_map`); each score
-    is bitwise the serial one. Reference values cached by training (or
+    on up to one process per available CPU (see `config.forked_map`); each
+    score is bitwise the serial one. Reference values cached by training (or
     `run_reference`) are attached so forgetting rates can be reported.
     """
     world, stream, state = final_state(cfg, run_dir)
     reference = _load_reference(run_dir_layout(run_dir)["reference"],
                                 "eval reports without reference values")
-    scores = _forked_map(lambda task: evaluate_task(
+    scores = forked_map(lambda task: evaluate_task(
         world, state, task, cfg.test_episodes, oracle_ids=oracle_ids), stream)
     for task, score in zip(stream, scores):
         ref = reference.get(str(task.index))
         if ref is not None:
             score.m_sr, score.m_spl, score.m_osr = ref["sr"], ref["spl"], ref["osr"]
     return scores
-
-
-def _forked_map(fn, items: list) -> list:
-    """``[fn(item) for item in items]`` on every CPU this process may use.
-
-    The items are cut into one contiguous share per CPU. This process maps
-    the first share, and one ``os.fork`` child per further CPU maps each
-    other share, pickles its results, or the exception that stopped it,
-    back through a pipe and leaves with ``os._exit``. The shares are joined
-    in item order and a child's exception is raised again unchanged, so the
-    first failing item's error is raised as in the serial loop. Every child
-    is reaped before the call returns or raises, and any still running when
-    this process fails is killed first. A forked child reads ``fn``'s loaded
-    state in place, so nothing but results is pickled. Serial without
-    ``os.fork`` or an affinity set, with one CPU or with one item.
-    """
-    can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-    n = max(1, min(len(items), available_cpus() if can_fork else 1))
-    cuts = [len(items) * k // n for k in range(n + 1)]
-    shares = [items[a:b] for a, b in zip(cuts, cuts[1:])]
-    children = {}   # pid -> the read end of its pipe, until it is reaped
-    try:
-        for share in shares[1:]:
-            read, write = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _map_share_and_exit(fn, share, read, write)
-            os.close(write)
-            children[pid] = os.fdopen(read, "rb")
-        results = [fn(item) for item in shares[0]]
-        for pid, pipe in list(children.items()):
-            with pipe:
-                data = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[pid]
-            if code != 0:   # it exits 0 only once its result is written
-                how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-                raise ChildProcessError(
-                    f"worker process {pid} ended without a result ({how})")
-            ok, value = pickle.loads(data)
-            if not ok:
-                raise value
-            results += value
-        return results
-    finally:
-        if children:
-            import signal   # imported here: no other path pays for it
-            for pid, pipe in children.items():
-                pipe.close()
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-
-
-def _map_share_and_exit(fn, share: list, read: int, write: int):
-    """The forked child of `_forked_map`: maps ``share``, writes the
-    pickled ``(True, results)`` or ``(False, exception)`` to ``write`` and
-    exits, 0 once all of it is written; it never returns."""
-    code = 1
-    try:
-        os.close(read)
-        try:
-            payload = True, [fn(item) for item in share]
-        except BaseException as exc:
-            payload = False, exc
-        with os.fdopen(write, "wb") as pipe:
-            pipe.write(pickle.dumps(payload))
-        code = 0
-    finally:
-        os._exit(code)
 
 
 def run_reference(cfg: ExperimentConfig, run_dir: str | Path,

@@ -1,6 +1,8 @@
 """Shared pytest set-up: property tests draw the same examples on every run,
-with no per-example deadline, so that a slow host cannot fail them; and no
-test may leave a child process behind."""
+with no per-example deadline, so that a slow host cannot fail them; no test
+may leave a child process behind; and the ``forks`` fixture counts the
+workers of `config.forked_map`, the one fan-out that eval, the reference
+rebuild, degrade and acceptance criterion 5 share."""
 
 import os
 import signal
@@ -16,7 +18,7 @@ settings.load_profile("repeatable")
 @pytest.fixture(autouse=True)
 def no_child_process_left():
     """Fail a test that leaves a child process running or unreaped, as a
-    forked worker of `pipeline._forked_map` would."""
+    forked worker of `config.forked_map` would."""
     yield
     try:
         os.waitpid(-1, os.WNOHANG)
@@ -28,3 +30,17 @@ def no_child_process_left():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     pytest.fail("the test left a child process running or unreaped")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of every ``os.fork`` this process makes during the test."""
+    fork, pids = os.fork, []
+
+    def counted_fork():
+        pid = fork()
+        pids.append(pid)   # in the child the list is its own copy
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return pids

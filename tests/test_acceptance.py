@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines. Criterion 5 trains 3 seeds x 2 methods x 20 tasks, one contiguous
-share of its six runs per CPU the process may use (`pipeline._forked_map`),
+share of its six runs per CPU the process may use (`config.forked_map`),
 and dominates the runtime: about 29 s on two cores. Everything else
 finishes in seconds.
 """
@@ -26,7 +26,7 @@ from tucker_adapters.adapters import (
     audit_task,
     block_key,
 )
-from tucker_adapters.config import ExperimentConfig
+from tucker_adapters.config import ExperimentConfig, forked_map
 from tucker_adapters.degrade import (
     LowLightParams,
     OverexposeParams,
@@ -43,7 +43,6 @@ from tucker_adapters.metrics import (
     success_rate,
 )
 from tucker_adapters.pipeline import (
-    _forked_map,
     final_state,
     init_state,
     run_eval,
@@ -224,17 +223,18 @@ def _train_and_aggregate(cfg, run_dir):
 
 @criterion(5, "forgetting ordering across 3 seeds")
 def test_c5_forgetting_ordering(tmp_path):
-    """The six independent (method, seed) runs are mapped by the pipeline's
-    `_forked_map`, one contiguous share per CPU the process may use: on two
-    CPUs this process runs tucker 1, seq 1 and tucker 2, and one forked
-    child seq 2, tucker 3 and seq 3. One CPU runs them one after another."""
+    """The six independent (method, seed) runs are mapped by
+    `config.forked_map`, the fan-out eval uses, one contiguous share per CPU
+    the process may use: on two CPUs this process runs tucker 1, seq 1 and
+    tucker 2, and one forked child seq 2, tucker 3 and seq 3. One CPU runs
+    them one after another."""
     configs = {}
     for seed in (1, 2, 3):
         configs["tucker", seed] = ExperimentConfig(adapter_kind="tucker4", seed=seed)
         configs["seq", seed] = ExperimentConfig(adapter_kind="lora", lam1=0.0,
                                                 lam2=0.0, lam3=0.0, seed=seed)
     keys = list(configs)
-    results = dict(zip(keys, _forked_map(lambda key: _train_and_aggregate(
+    results = dict(zip(keys, forked_map(lambda key: _train_and_aggregate(
         configs[key], tmp_path / f"{key[0]}_{key[1]}"), keys)))
     for seed in (1, 2, 3):
         sr_t, f_t = results["tucker", seed]

@@ -24,6 +24,7 @@ from tucker_adapters.degrade import (
     OverexposeParams,
     ScatterParams,
     load_image,
+    save_depth,
     save_image,
 )
 
@@ -354,6 +355,21 @@ def test_degrade_vector_override(out_root, tmp_path):
     assert code == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["images"][0]["params"]["color_shift"] == [1.0, 1.0, 1.0]
+
+
+def test_degrade_depth_of_the_wrong_shape_names_its_file(out_root, tmp_path,
+                                                        capsys):
+    src, dep, out = tmp_path / "in", tmp_path / "depth", tmp_path / "out"
+    src.mkdir(), dep.mkdir()
+    save_image(src / "a.ppm", np.full((9, 14, 3), 0.5))
+    save_depth(dep / "a.pgm", np.ones((8, 14)))
+    code = main(["degrade", "--mode", "scattering", "--input", str(src),
+                 "--output", str(out), "--depth-dir", str(dep)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {dep / 'a.pgm'}: depth shape (8, 14) does not match image "
+        f"{src / 'a.ppm'} (9, 14)\n")
+    assert not (out / "manifest.json").exists()
 
 
 def test_report_missing_scores_exit_code_2(out_root, tmp_path, capsys):

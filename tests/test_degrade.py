@@ -1,5 +1,5 @@
 """Degradation operators: identities, bounds, determinism, byte equality
-with the out-of-place reference, per-call memory, PNM IO and the concurrent
+with the out-of-place reference, per-call memory, PNM IO and the forked
 batch."""
 
 import dataclasses
@@ -9,6 +9,7 @@ import os
 import re
 import tracemalloc
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -536,13 +537,17 @@ def written(out):
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
 
-@pytest.mark.parametrize("cpus", [None, {0}, set(range(8)), "no affinity call"])
+@pytest.mark.parametrize("cpus", [None, {0}, set(range(8)), "no affinity call",
+                                  {0, 1, 2}])
 @pytest.mark.parametrize("mode", sorted(MODE_DEFAULTS))
 def test_degrade_directory_writes_the_serial_loop_bytes(tmp_path, monkeypatch,
-                                                        mode, cpus):
+                                                        forks, mode, cpus):
     """Files and manifest equal the serial reference loop's, with the CPUs
     the process may use left as they are, cut to one, raised above the
-    image count, or unknown to the platform."""
+    image count, unknown to the platform, or three; each CPU after the
+    first forks one worker, up to one per image."""
+    n_forks = 0 if cpus == "no affinity call" else min(
+        6, len(cpus or os.sched_getaffinity(0))) - 1
     if cpus == "no affinity call":
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     elif cpus is not None:
@@ -559,24 +564,47 @@ def test_degrade_directory_writes_the_serial_loop_bytes(tmp_path, monkeypatch,
     assert manifest == want_manifest
     assert written(out) == want
     assert json.loads(want["manifest.json"])["count"] == 6
+    assert len(forks) == n_forks
 
 
-@pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+@pytest.mark.parametrize("cpus,bad_view,exactly", [
+    ({0}, 2, {0, 1}), ({0, 1}, 2, None), ({0, 1}, 4, {0, 1, 2, 3})],
+    ids=["cpus0", "cpus1", "in a child's share"])
 def test_degrade_directory_stops_at_a_truncated_image(tmp_path, monkeypatch,
-                                                      cpus):
-    """A truncated third image raises its PnmError, whether or not another
-    image is in flight, and no manifest is written. With one CPU, as in the
-    serial loop, no image after it is written."""
+                                                      cpus, bad_view, exactly):
+    """A truncated image raises its PnmError, whether it falls in this
+    process's share of the six or in a forked child's, and no manifest is
+    written. The images before it in its share are written whole; with one
+    CPU, or in the last share, as in the serial loop, no image after it is
+    written. A share killed partway leaves no part under an image's name."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
     src, _ = six_image_directory(tmp_path)
-    bad = src / "view2.ppm"
+    degrade_directory("lowlight", src, tmp_path / "whole", seed=1)
+    whole = written(tmp_path / "whole")
+    bad = src / f"view{bad_view}.ppm"
     bad.write_bytes(bad.read_bytes()[:-10])
     out = tmp_path / "out"
     with pytest.raises(PnmError, match=re.escape(str(bad))):
         degrade_directory("lowlight", src, out, seed=1)
     assert not (out / "manifest.json").exists()
-    names = {p.name for p in out.iterdir()}
-    assert {"view0.ppm", "view1.ppm"} <= names and "view2.ppm" not in names
-    if len(cpus) == 1:
-        assert names == {"view0.ppm", "view1.ppm"}
+    images = {p.name: p.read_bytes() for p in out.glob("*.ppm")}
+    assert {p: whole[p] for p in images} == images
+    assert {"view0.ppm", "view1.ppm"} <= set(images) and bad.name not in images
+    if exactly is not None:
+        assert {p.name for p in out.iterdir()} == {f"view{i}.ppm" for i in exactly}
 
+
+def test_an_interrupted_write_leaves_no_part_under_the_images_name(
+        tmp_path, monkeypatch, img):
+    """PNM files are written under a temporary name and renamed into place:
+    a write that raises partway leaves no file under the image's name."""
+    write_bytes = Path.write_bytes
+
+    def cut_short(path, data):
+        write_bytes(path, data[:len(data) // 2])
+        raise OSError(f"cut short: {path.name}")
+
+    monkeypatch.setattr(Path, "write_bytes", cut_short)
+    with pytest.raises(OSError, match="cut short"):
+        save_image(tmp_path / "a.ppm", img)
+    assert [p.name for p in tmp_path.iterdir()] == ["a.ppm.tmp"]

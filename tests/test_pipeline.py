@@ -1,6 +1,7 @@
 """End-to-end pipeline contracts: determinism, resume, reference semantics,
 expert isolation, and consolidation orderings."""
 
+import ast
 import dataclasses
 import json
 import math
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from tucker_adapters import pipeline
+from tucker_adapters import config, pipeline
 from tucker_adapters.adapters import (
     ADAPTER_KINDS,
     AdapterBase,
@@ -635,20 +636,6 @@ def score_bits(scores):
     return [[repr(v) for v in dataclasses.astuple(s)] for s in scores]
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids of every ``os.fork`` this process makes during the test."""
-    fork, pids = os.fork, []
-
-    def counted_fork():
-        pid = fork()
-        pids.append(pid)   # in the child the list is its own copy
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted_fork)
-    return pids
-
-
 @pytest.mark.parametrize("oracle_ids", [False, True])
 @pytest.mark.parametrize("n_tasks", [1, 2, 3])
 def test_forked_scores_are_bitwise_the_serial_ones(finished_runs, monkeypatch,
@@ -656,10 +643,10 @@ def test_forked_scores_are_bitwise_the_serial_ones(finished_runs, monkeypatch,
     """Three CPUs fork one worker per task after the first; the host's own
     CPU count and one CPU, the serial loop, give the same bits."""
     cfg, run_dir = finished_runs[n_tasks]
-    monkeypatch.setattr(pipeline, "available_cpus", lambda: 3)
+    monkeypatch.setattr(config, "available_cpus", lambda: 3)
     forked = run_eval(cfg, run_dir, oracle_ids=oracle_ids)
     assert len(forks) == n_tasks - 1
-    monkeypatch.setattr(pipeline, "available_cpus", lambda: 1)
+    monkeypatch.setattr(config, "available_cpus", lambda: 1)
     serial = run_eval(cfg, run_dir, oracle_ids=oracle_ids)
     assert len(forks) == n_tasks - 1
     monkeypatch.undo()
@@ -680,7 +667,7 @@ def test_forked_reference_rebuild_is_bitwise_the_serial_one(tmp_path, monkeypatc
     written = []
     for cpus in (1, 2, 3):
         (run_dir / "reference.json").unlink(missing_ok=True)
-        monkeypatch.setattr(pipeline, "available_cpus", lambda n=cpus: n)
+        monkeypatch.setattr(config, "available_cpus", lambda n=cpus: n)
         before = len(forks)
         run_reference(cfg, run_dir)
         assert len(forks) - before == cpus - 1
@@ -701,7 +688,7 @@ def test_a_workers_exception_reaches_the_caller(finished_runs, monkeypatch,
             raise WorkerError(f"task {task.index} failed in {where}")
         return evaluate(world, state, task, *args, **kwargs)
 
-    monkeypatch.setattr(pipeline, "available_cpus", lambda: 3)
+    monkeypatch.setattr(config, "available_cpus", lambda: 3)
     monkeypatch.setattr(pipeline, "evaluate_task", fail_last)
     with pytest.raises(WorkerError, match="^task 2 failed in a worker$"):
         run_eval(cfg, run_dir)
@@ -717,7 +704,7 @@ def test_a_killed_worker_raises_instead_of_hanging(finished_runs, monkeypatch,
             os.kill(os.getpid(), signal.SIGKILL)
         return evaluate(world, state, task, *args, **kwargs)
 
-    monkeypatch.setattr(pipeline, "available_cpus", lambda: 2)
+    monkeypatch.setattr(config, "available_cpus", lambda: 2)
     monkeypatch.setattr(pipeline, "evaluate_task", killed_in_a_worker)
     with pytest.raises(ChildProcessError, match=r"^worker process \d+ ended "
                        rf"without a result \(killed by signal {signal.SIGKILL:d}\)$"):
@@ -734,10 +721,26 @@ def test_an_error_in_the_caller_kills_and_reaps_the_workers(finished_runs,
             raise WorkerError("the caller's share failed")
         time.sleep(300)   # past the deadline, unless the worker is killed
 
-    monkeypatch.setattr(pipeline, "available_cpus", lambda: 3)
+    monkeypatch.setattr(config, "available_cpus", lambda: 3)
     monkeypatch.setattr(pipeline, "evaluate_task", fail_in_the_caller)
     with pytest.raises(WorkerError, match="^the caller's share failed$"):
         run_eval(cfg, run_dir)
+
+
+def test_the_library_has_one_fan_out():
+    """No module of the package imports a thread or process pool:
+    `config.forked_map` is the one way it runs work in parallel."""
+    banned = {"threading", "concurrent", "multiprocessing"}
+    for path in sorted(Path(pipeline.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            assert not banned & {n.split(".")[0] for n in names}, \
+                f"{path.name}:{node.lineno} imports {names}"
 
 
 # ---------------------------------------------------------------------------
