@@ -29,7 +29,7 @@ from .adapters import ADAPTER_KINDS, AdapterBase, FlatLayout, Selection
 from .config import ExperimentConfig, check_field, forked_map, write_atomic
 from .metrics import EpisodeRecord, TaskScore, path_length, score_task
 from .retrieval import FeatureStore
-from .runfiles import int_list, open_npz, read_json
+from .runfiles import check_record, open_npz, read_json
 from .tasks import (
     EPISODE_CHUNK,
     STOP,
@@ -68,21 +68,40 @@ def build_adapter_stack(cfg: ExperimentConfig,
 
 @dataclass
 class LifelongState:
-    """Everything the sequential trainer carries between tasks."""
+    """Everything the sequential trainer carries between tasks. ``trained``,
+    the tasks trained so far in order, is the first ``task_count`` tasks of
+    the config's stream in a run; what ``state.json`` records follows from it.
+    """
 
     cfg: ExperimentConfig
     adapters: list[AdapterBase]
     store: FeatureStore
     # Fisher over the shared slots of FlatLayout.of(adapters)
     fisher: np.ndarray | None = None
-    # the trained-task record: the task index of each trained (scene, env)
-    # pair, and the instruction types trained so far
-    pair_to_task: dict[tuple[int, int], int] = field(default_factory=dict)
-    seen_instr: set[int] = field(default_factory=set)
+    trained: list[TaskDescriptor] = field(default_factory=list)
 
     @property
     def task_count(self) -> int:
-        return len(self.pair_to_task)
+        return len(self.trained)
+
+    @property
+    def pair_to_task(self) -> dict[tuple[int, int], int]:
+        return {(t.scene, t.env): i for i, t in enumerate(self.trained)}
+
+    def record(self) -> dict:
+        """The ``state.json`` that ``save_state`` writes and ``load_state`` checks."""
+        triples = sorted([t.scene, t.env, i] for i, t in enumerate(self.trained))
+        return {
+            "task_count": self.task_count,
+            "seen_scenes": sorted({t.scene for t in self.trained}),
+            "seen_envs": sorted({t.env for t in self.trained}),
+            "seen_instr": sorted({t.instr for t in self.trained} - {None}),
+            "seen_pairs": [[s, e] for s, e, _ in triples],
+            "pair_to_task": triples,
+            "kind": self.cfg.adapter_kind,
+            "seed": self.cfg.seed,
+            "rng_scheme": "default_rng([seed, tag, task, ...]) per draw site",
+        }
 
 
 def init_state(cfg: ExperimentConfig, world: World) -> LifelongState:
@@ -117,9 +136,9 @@ def train_task(state: LifelongState, world: World,
         state.fisher = new_fisher  # first task: nothing to average with
     else:
         state.fisher = fisher_ema(state.fisher, new_fisher, cfg.omega)
-    flags = {"scene": int(any(s == task.scene for s, _ in state.pair_to_task)),
-             "env": int(any(e == task.env for _, e in state.pair_to_task)),
-             "instr": int(task.instr in state.seen_instr)}
+    flags = {"scene": int(any(t.scene == task.scene for t in state.trained)),
+             "env": int(any(t.env == task.env for t in state.trained)),
+             "instr": int(task.instr in {t.instr for t in state.trained} - {None})}
     # the consolidation anchor: every parameter as the last task left it
     snapshot = (FlatLayout.of(adapters).bind(adapters) if state.task_count
                 else None)
@@ -155,11 +174,9 @@ def train_task(state: LifelongState, world: World,
                      "env": task.env, "epoch": epoch, **means,
                      "wall_time": time.perf_counter() - t0})
 
-    if task.instr is not None:
-        state.seen_instr.add(task.instr)
     for ep in episodes:
         state.store.add(task.scene, task.env, ep.obs[0])
-    state.pair_to_task[pair] = state.task_count
+    state.trained.append(task)
     return logs
 
 
@@ -242,43 +259,22 @@ def save_state(state: LifelongState, directory: str | Path) -> None:
     np.savez(directory / "fisher.npz",
              **FlatLayout.of(state.adapters).views(state.fisher))
     state.store.save(directory / "store.npz")
-    pairs = sorted(state.pair_to_task)
-    meta = {
-        "task_count": state.task_count,
-        "seen_scenes": sorted({s for s, _ in pairs}),
-        "seen_envs": sorted({e for _, e in pairs}),
-        "seen_instr": sorted(state.seen_instr),
-        "seen_pairs": [list(p) for p in pairs],
-        "pair_to_task": [[s, e, state.pair_to_task[s, e]] for s, e in pairs],
-        "kind": state.cfg.adapter_kind,
-        "seed": state.cfg.seed,
-        "rng_scheme": "default_rng([seed, tag, task, ...]) per draw site",
-    }
-    (directory / "state.json").write_text(json.dumps(meta, indent=2))
+    (directory / "state.json").write_text(json.dumps(state.record(), indent=2))
     (directory / "complete.marker").write_text("ok\n")
 
 
 def load_state(cfg: ExperimentConfig, directory: str | Path,
                n_layers: int) -> LifelongState:
+    """The state ``save_state`` sealed in ``directory``: its trained tasks are
+    the first ``task_count`` of the config's stream, and a ``state.json`` that
+    is not exactly their ``record()`` is a ValueError naming each wrong key.
+    The adapters' kind is checked before the record."""
     directory = Path(directory)
     state_file = directory / "state.json"
     meta = read_json(state_file, dict)
-    triples, instr = meta.get("pair_to_task"), meta.get("seen_instr")
-    if not (isinstance(triples, list) and all(int_list(t, 3) for t in triples)):
-        raise ValueError(f"{state_file}: pair_to_task: expected a list of "
-                         f"[scene, env, task] int triples, got {triples!r}")
-    pair_to_task = {(s, e): t for s, e, t in triples}
-    if not (len(pair_to_task) == len(triples)
-            and sorted(pair_to_task.values()) == list(range(len(triples)))
-            and all(0 <= s < cfg.n_scenes and 0 <= e < cfg.n_envs
-                    for s, e in pair_to_task)):
-        raise ValueError(
-            f"{state_file}: pair_to_task: expected distinct pairs in [0, "
-            f"{cfg.n_scenes}) x [0, {cfg.n_envs}) of the tasks 0..{len(triples) - 1}, "
-            f"got {triples!r}")
-    if not (int_list(instr) and all(0 <= i < cfg.n_instr for i in instr)):
-        raise ValueError(f"{state_file}: seen_instr: expected a list of ints "
-                         f"in [0, {cfg.n_instr}), got {instr!r}")
+    count = meta.get("task_count")
+    if type(count) is not int:
+        raise ValueError(f"{state_file}: task_count: expected an int, got {count!r}")
     adapters = []
     for l in range(n_layers):
         path = directory / f"adapter_L{l}.npz"
@@ -287,18 +283,20 @@ def load_state(cfg: ExperimentConfig, directory: str | Path,
             raise ValueError(f"checkpoint {path} holds a {adapters[-1].kind!r} "
                              f"adapter, the config asks for {cfg.adapter_kind!r}")
     store_file = directory / "store.npz"
+    stream = gen_stream(cfg.n_scenes, cfg.n_envs, cfg.n_tasks, cfg.seed,
+                        n_instr=cfg.n_instr)
     state = LifelongState(cfg=cfg, adapters=adapters,
-                          store=FeatureStore.load(store_file))
+                          store=FeatureStore.load(store_file),
+                          trained=stream[:count])
+    record = state.record()
+    check_record(state_file, meta, record)
     # train_task adds one feature per trained pair, so the store holds
-    # exactly the scenes and envs of pair_to_task
-    trained = {"scene": {s for s, _ in pair_to_task}, "env": {e for _, e in pair_to_task}}
+    # exactly the trained scenes and envs
     for kind, table in (("scene", state.store.scenes), ("env", state.store.envs)):
-        if set(table.counts) != trained[kind]:
+        if sorted(table.counts) != record[f"seen_{kind}s"]:
             raise ValueError(
                 f"{store_file}: {kind}_ids: expected the {kind}s of the trained "
-                f"pairs {sorted(trained[kind])}, got {sorted(table.counts)}")
-    state.pair_to_task = pair_to_task
-    state.seen_instr = set(instr)
+                f"pairs {record[f'seen_{kind}s']}, got {sorted(table.counts)}")
     layout = FlatLayout.of(adapters)
     state.fisher = np.empty(layout.n_shared)
     views = layout.views(state.fisher)
@@ -339,20 +337,21 @@ def open_run(cfg: ExperimentConfig, run_dir: str | Path,
     world = World(cfg.world_config())
     stream = gen_stream(cfg.n_scenes, cfg.n_envs, cfg.n_tasks, cfg.seed,
                         n_instr=cfg.n_instr)
+    manifest = {"config_hash": cfg.config_hash(),
+                "stream": [[t.scene, t.env] for t in stream]}
     if layout["manifest"].exists():
-        manifest = read_json(layout["manifest"], dict)
-        if manifest.get("config_hash") != cfg.config_hash():
+        found = read_json(layout["manifest"], dict)
+        if found.get("config_hash") != manifest["config_hash"]:
             raise ValueError(
                 f"run directory {run_dir} belongs to a different config "
-                f"(hash {manifest.get('config_hash')} != {cfg.config_hash()})")
+                f"(hash {found.get('config_hash')} != {manifest['config_hash']})")
+        check_record(layout["manifest"], found, manifest)
     elif any(layout["root"].glob("task_*")):
         raise ValueError(f"no manifest.json at {layout['manifest']}, though the "
                          "directory holds task checkpoints: no config can resume it")
     elif train:
         layout["root"].mkdir(parents=True, exist_ok=True)
-        write_atomic(layout["manifest"], json.dumps(
-            {"config_hash": cfg.config_hash(),
-             "stream": [[t.scene, t.env] for t in stream]}, indent=2))
+        write_atomic(layout["manifest"], json.dumps(manifest, indent=2))
     return world, stream
 
 

@@ -21,6 +21,16 @@ def read_json(path: Path, expect: type):
     return value
 
 
+def check_record(path: Path, found: dict, expected: dict) -> None:
+    """Raise a ValueError naming ``path`` and each key whose value in ``found``,
+    read from ``path``, and in ``expected`` differ as JSON text (or is missing)."""
+    text = {k: [json.dumps(r[k]) if k in r else "no such key" for r in (expected, found)]
+            for k in {**expected, **found}}
+    wrong = [f"{k}: expected {e}, got {f}" for k, (e, f) in text.items() if e != f]
+    if wrong:
+        raise ValueError(f"{path}: {'; '.join(wrong)}")
+
+
 def int_list(value, n: int | None = None) -> bool:
     """Whether ``value`` is a list of ints (bools excluded), ``n`` of them
     unless ``n`` is None."""

@@ -39,6 +39,7 @@ from tucker_adapters.metrics import (
     EpisodeRecord,
     forgetting_rate,
     oracle_success,
+    score_rows,
     spl,
     success_rate,
 )
@@ -209,16 +210,11 @@ def test_c4_null_conditions():
 # 5. Forgetting ordering: 20-task stream, 3 seeds, strict on every seed
 # ---------------------------------------------------------------------------
 
-def _aggregate(scores):
-    sr = float(np.mean([s.sr for s in scores]))
-    f_sr = float(np.mean([forgetting_rate(s.m_sr, s.sr) for s in scores
-                          if s.m_sr and s.m_sr > 0]))
-    return sr, f_sr
-
-
 def _train_and_aggregate(cfg, run_dir):
+    """The final SR and F-SR of the report's avg row."""
     run_training(cfg, run_dir)
-    return _aggregate(run_eval(cfg, run_dir))
+    avg = score_rows(run_eval(cfg, run_dir))[-1]
+    return avg["sr"], avg["f_sr"]
 
 
 @criterion(5, "forgetting ordering across 3 seeds")

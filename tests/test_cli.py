@@ -230,6 +230,20 @@ def _edit_header(key, change):
                  "pair_to_task", id="state-pair-repeated"),
     pytest.param("state.json", _edit_json("seen_instr", [0]),
                  "seen_instr", id="state-instr-out-of-range"),
+    pytest.param("state.json", _edit_json("task_count", 7),
+                 "task_count", id="state-count-past-the-stream"),
+    pytest.param("state.json", _edit_json("task_count", "2"),
+                 "task_count", id="state-count-a-string"),
+    pytest.param("state.json", _edit_json("task_count", True),
+                 "task_count", id="state-count-a-bool"),
+    pytest.param("state.json", _edit_json("kind", "lora"),
+                 "kind", id="state-kind-of-another-adapter"),
+    pytest.param("state.json", _edit_json("seed", 4.0),
+                 "seed", id="state-seed-a-float"),
+    pytest.param("state.json", _edit_json("seen_pairs", [[2, 1], [2, 0]]),
+                 "seen_pairs", id="state-pairs-out-of-order"),
+    pytest.param("state.json", _edit_json("rng_scheme", "default_rng(seed)"),
+                 "rng_scheme", id="state-rng-scheme-changed"),
     pytest.param("fisher.npz", _edit_npz("L0:core", lambda a: a.ravel()[:1]),
                  "L0:core", id="fisher-broadcast-shape"),
     pytest.param("fisher.npz", _edit_npz("L0:core", None),
@@ -272,6 +286,21 @@ def test_damaged_checkpoint_named_exit_code_2(finished_run, tmp_path, capsys,
     assert main(["eval", *TINY, "--run-dir", str(run_dir)]) == 2
     err = capsys.readouterr().err
     assert str(run_dir / "task_001" / name) in err and what in err, err
+
+
+@pytest.mark.parametrize("command", ["eval", "train"])
+def test_manifest_of_another_stream_named_exit_code_2(finished_run, tmp_path,
+                                                      capsys, command):
+    """A manifest that is not the one the config writes is refused, naming
+    the file and the key, though its config hash is right."""
+    run_dir = tmp_path / "exp"
+    shutil.copytree(finished_run, run_dir)
+    _edit_json("stream", [[0, 0], [1, 1]])(run_dir / "manifest.json")
+    before = {p: p.stat().st_mtime_ns for p in run_dir.rglob("*")}
+    assert main([command, *TINY, "--run-dir", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert str(run_dir / "manifest.json") in err and "stream" in err, err
+    assert {p: p.stat().st_mtime_ns for p in run_dir.rglob("*")} == before
 
 
 def _log_records(path):
