@@ -14,10 +14,10 @@ import os
 import sys
 from pathlib import Path
 
-from .config import ConfigError, ExperimentConfig, check_field, coerce_field
-from .metrics import TaskScore, render_table, write_reports
+from .config import ConfigError, ExperimentConfig, coerce_field
+from .metrics import read_scores, render_table, write_reports
 from .pipeline import run_eval, run_gradcheck, run_reference, run_training
-from .runfiles import read_json
+from .rundir import EVAL_DIR, REFERENCE
 
 GRADCHECK_TOLERANCE = 1e-4
 
@@ -72,10 +72,10 @@ def cmd_eval(args) -> int:
     cfg = load_config(args)
     run_dir = resolve_run_dir(args, cfg)
     scores = run_eval(cfg, run_dir, oracle_ids=args.oracle_ids)
-    out = write_reports(Path(run_dir) / "eval", scores,
+    out = write_reports(Path(run_dir) / EVAL_DIR, scores,
                         {"config_hash": cfg.config_hash(),
                          "oracle_ids": args.oracle_ids,
-                         "reference": str(Path(run_dir) / "reference.json")})
+                         "reference": str(Path(run_dir) / REFERENCE)})
     print(render_table(scores))
     print(f"reports written to {out}")
     return 0
@@ -122,32 +122,12 @@ def cmd_degrade(args) -> int:
 
 
 def cmd_report(args) -> int:
-    directory = Path(args.dir)
-    scores_file = directory / "scores.json"
-    if not scores_file.exists():
-        scores_file = directory / "eval" / "scores.json"
-    if not scores_file.exists():
-        print(f"no scores.json under {args.dir} (run `eval` first)",
-              file=sys.stderr)
-        return 2
-    rows = read_json(scores_file, list)
-    for i, row in enumerate(rows):
-        if not isinstance(row, dict):
-            raise ValueError(f"{scores_file}: row {i}: expected a score object")
-        missing = [k for k in ("task", "sr", "spl", "osr") if k not in row]
-        if missing:
-            raise ValueError(f"{scores_file}: row {i} has no {', '.join(missing)}")
-        for key in TaskScore.__dataclass_fields__ if row["task"] != "avg" else ():
-            try:
-                check_field(TaskScore, key, row.get(key))
-            except ConfigError as exc:
-                raise ValueError(f"{scores_file}: row {i}: {exc}") from None
-    scores = [TaskScore(task=r["task"], sr=r["sr"], spl=r["spl"], osr=r["osr"],
-                        m_sr=r.get("m_sr"), m_spl=r.get("m_spl"),
-                        m_osr=r.get("m_osr"))
-              for r in rows if r["task"] != "avg"]
-    print(render_table(scores))
-    return 0
+    for directory in (Path(args.dir), Path(args.dir) / EVAL_DIR):
+        if (directory / "scores.json").exists():
+            print(render_table(read_scores(directory)))
+            return 0
+    print(f"no scores.json under {args.dir} (run `eval` first)", file=sys.stderr)
+    return 2
 
 
 def build_parser() -> argparse.ArgumentParser:

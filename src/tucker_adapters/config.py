@@ -1,4 +1,4 @@
-"""Experiment configuration: defaults, validation, file round-trip, hashing.
+"""Experiment configuration: defaults, validation, file reading, hashing.
 
 A config file is a flat JSON object; unknown keys are rejected so typos fail
 fast. Every random choice in an experiment is derived from the explicit
@@ -184,17 +184,6 @@ def _map_share_and_exit(fn, share: list, read: int, write: int):
         os._exit(code)
 
 
-def write_atomic(path: Path, data: str | bytes) -> None:
-    """Replace ``path`` by a file holding ``data``, text or bytes; an
-    interruption leaves the old file or the new one, never a part."""
-    tmp = path.with_name(path.name + ".tmp")
-    if isinstance(data, str):
-        tmp.write_text(data)
-    else:
-        tmp.write_bytes(data)
-    os.replace(tmp, path)
-
-
 def check_field(cls, key: str, value):
     """``value``, as read from JSON, if it has the type of field ``key`` of
     the dataclass ``cls``: an int field takes an int but not a bool, a float
@@ -319,11 +308,7 @@ class ExperimentConfig:
         payload = json.dumps(dataclasses.asdict(self), sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
-    # -- file round-trip -----------------------------------------------------
-
-    def to_file(self, path: str | Path) -> None:
-        write_atomic(Path(path), json.dumps(
-            dataclasses.asdict(self), indent=2, sort_keys=True) + "\n")
+    # -- file reading --------------------------------------------------------
 
     @classmethod
     def from_file(cls, path: str | Path,

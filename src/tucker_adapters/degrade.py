@@ -54,7 +54,8 @@ from pathlib import Path
 import numpy as np
 from scipy.ndimage import gaussian_filter, uniform_filter
 
-from .config import ConfigError, check_ranges, forked_map, write_atomic
+from .config import ConfigError, check_ranges, forked_map
+from .runfiles import write_atomic
 
 
 class _Params:

@@ -21,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import write_atomic
+from .config import ConfigError, check_field, check_ranges
+from .runfiles import read_json, write_atomic
 
 DEFAULT_SUCCESS_RADIUS = 3.0
 
@@ -88,6 +89,10 @@ def spl(rec: EpisodeRecord, literal: bool = False):
 class TaskScore:
     """Mean metrics for one task, with optional reference values."""
 
+    # see config.check_ranges; SPL with spl_literal may pass 1
+    RANGES = {**dict.fromkeys(("sr", "osr", "m_sr", "m_osr"), "[0, 1]"),
+              "spl": "[0, inf)", "m_spl": "[0, inf)"}
+
     task: int
     sr: float
     spl: float
@@ -96,10 +101,30 @@ class TaskScore:
     m_spl: float | None = None
     m_osr: float | None = None
 
+    @classmethod
+    def from_row(cls, row, where: str) -> "TaskScore":
+        """The score a JSON row holds; a fault is a ValueError naming ``where``."""
+        _check_keys(row, where)
+        try:
+            score = cls(**{k: check_field(cls, k, row.get(k))
+                           for k in cls.__dataclass_fields__})
+            check_ranges(score, cls.RANGES)
+        except ConfigError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        return score
+
     def forgetting_rates(self) -> tuple[float | None, float | None, float | None]:
         return (forgetting_rate(self.m_sr, self.sr),
                 forgetting_rate(self.m_spl, self.spl),
                 forgetting_rate(self.m_osr, self.osr))
+
+
+def _check_keys(row, where: str) -> None:
+    if not isinstance(row, dict):
+        raise ValueError(f"{where}: expected a score object")
+    missing = [k for k in ("task", "sr", "spl", "osr") if k not in row]
+    if missing:
+        raise ValueError(f"{where} has no {', '.join(missing)}")
 
 
 def forgetting_rate(reference: float | None, value: float) -> float | None:
@@ -184,3 +209,16 @@ def write_reports(directory, scores: list[TaskScore], extra_manifest: dict | Non
         write_atomic(directory / "manifest.json",
                      json.dumps(extra_manifest, indent=2))
     return directory
+
+
+def read_scores(directory) -> list[TaskScore]:
+    """The task scores `write_reports` wrote to ``directory``, each read by
+    `TaskScore.from_row`; of the "avg" row only the keys are checked."""
+    path = Path(directory) / "scores.json"
+    scores = []
+    for i, row in enumerate(read_json(path, list)):
+        if isinstance(row, dict) and row.get("task") == "avg":
+            _check_keys(row, f"{path}: row {i}")
+        else:
+            scores.append(TaskScore.from_row(row, f"{path}: row {i}"))
+    return scores

@@ -1,5 +1,5 @@
 """Lifelong-learning pipeline: sequential task training, task-agnostic
-evaluation, reference runs, and resumable checkpointing.
+evaluation, reference runs, and the resumable run loop over `rundir`.
 
 Per task the trainer (i) inherits shared blocks and any previously learned
 expert slices by construction (the same adapters persist across tasks),
@@ -17,19 +17,29 @@ bitwise-identical to an uninterrupted one.
 from __future__ import annotations
 
 import functools
-import json
 import time
-import warnings
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .adapters import ADAPTER_KINDS, AdapterBase, FlatLayout, Selection
-from .config import ExperimentConfig, check_field, forked_map, write_atomic
+from .config import ExperimentConfig, forked_map
 from .metrics import EpisodeRecord, TaskScore, path_length, score_task
 from .retrieval import FeatureStore
-from .runfiles import check_record, open_npz, read_json
+from .rundir import (
+    LifelongState,
+    append_log,
+    final_state,
+    load_state,
+    open_run,
+    read_reference,
+    reference_entry,
+    save_state,
+    sealed_count,
+    task_dir,
+    trim_log,
+    write_reference,
+)
 from .tasks import (
     EPISODE_CHUNK,
     STOP,
@@ -64,44 +74,6 @@ def build_adapter_stack(cfg: ExperimentConfig,
     return [cls.from_config(cfg, a, b, lambda draw, l=l: np.random.default_rng(
                 [cfg.seed, _TAG_ADAPTER, draw, l]))
             for l, (a, b) in enumerate(layer_dims)]
-
-
-@dataclass
-class LifelongState:
-    """Everything the sequential trainer carries between tasks. ``trained``,
-    the tasks trained so far in order, is the first ``task_count`` tasks of
-    the config's stream in a run; what ``state.json`` records follows from it.
-    """
-
-    cfg: ExperimentConfig
-    adapters: list[AdapterBase]
-    store: FeatureStore
-    # Fisher over the shared slots of FlatLayout.of(adapters)
-    fisher: np.ndarray | None = None
-    trained: list[TaskDescriptor] = field(default_factory=list)
-
-    @property
-    def task_count(self) -> int:
-        return len(self.trained)
-
-    @property
-    def pair_to_task(self) -> dict[tuple[int, int], int]:
-        return {(t.scene, t.env): i for i, t in enumerate(self.trained)}
-
-    def record(self) -> dict:
-        """The ``state.json`` that ``save_state`` writes and ``load_state`` checks."""
-        triples = sorted([t.scene, t.env, i] for i, t in enumerate(self.trained))
-        return {
-            "task_count": self.task_count,
-            "seen_scenes": sorted({t.scene for t in self.trained}),
-            "seen_envs": sorted({t.env for t in self.trained}),
-            "seen_instr": sorted({t.instr for t in self.trained} - {None}),
-            "seen_pairs": [[s, e] for s, e, _ in triples],
-            "pair_to_task": triples,
-            "kind": self.cfg.adapter_kind,
-            "seed": self.cfg.seed,
-            "rng_scheme": "default_rng([seed, tag, task, ...]) per draw site",
-        }
 
 
 def init_state(cfg: ExperimentConfig, world: World) -> LifelongState:
@@ -247,113 +219,8 @@ def evaluate_task(world: World, state: LifelongState, task: TaskDescriptor,
 
 
 # ---------------------------------------------------------------------------
-# Checkpointing (one directory per completed task) and resume
+# Run orchestration (the run directory's files are `rundir`'s)
 # ---------------------------------------------------------------------------
-
-def save_state(state: LifelongState, directory: str | Path) -> None:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    provenance = {"seed": state.cfg.seed, "ranks": list(state.cfg.ranks)}
-    for l, ad in enumerate(state.adapters):
-        ad.save(directory / f"adapter_L{l}.npz", provenance)
-    np.savez(directory / "fisher.npz",
-             **FlatLayout.of(state.adapters).views(state.fisher))
-    state.store.save(directory / "store.npz")
-    (directory / "state.json").write_text(json.dumps(state.record(), indent=2))
-    (directory / "complete.marker").write_text("ok\n")
-
-
-def load_state(cfg: ExperimentConfig, directory: str | Path,
-               n_layers: int) -> LifelongState:
-    """The state ``save_state`` sealed in ``directory``: its trained tasks are
-    the first ``task_count`` of the config's stream, and a ``state.json`` that
-    is not exactly their ``record()`` is a ValueError naming each wrong key.
-    The adapters' kind is checked before the record."""
-    directory = Path(directory)
-    state_file = directory / "state.json"
-    meta = read_json(state_file, dict)
-    count = meta.get("task_count")
-    if type(count) is not int:
-        raise ValueError(f"{state_file}: task_count: expected an int, got {count!r}")
-    adapters = []
-    for l in range(n_layers):
-        path = directory / f"adapter_L{l}.npz"
-        adapters.append(AdapterBase.load(path))
-        if adapters[-1].kind != cfg.adapter_kind:
-            raise ValueError(f"checkpoint {path} holds a {adapters[-1].kind!r} "
-                             f"adapter, the config asks for {cfg.adapter_kind!r}")
-    store_file = directory / "store.npz"
-    stream = gen_stream(cfg.n_scenes, cfg.n_envs, cfg.n_tasks, cfg.seed,
-                        n_instr=cfg.n_instr)
-    state = LifelongState(cfg=cfg, adapters=adapters,
-                          store=FeatureStore.load(store_file),
-                          trained=stream[:count])
-    record = state.record()
-    check_record(state_file, meta, record)
-    # train_task adds one feature per trained pair, so the store holds
-    # exactly the trained scenes and envs
-    for kind, table in (("scene", state.store.scenes), ("env", state.store.envs)):
-        if sorted(table.counts) != record[f"seen_{kind}s"]:
-            raise ValueError(
-                f"{store_file}: {kind}_ids: expected the {kind}s of the trained "
-                f"pairs {record[f'seen_{kind}s']}, got {sorted(table.counts)}")
-    layout = FlatLayout.of(adapters)
-    state.fisher = np.empty(layout.n_shared)
-    views = layout.views(state.fisher)
-    with open_npz(directory / "fisher.npz") as data:
-        for key in sorted(views.keys() | set(data.files)):
-            array = data[key]
-            block = views[key].shape if key in views else "no shared block"
-            if array.shape != block:
-                raise ValueError(f"{key} has shape {array.shape}, expected {block}")
-            views[key][...] = array
-    return state
-
-
-# ---------------------------------------------------------------------------
-# Run orchestration
-# ---------------------------------------------------------------------------
-
-def run_dir_layout(run_dir: str | Path) -> dict[str, Path]:
-    run_dir = Path(run_dir)
-    return {"root": run_dir, "config": run_dir / "config.json",
-            "manifest": run_dir / "manifest.json",
-            "logs": run_dir / "train_log.jsonl",
-            "reference": run_dir / "reference.json"}
-
-
-def task_dir(run_dir: str | Path, t: int) -> Path:
-    return Path(run_dir) / f"task_{t:03d}"
-
-
-def open_run(cfg: ExperimentConfig, run_dir: str | Path,
-             train: bool = False) -> tuple[World, list[TaskDescriptor]]:
-    """Validate ``cfg`` and return its world and task stream, refusing a
-    ``run_dir`` whose manifest names another config or that holds task
-    checkpoints without a manifest. With ``train`` a directory with neither
-    is created and its manifest written before any task is sealed there."""
-    cfg.validate()
-    layout = run_dir_layout(run_dir)
-    world = World(cfg.world_config())
-    stream = gen_stream(cfg.n_scenes, cfg.n_envs, cfg.n_tasks, cfg.seed,
-                        n_instr=cfg.n_instr)
-    manifest = {"config_hash": cfg.config_hash(),
-                "stream": [[t.scene, t.env] for t in stream]}
-    if layout["manifest"].exists():
-        found = read_json(layout["manifest"], dict)
-        if found.get("config_hash") != manifest["config_hash"]:
-            raise ValueError(
-                f"run directory {run_dir} belongs to a different config "
-                f"(hash {found.get('config_hash')} != {manifest['config_hash']})")
-        check_record(layout["manifest"], found, manifest)
-    elif any(layout["root"].glob("task_*")):
-        raise ValueError(f"no manifest.json at {layout['manifest']}, though the "
-                         "directory holds task checkpoints: no config can resume it")
-    elif train:
-        layout["root"].mkdir(parents=True, exist_ok=True)
-        write_atomic(layout["manifest"], json.dumps(manifest, indent=2))
-    return world, stream
-
 
 def run_training(cfg: ExperimentConfig, run_dir: str | Path,
                  eval_each: bool = True, progress=None) -> dict:
@@ -369,24 +236,14 @@ def run_training(cfg: ExperimentConfig, run_dir: str | Path,
     process per available CPU (see `config.forked_map`).
     """
     world, stream = open_run(cfg, run_dir, train=True)
-    layout = run_dir_layout(run_dir)
-    cfg.to_file(layout["config"])
-
-    completed = 0
-    while completed < cfg.n_tasks:
-        marker = task_dir(run_dir, completed) / "complete.marker"
-        if marker.exists():
-            completed += 1
-        else:
-            break
-
+    completed = sealed_count(run_dir, cfg.n_tasks)
     n_layers = len(world.backbone.layer_dims)
     if eval_each:
-        reference = _load_reference(
-            layout["reference"], "the missing tasks are rebuilt from their checkpoints")
+        reference = read_reference(
+            run_dir, "the missing tasks are rebuilt from their checkpoints")
         missing = [t for t in range(completed) if str(t) not in reference]
         if missing:
-            entries = forked_map(lambda t: _reference_entry(stream[t], evaluate_task(
+            entries = forked_map(lambda t: reference_entry(stream[t], evaluate_task(
                 world, load_state(cfg, task_dir(run_dir, t), n_layers), stream[t],
                 cfg.test_episodes)), missing)
             for t, entry in zip(missing, entries):
@@ -396,14 +253,14 @@ def run_training(cfg: ExperimentConfig, run_dir: str | Path,
         # in task order, and without the entry of any task trained again
         reference = {str(t): reference[str(t)] for t in range(completed)}
         if missing:
-            _write_reference(layout["reference"], cfg, reference)
+            write_reference(run_dir, cfg, reference)
 
     summary = {"run_dir": str(run_dir), "tasks": cfg.n_tasks,
                "config_hash": cfg.config_hash()}
     if completed == cfg.n_tasks:
         return summary
     # an interrupted task may have logged epochs; it is trained again
-    _trim_log(layout["logs"], completed)
+    trim_log(run_dir, completed)
     if completed:
         state = load_state(cfg, task_dir(run_dir, completed - 1), n_layers)
     else:
@@ -412,86 +269,16 @@ def run_training(cfg: ExperimentConfig, run_dir: str | Path,
     for t in range(completed, cfg.n_tasks):
         task = stream[t]
         logs = train_task(state, world, task)
-        with layout["logs"].open("a") as fh:
-            for rec in logs:
-                fh.write(json.dumps(rec) + "\n")
+        append_log(run_dir, logs)
         if eval_each:
             score = evaluate_task(world, state, task, cfg.test_episodes)
-            reference[str(t)] = _reference_entry(task, score)
-            _write_reference(layout["reference"], cfg, reference)
+            reference[str(t)] = reference_entry(task, score)
+            write_reference(run_dir, cfg, reference)
         save_state(state, task_dir(run_dir, t))
         if progress:
             progress(f"task {t + 1}/{cfg.n_tasks} "
                      f"(scene {task.scene}, env {task.env}) done")
     return summary
-
-
-def _reference_entry(task: TaskDescriptor, score: TaskScore) -> dict:
-    return {"task": task.index, "scene": task.scene, "env": task.env,
-            "sr": score.sr, "spl": score.spl, "osr": score.osr}
-
-
-def _write_reference(path: Path, cfg: ExperimentConfig, values: dict) -> None:
-    write_atomic(path, json.dumps(
-        {"config_hash": cfg.config_hash(), "values": values}, indent=2))
-
-
-def _trim_log(path: Path, completed: int) -> None:
-    """Keep only the training-log lines of the first ``completed`` tasks.
-    A last line cut short mid-write is dropped; any other line that is not
-    a JSON object with an int "task" raises a ValueError naming the line."""
-    if not path.exists():
-        return
-    lines = path.read_text().splitlines(keepends=True)
-    kept = []
-    for number, line in enumerate(lines, 1):
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            if number == len(lines) and not line.endswith("\n"):
-                continue   # cut short mid-write
-            record = None
-        if not (isinstance(record, dict) and type(record.get("task")) is int):
-            raise ValueError(f"{path}: line {number}: expected a JSON object "
-                             f'with an int "task", got {line.strip()!r}')
-        if record["task"] < completed:
-            kept.append(line)
-    if len(kept) != len(lines):
-        write_atomic(path, "".join(kept))
-
-
-def _load_reference(path: Path, fallback: str) -> dict:
-    """The task entries cached in ``path``: {} when it does not exist, and
-    {} with a warning that ends with ``fallback``, what the caller does
-    then, when it is not ``{"values": {task: {"sr", "spl", "osr": numbers,
-    ...}}}``."""
-    if not path.exists():
-        return {}
-    try:
-        values = read_json(path, dict).get("values")
-        if not isinstance(values, dict):
-            raise ValueError('expected a "values" object')
-        for task, entry in values.items():
-            if not isinstance(entry, dict):
-                raise ValueError(f"task {task}: expected an object, got {entry!r}")
-            for metric in ("sr", "spl", "osr"):
-                check_field(TaskScore, metric, entry.get(metric))
-        return values
-    except ValueError as exc:   # a ConfigError too
-        warnings.warn(f"reference cache {path} is corrupted ({exc}); {fallback}")
-        return {}
-
-
-def final_state(cfg: ExperimentConfig, run_dir: str | Path
-                ) -> tuple[World, list[TaskDescriptor], LifelongState]:
-    """The world, the task stream and the last checkpoint of a finished run."""
-    world, stream = open_run(cfg, run_dir)
-    last = task_dir(run_dir, cfg.n_tasks - 1)
-    if not (last / "complete.marker").exists():
-        raise FileNotFoundError(
-            f"task {cfg.n_tasks - 1} is not complete: no "
-            f"{last / 'complete.marker'}; run training first")
-    return world, stream, load_state(cfg, last, len(world.backbone.layer_dims))
 
 
 def run_eval(cfg: ExperimentConfig, run_dir: str | Path,
@@ -504,8 +291,7 @@ def run_eval(cfg: ExperimentConfig, run_dir: str | Path,
     `run_reference`) are attached so forgetting rates can be reported.
     """
     world, stream, state = final_state(cfg, run_dir)
-    reference = _load_reference(run_dir_layout(run_dir)["reference"],
-                                "eval reports without reference values")
+    reference = read_reference(run_dir, "eval reports without reference values")
     scores = forked_map(lambda task: evaluate_task(
         world, state, task, cfg.test_episodes, oracle_ids=oracle_ids), stream)
     for task, score in zip(stream, scores):
@@ -526,7 +312,7 @@ def run_reference(cfg: ExperimentConfig, run_dir: str | Path,
     missing from ``reference.json``; returns the file's task entries.
     """
     run_training(cfg, run_dir, eval_each=True, progress=progress)
-    return read_json(run_dir_layout(run_dir)["reference"], dict)["values"]
+    return read_reference(run_dir, "reference reports no values")
 
 
 def run_gradcheck(cfg: ExperimentConfig) -> dict[str, float]:

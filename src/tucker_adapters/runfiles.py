@@ -1,8 +1,9 @@
-"""The checked readers of a run directory's files: each failure to read one
-as expected is a ValueError that names the file."""
+"""The checked readers of one file, each failure to read it as expected a
+ValueError that names it, and its atomic writer; `rundir` names the files."""
 
 import contextlib
 import json
+import os
 import zipfile
 from pathlib import Path
 
@@ -54,3 +55,14 @@ def open_npz(path: Path):
         except (KeyError, ValueError, TypeError, AttributeError,
                 zipfile.BadZipFile) as exc:
             raise ValueError(f"{path}: {exc}") from exc
+
+
+def write_atomic(path: Path, data: str | bytes) -> None:
+    """Replace ``path`` by a file holding ``data``, text or bytes; an
+    interruption leaves the old file or the new one, never a part."""
+    tmp = path.with_name(path.name + ".tmp")
+    if isinstance(data, str):
+        tmp.write_text(data)
+    else:
+        tmp.write_bytes(data)
+    os.replace(tmp, path)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 from scipy.ndimage import gaussian_filter, uniform_filter
 
-from tucker_adapters.config import write_atomic
+from tucker_adapters.runfiles import write_atomic
 from tucker_adapters.degrade import (
     MODE_DEFAULTS,
     LowLightParams,

@@ -44,15 +44,14 @@ from tucker_adapters.metrics import (
     success_rate,
 )
 from tucker_adapters.pipeline import (
-    final_state,
     init_state,
     run_eval,
     run_gradcheck,
     run_training,
-    task_dir,
     train_task,
 )
 from tucker_adapters.retrieval import FeatureStore
+from tucker_adapters.rundir import final_state, task_dir
 from tucker_adapters.tasks import (
     TaskDescriptor,
     World,

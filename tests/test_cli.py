@@ -143,15 +143,37 @@ def finished_run(tmp_path_factory):
     return run_dir
 
 
+def _eval_table(run_dir):
+    """``eval``'s exit code, the score table it prints, its standard error
+    and the warnings it raises, on ``run_dir``."""
+    out, err = io.StringIO(), io.StringIO()
+    with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+          warnings.catch_warnings(record=True) as caught):
+        warnings.simplefilter("always")
+        code = main(["eval", *TINY, "--run-dir", str(run_dir)])
+    return code, out.getvalue().split("reports written to")[0], err.getvalue(), caught
+
+
+@pytest.fixture(scope="module")
+def finished_table(finished_run, tmp_path_factory):
+    """The table ``eval`` prints on an undamaged copy of ``finished_run``."""
+    run_dir = tmp_path_factory.mktemp("undamaged") / "exp"
+    shutil.copytree(finished_run, run_dir)
+    code, table, err, _ = _eval_table(run_dir)
+    assert code == 0, err
+    return table
+
+
 @settings(max_examples=150)
 @given(data=st.data())
-def test_a_damaged_run_file_is_named(finished_run, data):
-    """Damage one file that ``eval`` reads: it exits 2 naming the file,
-    except that a damaged ``reference.json`` only warns (a deleted one is
-    absent) and only the existence of ``complete.marker`` is read."""
-    checkpoint = sorted(p.name for p in (finished_run / "task_001").iterdir())
-    names = ["manifest.json", "reference.json",
-             *(f"task_001/{n}" for n in checkpoint)]
+def test_a_damaged_run_file_is_named(finished_run, finished_table, data):
+    """Damage any one file of a finished run. A file that ``eval`` reads
+    makes it exit 2 naming the file, except that a damaged
+    ``reference.json`` only warns (a deleted one is absent) and only the
+    existence of the last task's ``complete.marker`` is read; ``eval``
+    reads no other file, so its table is the undamaged run's."""
+    names = sorted(p.relative_to(finished_run).as_posix()
+                   for p in finished_run.rglob("*") if p.is_file())
     name = data.draw(st.sampled_from(names), label="file")
     damage = data.draw(st.sampled_from(["truncate", "[1]", "{", "delete"]),
                        label="damage")
@@ -166,23 +188,18 @@ def test_a_damaged_run_file_is_named(finished_run, data):
             path.write_bytes(path.read_bytes()[:cut])
         else:
             path.write_text(damage)
-        err = io.StringIO()
-        with (contextlib.redirect_stdout(io.StringIO()),
-              contextlib.redirect_stderr(err),
-              warnings.catch_warnings(record=True) as caught):
-            warnings.simplefilter("always")
-            code = main(["eval", *TINY, "--run-dir", str(run_dir)])
-    err = err.getvalue()
+        code, table, err, caught = _eval_table(run_dir)
     assert "Traceback" not in err and "allow_pickle" not in err
     if name == "reference.json":
         assert code == 0, err
         warned = [w for w in caught if str(path) in str(w.message) and
                   "eval reports without reference values" in str(w.message)]
         assert len(warned) == (damage != "delete")
-    elif name.endswith("complete.marker") and damage != "delete":
-        assert code == 0, err
-    else:
+    elif name == "manifest.json" or (name.startswith("task_001/") and not (
+            name.endswith("complete.marker") and damage != "delete")):
         assert code == 2 and str(path) in err, err
+    else:
+        assert code == 0 and table == finished_table, err
 
 
 def _edit_json(key, value):
@@ -418,6 +435,16 @@ def test_report_missing_scores_exit_code_2(out_root, tmp_path, capsys):
     ('[{"task": 0, "sr": 1, "spl": 1, "osr": 1, "m_sr": "x"}]',
      "row 0: m_sr: expected float"),
     ('[1]', "row 0: expected a score object"),
+    ('[{"task": 0, "sr": 7, "spl": 1, "osr": 1}]', "row 0: sr: must lie in [0, 1]"),
+    ('[{"task": 0, "sr": 1, "spl": -2.5, "osr": 1}]',
+     "row 0: spl: must lie in [0, inf)"),
+    ('[{"task": 0, "sr": 1, "spl": 1, "osr": 1.5}]', "row 0: osr: must lie in [0, 1]"),
+    ('[{"task": 0, "sr": 1, "spl": 1, "osr": 1, "m_sr": -0.5}]',
+     "row 0: m_sr: must lie in [0, 1]"),
+    ('[{"task": 0, "sr": 1, "spl": 1, "osr": 1, "m_spl": -1}]',
+     "row 0: m_spl: must lie in [0, inf)"),
+    ('[{"task": 0, "sr": 1, "spl": 1, "osr": 1, "m_osr": 2}]',
+     "row 0: m_osr: must lie in [0, 1]"),
 ])
 def test_report_malformed_scores_exit_code_2(tmp_path, capsys, payload, what):
     (tmp_path / "scores.json").write_text(payload)
@@ -427,7 +454,8 @@ def test_report_malformed_scores_exit_code_2(tmp_path, capsys, payload, what):
 
 
 @pytest.mark.parametrize("extra", ['', ', "m_sr": null', ', "m_sr": 1',
-                                   ', "m_sr": 1, "m_spl": 0.5, "m_osr": 0'])
+                                   ', "m_sr": 1, "m_spl": 0.5, "m_osr": 0',
+                                   ', "m_spl": 1.7'])
 def test_report_accepts_reference_columns(tmp_path, capsys, extra):
     (tmp_path / "scores.json").write_text(
         f'[{{"task": 0, "sr": 1, "spl": 1, "osr": 1{extra}}}]')

@@ -31,15 +31,14 @@ from tucker_adapters.config import ExperimentConfig
 from tucker_adapters.metrics import EpisodeRecord
 from tucker_adapters.pipeline import (
     evaluate_task,
-    final_state,
     init_state,
     run_eval,
     run_reference,
     run_training,
-    task_dir,
     train_task,
 )
 from tucker_adapters.retrieval import FeatureStore
+from tucker_adapters.rundir import final_state, load_state, task_dir
 from tucker_adapters.tasks import World, gen_episode, gen_stream
 from tucker_adapters.training import gram_penalty_and_row_grad
 
@@ -178,12 +177,12 @@ def count_writes(mp, crash_at=0):
 
 
 def run_dir_contents(run_dir):
-    """Every file of every task checkpoint, the reference and manifest
-    files, and the training log less its wall times. An npz file counts by
-    its arrays, since its zip entries are stamped with the time of writing,
-    and a completion marker by its existence, the only thing read of it."""
+    """Every file of the run directory: the training log less its wall
+    times, an npz file by its arrays, since its zip entries are stamped with
+    the time of writing, a completion marker by its existence, the only
+    thing read of it, and any other file by its bytes."""
     out = {}
-    for path in sorted(run_dir.glob("task_*/*")):
+    for path in sorted(p for p in run_dir.rglob("*") if p.is_file()):
         name = path.relative_to(run_dir).as_posix()
         if path.suffix == ".npz":
             with np.load(path) as data:
@@ -191,12 +190,12 @@ def run_dir_contents(run_dir):
                                    data[key].tobytes()) for key in data.files}
         elif path.name == "complete.marker":
             out[name] = "exists"
+        elif path.name == "train_log.jsonl":
+            lines = path.read_text().splitlines()
+            out[name] = [{k: v for k, v in json.loads(line).items()
+                          if k != "wall_time"} for line in lines]
         else:
             out[name] = path.read_bytes()
-    for name in ("reference.json", "manifest.json"):
-        out[name] = (run_dir / name).read_text()
-    out["log"] = [{k: v for k, v in json.loads(line).items() if k != "wall_time"}
-                  for line in (run_dir / "train_log.jsonl").read_text().splitlines()]
     return out
 
 
@@ -463,7 +462,11 @@ def test_reference_cache_hit_and_corruption(tmp_path):
     corrupted = r"reference\.json is corrupted \(.*\); "
     rebuilt = corrupted + "the missing tasks are rebuilt from their checkpoints$"
     for text in ("{broken", "[]", '{"values": 5}', '{"values": []}',
-                 '{"values": {"0": 1}}'):
+                 '{"values": {"0": 1}}',
+                 # out of range: SR and OSR lie in [0, 1], SPL in [0, inf)
+                 '{"values": {"0": {"task": 0, "sr": 7, "spl": 0.5, "osr": 0.5}}}',
+                 '{"values": {"0": {"task": 0, "sr": 0.5, "spl": -2.5, "osr": 0.5}}}',
+                 '{"values": {"0": {"task": 0, "sr": 0.5, "spl": 0.5, "osr": 1.5}}}'):
         (tmp_path / "r" / "reference.json").write_text(text)
         with pytest.warns(UserWarning, match=corrupted
                           + "eval reports without reference values$"):
@@ -743,6 +746,23 @@ def test_the_library_has_one_fan_out():
                 f"{path.name}:{node.lineno} imports {names}"
 
 
+def test_only_rundir_names_the_run_directory_files():
+    """No module of the package but `rundir` holds a string constant that
+    names a file of a run directory; ``task_`` counts as the stem of a task
+    directory, followed by a digit, a glob or nothing (``task_loss`` is a
+    log key)."""
+    names = {"config.json", "train_log.jsonl", "reference.json", "complete.marker",
+             "state.json", "fisher.npz", "store.npz"}
+    pattern = re.compile(r"adapter_L|task_(\d|\*|$)")
+    for path in sorted(Path(pipeline.__file__).parent.rglob("*.py")):
+        if path.name == "rundir.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                assert node.value not in names and not pattern.match(node.value), \
+                    f"{path.name}:{node.lineno} names {node.value!r}"
+
+
 # ---------------------------------------------------------------------------
 # All adapter kinds train and evaluate end to end
 # ---------------------------------------------------------------------------
@@ -799,7 +819,7 @@ def test_checkpoint_of_another_kind_is_refused(tmp_path):
     with pytest.raises(ValueError, match=r"adapter_L0\.npz holds a 'lora' "
                                          r"adapter, the config asks for "
                                          r"'lora_per_task'"):
-        pipeline.load_state(per_task, task_dir(tmp_path / "r", 0), n_layers)
+        load_state(per_task, task_dir(tmp_path / "r", 0), n_layers)
 
 
 def test_training_log_structure(tmp_path):
