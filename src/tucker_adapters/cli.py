@@ -139,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train sequentially over the task stream")
     _add_config_args(p)
     p.add_argument("--no-eval-each", action="store_true",
-                   help="skip the after-each-task reference evaluation")
+                   help="do not build reference.json")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score all tasks with the final checkpoint")

@@ -226,59 +226,45 @@ def run_training(cfg: ExperimentConfig, run_dir: str | Path,
                  eval_each: bool = True, progress=None) -> dict:
     """Train the full stream sequentially, checkpointing after each task.
 
-    If the run directory already holds complete task checkpoints for this
-    exact config, training resumes after the last complete task; a finished
-    run is left as it is. With ``eval_each`` the just-trained task is scored
-    immediately, which by sequential determinism equals the prefix-run
-    reference value, and first every sealed task missing from
-    ``reference.json``, because it was trained without evaluation or the
-    file was corrupted, is scored from its own checkpoint, on up to one
-    process per available CPU (see `config.forked_map`).
+    Resumes after the last complete task checkpoint of this exact config;
+    a finished run is left as it is. With ``eval_each`` every task missing
+    from ``reference.json`` is then scored on up to one process per CPU
+    (`config.forked_map`) from its checkpoint, its prefix-run state by
+    sequential determinism, or, if this call trained it last, from its live
+    state; the file is written once, in task order.
     """
     world, stream = open_run(cfg, run_dir, train=True)
     completed = sealed_count(run_dir, cfg.n_tasks)
     n_layers = len(world.backbone.layer_dims)
+    live = {}   # task index -> the state its checkpoint was sealed from
+    if completed < cfg.n_tasks:
+        # an interrupted task may have logged epochs; it is trained again
+        trim_log(run_dir, completed)
+        state = (load_state(cfg, task_dir(run_dir, completed - 1), n_layers)
+                 if completed else init_state(cfg, world))
+        for t, task in enumerate(stream[completed:], completed):
+            append_log(run_dir, train_task(state, world, task))
+            save_state(state, task_dir(run_dir, t))
+            if progress:
+                progress(f"task {t + 1}/{cfg.n_tasks} "
+                         f"(scene {task.scene}, env {task.env}) done")
+        live[cfg.n_tasks - 1] = state
     if eval_each:
         reference = read_reference(
-            run_dir, "the missing tasks are rebuilt from their checkpoints")
-        missing = [t for t in range(completed) if str(t) not in reference]
+            run_dir, cfg, "the missing tasks are rebuilt from their checkpoints")
+        missing = [t for t in range(cfg.n_tasks) if str(t) not in reference]
+        scores = forked_map(lambda t: evaluate_task(
+            world, live.get(t) or load_state(cfg, task_dir(run_dir, t), n_layers),
+            stream[t], cfg.test_episodes), missing)
+        for t, score in zip(missing, scores):
+            reference[str(t)] = reference_entry(stream[t], score)
+            if progress:
+                progress(f"reference {t + 1}/{cfg.n_tasks} scored")
         if missing:
-            entries = forked_map(lambda t: reference_entry(stream[t], evaluate_task(
-                world, load_state(cfg, task_dir(run_dir, t), n_layers), stream[t],
-                cfg.test_episodes)), missing)
-            for t, entry in zip(missing, entries):
-                reference[str(t)] = entry
-                if progress:
-                    progress(f"reference {t + 1}/{cfg.n_tasks} rebuilt")
-        # in task order, and without the entry of any task trained again
-        reference = {str(t): reference[str(t)] for t in range(completed)}
-        if missing:
-            write_reference(run_dir, cfg, reference)
-
-    summary = {"run_dir": str(run_dir), "tasks": cfg.n_tasks,
-               "config_hash": cfg.config_hash()}
-    if completed == cfg.n_tasks:
-        return summary
-    # an interrupted task may have logged epochs; it is trained again
-    trim_log(run_dir, completed)
-    if completed:
-        state = load_state(cfg, task_dir(run_dir, completed - 1), n_layers)
-    else:
-        state = init_state(cfg, world)
-
-    for t in range(completed, cfg.n_tasks):
-        task = stream[t]
-        logs = train_task(state, world, task)
-        append_log(run_dir, logs)
-        if eval_each:
-            score = evaluate_task(world, state, task, cfg.test_episodes)
-            reference[str(t)] = reference_entry(task, score)
-            write_reference(run_dir, cfg, reference)
-        save_state(state, task_dir(run_dir, t))
-        if progress:
-            progress(f"task {t + 1}/{cfg.n_tasks} "
-                     f"(scene {task.scene}, env {task.env}) done")
-    return summary
+            write_reference(run_dir, cfg, {str(t): reference[str(t)]
+                                           for t in range(cfg.n_tasks)})
+    return {"run_dir": str(run_dir), "tasks": cfg.n_tasks,
+            "config_hash": cfg.config_hash()}
 
 
 def run_eval(cfg: ExperimentConfig, run_dir: str | Path,
@@ -291,7 +277,7 @@ def run_eval(cfg: ExperimentConfig, run_dir: str | Path,
     `run_reference`) are attached so forgetting rates can be reported.
     """
     world, stream, state = final_state(cfg, run_dir)
-    reference = read_reference(run_dir, "eval reports without reference values")
+    reference = read_reference(run_dir, cfg, "eval reports without reference values")
     scores = forked_map(lambda task: evaluate_task(
         world, state, task, cfg.test_episodes, oracle_ids=oracle_ids), stream)
     for task, score in zip(stream, scores):
@@ -306,13 +292,12 @@ def run_reference(cfg: ExperimentConfig, run_dir: str | Path,
     """Reference metrics M-X_t: performance on task t when trained on 1..t.
 
     Training is deterministic and strictly sequential, so the checkpoint of
-    task t in the full run is the state of a prefix run of length t. The
-    run is trained (or resumed; a finished run is left as it is) with
-    evaluation after each task, which also rebuilds every sealed task
-    missing from ``reference.json``; returns the file's task entries.
+    task t in the full run is the state of a prefix run of length t.
+    `run_training` with ``eval_each`` trains or resumes the run and scores
+    every task missing from ``reference.json``; returns the file's entries.
     """
     run_training(cfg, run_dir, eval_each=True, progress=progress)
-    return read_reference(run_dir, "reference reports no values")
+    return read_reference(run_dir, cfg, "reference reports no values")
 
 
 def run_gradcheck(cfg: ExperimentConfig) -> dict[str, float]:

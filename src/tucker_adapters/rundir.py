@@ -6,7 +6,8 @@ resumed ``train`` does with it:
   manifest.json                 open_run(train=True)  open_run        keep
   config.json                   open_run(train=True)  none; --config  rewrite
   train_log.jsonl               append_log            trim_log        trim
-  reference.json                write_reference       read_reference  rebuild
+  reference.json                write_reference,      read_reference  rebuild
+                                after training
   task_NNN/adapter_L{l}.npz,    save_state            load_state      keep
     fisher.npz, store.npz, state.json
   task_NNN/complete.marker      save_state, last      sealed_count,   keep
@@ -157,20 +158,33 @@ def write_reference(run_dir: str | Path, cfg: ExperimentConfig, values: dict) ->
         {"config_hash": cfg.config_hash(), "values": values}, indent=2))
 
 
-def read_reference(run_dir: str | Path, fallback: str) -> dict:
+def read_reference(run_dir: str | Path, cfg: ExperimentConfig,
+                   fallback: str) -> dict:
     """The task entries cached in ``reference.json``: {} when it does not
     exist, and {} with a warning that ends with ``fallback``, what the
-    caller does then, when it is not ``{"values": {task: entry}}`` with
-    each entry a score row that `TaskScore.from_row` takes."""
+    caller does then, unless it is ``{"config_hash": cfg's hash, "values":
+    {task: entry}}`` with each entry the `reference_entry` of a task of
+    cfg's stream and a score row that `TaskScore.from_row` takes."""
     path = Path(run_dir) / REFERENCE
     if not path.exists():
         return {}
+    stream = {str(t.index): t for t in gen_stream(
+        cfg.n_scenes, cfg.n_envs, cfg.n_tasks, cfg.seed, n_instr=cfg.n_instr)}
     try:
-        values = read_json(path, dict).get("values")
+        found = read_json(path, dict)
+        values = found.get("values")
         if not isinstance(values, dict):
             raise ValueError('expected a "values" object')
-        for task, entry in values.items():
-            TaskScore.from_row(entry, f"task {task}")
+        for key, entry in values.items():
+            task = stream.get(key)
+            if task is None:
+                raise ValueError(f"{key!r} is not a task index of the stream")
+            expected = reference_entry(task, TaskScore.from_row(entry, f"task {key}"))
+            if entry != expected:
+                raise ValueError(f"task {key}: expected {expected}, got {entry}")
+        if found.get("config_hash") != cfg.config_hash():
+            raise ValueError(f"config_hash {found.get('config_hash')!r} is "
+                             f"not the config's {cfg.config_hash()!r}")
         return values
     except ValueError as exc:
         warnings.warn(f"reference cache {path} is corrupted ({exc}); {fallback}")

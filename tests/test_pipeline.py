@@ -461,12 +461,20 @@ def test_reference_cache_hit_and_corruption(tmp_path):
     # that says so
     corrupted = r"reference\.json is corrupted \(.*\); "
     rebuilt = corrupted + "the missing tasks are rebuilt from their checkpoints$"
+    good = json.loads(written)
     for text in ("{broken", "[]", '{"values": 5}', '{"values": []}',
                  '{"values": {"0": 1}}',
                  # out of range: SR and OSR lie in [0, 1], SPL in [0, inf)
                  '{"values": {"0": {"task": 0, "sr": 7, "spl": 0.5, "osr": 0.5}}}',
                  '{"values": {"0": {"task": 0, "sr": 0.5, "spl": -2.5, "osr": 0.5}}}',
-                 '{"values": {"0": {"task": 0, "sr": 0.5, "spl": 0.5, "osr": 1.5}}}'):
+                 '{"values": {"0": {"task": 0, "sr": 0.5, "spl": 0.5, "osr": 1.5}}}',
+                 # another config's file, or entries that are not the stream's
+                 json.dumps({**good, "config_hash": "deadbeef"}),
+                 json.dumps({**good, "values": {**good["values"], "0": {
+                     "task": 7, "scene": 99, "env": 42,
+                     "sr": 0.5, "spl": 0.5, "osr": 0.5}}}),
+                 json.dumps({**good, "values": {**good["values"],
+                                                "7": good["values"]["0"]}})):
         (tmp_path / "r" / "reference.json").write_text(text)
         with pytest.warns(UserWarning, match=corrupted
                           + "eval reports without reference values$"):
@@ -475,8 +483,8 @@ def test_reference_cache_hit_and_corruption(tmp_path):
         with pytest.warns(UserWarning, match=rebuilt):
             assert run_reference(tiny_config(), tmp_path / "r") == values, text
         assert (tmp_path / "r" / "reference.json").read_bytes() == written, text
-    # training the last task again rebuilds the sealed tasks' entries from
-    # their checkpoints, then scores the last task after training it
+    # training the last task again, then scoring it from its live state and
+    # the others from their checkpoints, writes the same bytes
     (task_dir(tmp_path / "r", cfg.n_tasks - 1) / "complete.marker").unlink()
     (tmp_path / "r" / "reference.json").write_text("{broken")
     with pytest.warns(UserWarning, match=rebuilt):
@@ -661,23 +669,36 @@ def test_forked_scores_are_bitwise_the_serial_ones(finished_runs, monkeypatch,
 
 def test_forked_reference_rebuild_is_bitwise_the_serial_one(tmp_path, monkeypatch,
                                                           forks):
-    """``reference`` on a run trained without eval after each task rebuilds
-    all three tasks from their checkpoints, one contiguous share per CPU:
-    one, two and three CPUs write the same bytes, and every worker is
-    reaped before it returns."""
+    """``reference`` on a run trained without eval after each task, and a
+    fresh run trained with it, score all three tasks in one fan-out, one
+    contiguous share per CPU: one, two and three CPUs write the same bytes,
+    the fresh run replaces ``reference.json`` once, and every worker is
+    reaped before the call returns."""
     cfg, run_dir = tiny_config(epochs=1), tmp_path / "r"
     run_training(cfg, run_dir, eval_each=False)
+    replace, replaced = os.replace, []
+
+    def counted_replace(src, dst):
+        replaced.append(Path(dst).name)
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", counted_replace)
     written = []
     for cpus in (1, 2, 3):
         (run_dir / "reference.json").unlink(missing_ok=True)
         monkeypatch.setattr(config, "available_cpus", lambda n=cpus: n)
-        before = len(forks)
-        run_reference(cfg, run_dir)
-        assert len(forks) - before == cpus - 1
-        with pytest.raises(ChildProcessError):   # no child, running or unreaped
-            os.waitpid(-1, os.WNOHANG)
-        written.append((run_dir / "reference.json").read_bytes())
-    assert written[0] == written[1] == written[2]
+        fresh = tmp_path / f"fresh{cpus}"
+        for run in (lambda: run_reference(cfg, run_dir),
+                    lambda: run_training(cfg, fresh)):
+            before, replaced[:] = len(forks), []
+            run()
+            assert len(forks) - before == cpus - 1
+            assert replaced.count("reference.json") == 1
+            with pytest.raises(ChildProcessError):   # no child, running or unreaped
+                os.waitpid(-1, os.WNOHANG)
+        written += [(run_dir / "reference.json").read_bytes(),
+                    (fresh / "reference.json").read_bytes()]
+    assert len(set(written)) == 1
 
 
 def test_a_workers_exception_reaches_the_caller(finished_runs, monkeypatch,
